@@ -105,11 +105,12 @@ def run_verification(
     checks = []
     total = 0
     for p in modarith.primes_in_range(max(pmin, 3), pmax):
+        k = ((p - 1) & (1 - p)).bit_length() - 1  # 2-adic valuation of p - 1
+        if k_filter is not None and k != k_filter:
+            continue
+        if method in _CLASS_OF_METHOD and k != _CLASS_OF_METHOD[method]:
+            continue
         ctx = modarith.make_context(p)
-        if k_filter is not None and ctx.k != k_filter:
-            continue
-        if method in _CLASS_OF_METHOD and ctx.k != _CLASS_OF_METHOD[method]:
-            continue
         failures = []
         table = oracles.brute_root_table(p)
         for a, pair in table.items():

@@ -137,7 +137,8 @@ _BY_K = {1: sqrt_f1, 2: sqrt_f2, 3: sqrt_f3, 4: sqrt_f4}
 
 
 def sqrt_auto(ctx: PrimeContext, a: int) -> SqrtOutcome:
-    """Dispatch to the hard-coded class evaluator, or synthesize for k >= 5."""
+    """Dispatch to the hard-coded class evaluator for k <= 4, else to
+    sqrt_synth, which walks the class formula for any k."""
     fn = _BY_K.get(ctx.k)
     if fn is not None:
         return fn(ctx, a)

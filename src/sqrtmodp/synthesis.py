@@ -10,15 +10,22 @@ a^((n+1)/2) into a root on that class), times k-1 indicator factors
 terms and scaling by 2^-(k-1) x^((n+1)/2) yields a single polynomial whose
 value at every quadratic residue is a square root of it.
 
-The same object supports sign normalization (folding z-exponents at or
-above 2^(k-1) into minus signs via z^(2^(k-1) n) = -1), rendering to text,
-LaTeX, and a structured document, and full expansion into a sparse
-polynomial whose degree is 2^(k-1) n - (n-1)/2 with at most 2^(k-1) terms.
+The level-j factor depends only on t mod 2^(k-1-j), so the terms are the
+leaves of a binary prefix tree of factors.  sqrt_synth walks that tree from
+the prime context alone and prunes every subtree under a zero factor: at a
+nonzero residue one child is 0 and the other 2 at each level, so a call
+evaluates 2(k-1) factors, the same count for every residue and any k.
+
+The symbolic object, built by synthesize for k <= MAX_K, supports sign
+normalization (folding z-exponents at or above 2^(k-1) into minus signs via
+z^(2^(k-1) n) = -1), rendering to text, LaTeX, and a structured document,
+and full expansion into a sparse polynomial whose degree is
+2^(k-1) n - (n-1)/2 with at most 2^(k-1) terms.  MAX_K limits only these;
+sqrt, verify and bench work for any k.
 """
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .formulas import SqrtOutcome, WrongClass, _canonical, _screen
 from .modarith import MulCounter, PrimeContext, mod_pow
@@ -73,24 +80,52 @@ class SymbolicFormula:
     terms: tuple[Term, ...]
 
 
+def _factor_c(t: int, j: int, k: int) -> int:
+    """z-exponent coefficient of class t's level-j factor: -2^(j+1) t mod 2^k.
+
+    It depends only on t mod 2^(k-1-j), the low k-1-j bits of t.
+    """
+    return (-(t << (j + 1))) % (1 << k)
+
+
 def synthesize(k: int) -> SymbolicFormula:
-    """Build the k-class formula; no prime is needed, exponents stay symbolic."""
-    if not 1 <= k <= MAX_K:
-        raise ValueError(f"k must be in [1, {MAX_K}], got {k}")
-    half, full = 1 << (k - 1), 1 << k
-    terms = []
-    for t in range(half):
-        e = (-t) % half
-        factors = tuple(
-            Factor(j, (-(t << (j + 1))) % full) for j in range(k - 2, -1, -1)
+    """Build the k-class formula; no prime is needed, exponents stay symbolic.
+
+    Terms share their Factor instances: one per distinct (j, c) pair.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if k > MAX_K:
+        raise ValueError(
+            f"synthesize and expand support k<={MAX_K}, got k={k}; "
+            "sqrt, verify and bench work for any k"
         )
-        terms.append(Term(e, factors))
-    return SymbolicFormula(k, tuple(terms))
+    half = 1 << (k - 1)
+    levels = [
+        [Factor(j, _factor_c(t, j, k)) for t in range(1 << (k - 1 - j))]
+        for j in range(k - 1)
+    ]
+    terms = tuple(
+        Term(
+            (-t) % half,
+            tuple(levels[j][t % len(levels[j])] for j in range(k - 2, -1, -1)),
+        )
+        for t in range(half)
+    )
+    return SymbolicFormula(k, terms)
 
 
-@lru_cache(maxsize=None)
-def _formula_for(k: int) -> SymbolicFormula:
-    return synthesize(k)
+def _x_levels(ctx: PrimeContext, x: int, counter: MulCounter | None) -> list[int]:
+    """x^(2^j n) for j = 0..k-2: one power, then k-2 squarings."""
+    p = ctx.p
+    if ctx.k == 1:
+        return []
+    xp = [mod_pow(x, ctx.n, p, counter)]
+    for _ in range(ctx.k - 2):
+        xp.append(xp[-1] * xp[-1] % p)
+    if counter is not None:
+        counter.count += ctx.k - 2
+    return xp
 
 
 def _bracket_terms(
@@ -103,10 +138,7 @@ def _bracket_terms(
     which class x falls in.
     """
     p = ctx.p
-    xp = [mod_pow(x, ctx.n, p, counter)]
-    for _ in range(f.k - 2):
-        v = xp[-1]
-        xp.append(counter.mul(v, v, p) if counter else v * v % p)
+    xp = _x_levels(ctx, x, counter)
     cache: dict[tuple[int, int], int] = {}
     values = []
     for term in f.terms:
@@ -155,9 +187,51 @@ def evaluate(f: SymbolicFormula, ctx: PrimeContext, a: int) -> SqrtOutcome:
     return _canonical(raw, p, "synth", c)
 
 
+def _walk(ctx: PrimeContext, x: int, counter: MulCounter) -> int:
+    """The bracket's value at x, summed over the prefix tree of factors.
+
+    Level j, from k-2 down to 0, fixes bit k-2-j of the class index t.  The
+    two children of a node share one product x^(2^j n) z^(cn): setting the
+    new bit adds 2^(k-1) to c, and z^(2^(k-1) n) = -1, so their factors are
+    1 + prod and 1 - prod.  Subtrees under a zero factor are dropped; the
+    sum is unchanged.
+    """
+    p, k, zn_pow = ctx.p, ctx.k, ctx.zn_pow
+    xp = _x_levels(ctx, x, counter)
+    nodes = [(0, 1)]  # (low bits of t, product of the factors above)
+    muls = 0
+    for j in range(k - 2, -1, -1):
+        bit, xj, below = 1 << (k - 2 - j), xp[j], []
+        for t, v in nodes:
+            prod = xj * zn_pow(_factor_c(t, j, k)) % p
+            hi, lo = (1 + prod) % p, (1 - prod) % p
+            if hi:
+                below.append((t, v * hi % p))
+            if lo:
+                below.append((t | bit, v * lo % p))
+        muls += len(nodes) + len(below)
+        nodes = below
+    half = 1 << (k - 1)
+    counter.count += muls + len(nodes)
+    return sum(zn_pow((-t) % half) * v for t, v in nodes) % p
+
+
 def sqrt_synth(ctx: PrimeContext, a: int) -> SqrtOutcome:
-    """Synthesize (cached) and evaluate the formula for the context's class."""
-    return evaluate(_formula_for(ctx.k), ctx, a)
+    """Square root of the residue a via the class formula, walked as a tree.
+
+    The value equals evaluate(synthesize(ctx.k), ctx, a) wherever synthesize
+    exists, but no formula is built, so any k works, and the count is the
+    same for every nonzero residue of the prime.
+    """
+    p = ctx.p
+    c = MulCounter()
+    _screen(ctx, a, c)
+    if a == 0:  # every factor is 1 at x = 0, so nothing would prune
+        return _canonical(0, p, "synth", c)
+    total = _walk(ctx, a, c)
+    ah = mod_pow(a, (ctx.n + 1) // 2, p, c)
+    raw = c.mul(c.mul(ctx.half_pow(ctx.k - 1, c), ah, p), total, p)
+    return _canonical(raw, p, "synth", c)
 
 
 @dataclass(frozen=True)
