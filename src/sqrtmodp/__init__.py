@@ -1,9 +1,10 @@
 """Square roots modulo primes p = 2^k * n + 1 (n odd).
 
-Closed-form product evaluators for k = 1..4, a general-k synthesizer with
-sign normalization, rendering, and sparse expansion, classical oracles
-(iterative refinement, class-index direct method, brute force), exact
-order-class statistics, and a CLI for sweeps and benchmarks.
+One evaluator of the class formula for every k (tagged f1..f4 or synth), a
+general-k synthesizer with sign normalization, rendering, and sparse
+expansion, classical oracles (iterative refinement, class-index direct
+method, brute force), exact order-class statistics, and a CLI for sweeps and
+benchmarks.
 """
 
 from .analysis import DensityReport, multiplier_census, multiplier_coverage, order_census

@@ -1,10 +1,12 @@
-"""Hard-coded product-form square-root evaluators for the classes k = 1..4.
+"""The class-formula evaluator and its named entry points for k = 1..4.
 
-Each evaluator computes a^((n+1)/2) times a bracket of nonresidue-power terms
-that collapses, at any quadratic residue, to the single selector for the
-residue's class.  The bracket is always summed in full, with no
-data-dependent branching, so the multiplication count is the same for every
-residue of a given prime.
+The square root of a residue a is 2^-(k-1) a^((n+1)/2) times a bracket of
+nonresidue-power terms that collapses, at any quadratic residue, to the
+single selector for the residue's class.  One private evaluator computes it
+for every k: sqrt_f1..sqrt_f4, sqrt_auto and synthesis.sqrt_synth differ
+only in the class they accept and the method tag they report.  The walk
+through the bracket follows one path, so the multiplication count is the
+same for every nonzero residue of a given prime.
 """
 
 from dataclasses import dataclass
@@ -57,91 +59,98 @@ def _canonical(raw: int, p: int, method: str, counter: MulCounter) -> SqrtOutcom
     return SqrtOutcome(root, coroot, method, counter.count)
 
 
-def sqrt_f1(ctx: PrimeContext, a: int) -> SqrtOutcome:
-    """Root a^((n+1)/2) for k = 1, i.e. p = 2n + 1 with n odd (p = 3 mod 4)."""
-    if ctx.k != 1:
-        raise WrongClass(f"f1 needs k=1, context has k={ctx.k}")
+def _factor_c(t: int, j: int, k: int) -> int:
+    """z-exponent coefficient of class t's level-j factor: -2^(j+1) t mod 2^k.
+
+    It depends only on t mod 2^(k-1-j), the low k-1-j bits of t.
+    """
+    return (-(t << (j + 1))) % (1 << k)
+
+
+def _x_levels(ctx: PrimeContext, x: int, counter: MulCounter | None) -> list[int]:
+    """x^(2^j n) for j = 0..k-2: one power, then k-2 squarings."""
+    p, k = ctx.p, ctx.k
+    if k == 1:
+        return []
+    xp = [mod_pow(x, ctx.n, p, counter)]
+    for _ in range(k - 2):
+        xp.append(xp[-1] * xp[-1] % p)
+    if counter is not None:
+        counter.count += k - 2
+    return xp
+
+
+def _class_root(ctx: PrimeContext, a: int, method: str) -> SqrtOutcome:
+    """Square root of a via the class formula, walking its one live path.
+
+    The bracket's terms are the leaves of a binary tree of factors.  Level j,
+    from k-2 down to 0, fixes bit k-2-j of the class index t; the two
+    children of a node are 1 + prod and 1 - prod for one product
+    prod = x^(2^j n) z^(cn).  With a^n = z^(2sn), the node on the path agrees
+    with s on the bits fixed so far, so prod = z^(2^(k-1) n m) = +-1 and
+    exactly one child is nonzero: the walk keeps one (t, v) pair.  Each
+    level is charged its product and its factor, and the multiplier z^(en)
+    one more, so the count is the same for every nonzero residue.
+    """
+    p, k = ctx.p, ctx.k
     c = MulCounter()
     _screen(ctx, a, c)
-    raw = mod_pow(a, (ctx.n + 1) // 2, ctx.p, c)
-    return _canonical(raw, ctx.p, "f1", c)
+    if a == 0:  # every factor is 1 at x = 0, so no path is singled out
+        return _canonical(0, p, method, c)
+    ah = mod_pow(a, (ctx.n + 1) // 2, p, c)
+    if k == 1:  # the bracket is empty
+        return _canonical(ah, p, method, c)
+    zn_pow = ctx.zn_pow
+    xp = _x_levels(ctx, a, c)
+    t, v = 0, 1
+    for j in range(k - 2, -1, -1):
+        prod = xp[j] * zn_pow(_factor_c(t, j, k)) % p
+        if prod == p - 1:  # 1 + prod is 0: the live child sets the bit
+            t |= 1 << (k - 2 - j)
+        elif prod != 1:
+            raise ArithmeticError(f"no class index matches for p={p}; context invalid")
+        v = 2 * v % p  # the live factor is 2 either way
+    c.count += 2 * (k - 1) + 1
+    total = zn_pow(-t % (1 << (k - 1))) * v % p
+    raw = c.mul(c.mul(ctx.half_pow(k - 1, c), ah, p), total, p)
+    return _canonical(raw, p, method, c)
+
+
+_TAGS = ("f1", "f2", "f3", "f4")
+
+
+def _sqrt_fk(k: int, ctx: PrimeContext, a: int) -> SqrtOutcome:
+    if ctx.k != k:
+        raise WrongClass(f"f{k} needs k={k}, context has k={ctx.k}")
+    return _class_root(ctx, a, _TAGS[k - 1])
+
+
+def sqrt_f1(ctx: PrimeContext, a: int) -> SqrtOutcome:
+    """Root a^((n+1)/2) for k = 1, i.e. p = 2n + 1 with n odd (p = 3 mod 4)."""
+    return _sqrt_fk(1, ctx, a)
 
 
 def sqrt_f2(ctx: PrimeContext, a: int) -> SqrtOutcome:
     """Two-term bracket for k = 2 (p = 5 mod 8, where z is always 2)."""
-    if ctx.k != 2:
-        raise WrongClass(f"f2 needs k=2, context has k={ctx.k}")
-    p = ctx.p
-    c = MulCounter()
-    _screen(ctx, a, c)
-    ah = mod_pow(a, (ctx.n + 1) // 2, p, c)
-    an = mod_pow(a, ctx.n, p, c)
-    z1 = ctx.zn_pow(1)
-    bracket = (c.mul(z1, 1 - an, p) + 1 + an) % p
-    raw = c.mul(c.mul(ctx.half_pow(1, c), ah, p), bracket, p)
-    return _canonical(raw, p, "f2", c)
+    return _sqrt_fk(2, ctx, a)
 
 
 def sqrt_f3(ctx: PrimeContext, a: int) -> SqrtOutcome:
     """Four-term bracket for k = 3 (p = 2^3 n + 1)."""
-    if ctx.k != 3:
-        raise WrongClass(f"f3 needs k=3, context has k={ctx.k}")
-    p = ctx.p
-    c = MulCounter()
-    _screen(ctx, a, c)
-    ah = mod_pow(a, (ctx.n + 1) // 2, p, c)
-    an = mod_pow(a, ctx.n, p, c)
-    a2n = c.mul(an, an, p)
-    z1, z2, z3 = ctx.zn_pow(1), ctx.zn_pow(2), ctx.zn_pow(3)
-    anz2 = c.mul(an, z2, p)
-    t1 = c.mul(c.mul(z3, 1 - a2n, p), 1 - anz2, p)
-    t2 = c.mul(c.mul(z1, 1 - a2n, p), 1 + anz2, p)
-    t3 = c.mul(c.mul(z2, 1 + a2n, p), 1 - an, p)
-    t4 = c.mul(1 + a2n, 1 + an, p)
-    bracket = (t1 + t2 + t3 + t4) % p
-    raw = c.mul(c.mul(ctx.half_pow(2, c), ah, p), bracket, p)
-    return _canonical(raw, p, "f3", c)
+    return _sqrt_fk(3, ctx, a)
 
 
 def sqrt_f4(ctx: PrimeContext, a: int) -> SqrtOutcome:
     """Eight-term bracket for k = 4 (p = 2^4 n + 1)."""
-    if ctx.k != 4:
-        raise WrongClass(f"f4 needs k=4, context has k={ctx.k}")
-    p = ctx.p
-    c = MulCounter()
-    _screen(ctx, a, c)
-    ah = mod_pow(a, (ctx.n + 1) // 2, p, c)
-    an = mod_pow(a, ctx.n, p, c)
-    a2n = c.mul(an, an, p)
-    a4n = c.mul(a2n, a2n, p)
-    zp = ctx.zn_pow
-    anz2 = c.mul(an, zp(2), p)
-    anz4 = c.mul(an, zp(4), p)
-    anz6 = c.mul(an, zp(6), p)
-    a2nz4 = c.mul(a2n, zp(4), p)
-    m4, p4 = 1 - a4n, 1 + a4n
-    t1 = c.mul(c.mul(c.mul(zp(7), m4, p), 1 - a2nz4, p), 1 - anz6, p)
-    t2 = c.mul(c.mul(c.mul(zp(5), m4, p), 1 - anz2, p), 1 + a2nz4, p)
-    t3 = c.mul(c.mul(c.mul(zp(3), m4, p), 1 - a2nz4, p), 1 + anz6, p)
-    t4 = c.mul(c.mul(c.mul(zp(1), m4, p), 1 + anz2, p), 1 + a2nz4, p)
-    t5 = c.mul(c.mul(c.mul(zp(6), p4, p), 1 - a2n, p), 1 - anz4, p)
-    t6 = c.mul(c.mul(c.mul(zp(2), p4, p), 1 - a2n, p), 1 + anz4, p)
-    t7 = c.mul(c.mul(c.mul(zp(4), p4, p), 1 + a2n, p), 1 - an, p)
-    t8 = c.mul(c.mul(p4, 1 + a2n, p), 1 + an, p)
-    bracket = (t1 + t2 + t3 + t4 + t5 + t6 + t7 + t8) % p
-    raw = c.mul(c.mul(ctx.half_pow(3, c), ah, p), bracket, p)
-    return _canonical(raw, p, "f4", c)
-
-
-_BY_K = {1: sqrt_f1, 2: sqrt_f2, 3: sqrt_f3, 4: sqrt_f4}
+    return _sqrt_fk(4, ctx, a)
 
 
 def sqrt_auto(ctx: PrimeContext, a: int) -> SqrtOutcome:
-    """Dispatch to the hard-coded class evaluator for k <= 4, else to
-    sqrt_synth, which walks the class formula for any k."""
-    fn = _BY_K.get(ctx.k)
-    if fn is not None:
-        return fn(ctx, a)
+    """The class formula, tagged f1..f4 for k <= 4 and handed to
+    sqrt_synth for larger k."""
+    k = ctx.k
+    if k <= 4:
+        return _class_root(ctx, a, _TAGS[k - 1])
     from .synthesis import sqrt_synth
 
     return sqrt_synth(ctx, a)

@@ -11,10 +11,11 @@ terms and scaling by 2^-(k-1) x^((n+1)/2) yields a single polynomial whose
 value at every quadratic residue is a square root of it.
 
 The level-j factor depends only on t mod 2^(k-1-j), so the terms are the
-leaves of a binary prefix tree of factors.  sqrt_synth walks that tree from
-the prime context alone and prunes every subtree under a zero factor: at a
-nonzero residue one child is 0 and the other 2 at each level, so a call
-evaluates 2(k-1) factors, the same count for every residue and any k.
+leaves of a binary prefix tree of factors.  At a nonzero residue one child
+is 0 and the other 2 at each level, so sqrt_synth, like sqrt_f1..sqrt_f4,
+follows the one live path down that tree from the prime context alone (the
+evaluator lives in formulas): k-1 levels per call, and the same count for
+every nonzero residue, for any k.
 
 The symbolic object, built by synthesize for k <= MAX_K, supports sign
 normalization (folding z-exponents at or above 2^(k-1) into minus signs via
@@ -27,7 +28,15 @@ sqrt, verify and bench work for any k.
 import json
 from dataclasses import dataclass
 
-from .formulas import SqrtOutcome, WrongClass, _canonical, _screen
+from .formulas import (
+    SqrtOutcome,
+    WrongClass,
+    _canonical,
+    _class_root,
+    _factor_c,
+    _screen,
+    _x_levels,
+)
 from .modarith import MulCounter, PrimeContext, mod_pow
 
 __all__ = [
@@ -80,14 +89,6 @@ class SymbolicFormula:
     terms: tuple[Term, ...]
 
 
-def _factor_c(t: int, j: int, k: int) -> int:
-    """z-exponent coefficient of class t's level-j factor: -2^(j+1) t mod 2^k.
-
-    It depends only on t mod 2^(k-1-j), the low k-1-j bits of t.
-    """
-    return (-(t << (j + 1))) % (1 << k)
-
-
 def synthesize(k: int) -> SymbolicFormula:
     """Build the k-class formula; no prime is needed, exponents stay symbolic.
 
@@ -113,19 +114,6 @@ def synthesize(k: int) -> SymbolicFormula:
         for t in range(half)
     )
     return SymbolicFormula(k, terms)
-
-
-def _x_levels(ctx: PrimeContext, x: int, counter: MulCounter | None) -> list[int]:
-    """x^(2^j n) for j = 0..k-2: one power, then k-2 squarings."""
-    p = ctx.p
-    if ctx.k == 1:
-        return []
-    xp = [mod_pow(x, ctx.n, p, counter)]
-    for _ in range(ctx.k - 2):
-        xp.append(xp[-1] * xp[-1] % p)
-    if counter is not None:
-        counter.count += ctx.k - 2
-    return xp
 
 
 def _bracket_terms(
@@ -187,51 +175,14 @@ def evaluate(f: SymbolicFormula, ctx: PrimeContext, a: int) -> SqrtOutcome:
     return _canonical(raw, p, "synth", c)
 
 
-def _walk(ctx: PrimeContext, x: int, counter: MulCounter) -> int:
-    """The bracket's value at x, summed over the prefix tree of factors.
-
-    Level j, from k-2 down to 0, fixes bit k-2-j of the class index t.  The
-    two children of a node share one product x^(2^j n) z^(cn): setting the
-    new bit adds 2^(k-1) to c, and z^(2^(k-1) n) = -1, so their factors are
-    1 + prod and 1 - prod.  Subtrees under a zero factor are dropped; the
-    sum is unchanged.
-    """
-    p, k, zn_pow = ctx.p, ctx.k, ctx.zn_pow
-    xp = _x_levels(ctx, x, counter)
-    nodes = [(0, 1)]  # (low bits of t, product of the factors above)
-    muls = 0
-    for j in range(k - 2, -1, -1):
-        bit, xj, below = 1 << (k - 2 - j), xp[j], []
-        for t, v in nodes:
-            prod = xj * zn_pow(_factor_c(t, j, k)) % p
-            hi, lo = (1 + prod) % p, (1 - prod) % p
-            if hi:
-                below.append((t, v * hi % p))
-            if lo:
-                below.append((t | bit, v * lo % p))
-        muls += len(nodes) + len(below)
-        nodes = below
-    half = 1 << (k - 1)
-    counter.count += muls + len(nodes)
-    return sum(zn_pow((-t) % half) * v for t, v in nodes) % p
-
-
 def sqrt_synth(ctx: PrimeContext, a: int) -> SqrtOutcome:
-    """Square root of the residue a via the class formula, walked as a tree.
+    """Square root of the residue a via the class formula, for any k.
 
     The value equals evaluate(synthesize(ctx.k), ctx, a) wherever synthesize
-    exists, but no formula is built, so any k works, and the count is the
-    same for every nonzero residue of the prime.
+    exists, but no formula is built, and the count is the same for every
+    nonzero residue of the prime.
     """
-    p = ctx.p
-    c = MulCounter()
-    _screen(ctx, a, c)
-    if a == 0:  # every factor is 1 at x = 0, so nothing would prune
-        return _canonical(0, p, "synth", c)
-    total = _walk(ctx, a, c)
-    ah = mod_pow(a, (ctx.n + 1) // 2, p, c)
-    raw = c.mul(c.mul(ctx.half_pow(ctx.k - 1, c), ah, p), total, p)
-    return _canonical(raw, p, "synth", c)
+    return _class_root(ctx, a, "synth")
 
 
 @dataclass(frozen=True)
@@ -268,41 +219,32 @@ def _exp_n(m: int) -> str:
     return "n" if m == 1 else f"{m}n"
 
 
-def _term_text(rt: RenderedTerm) -> str:
+def _term(rt: RenderedTerm, braces: str, joiner: str) -> str:
+    """One sign-normalized term, exponents wrapped in braces "()" or "{}"."""
+    lb, rb = braces
     parts = []
     if rt.e:
-        parts.append(f"z^({_exp_n(rt.e)})")
+        parts.append(f"z^{lb}{_exp_n(rt.e)}{rb}")
     for sf in rt.factors:
         sign = "+" if sf.sign > 0 else "-"
-        zpart = f" z^({_exp_n(sf.c)})" if sf.c else ""
-        parts.append(f"(1 {sign} x^({_exp_n(1 << sf.j)}){zpart})")
-    return "*".join(parts)
+        zpart = f" z^{lb}{_exp_n(sf.c)}{rb}" if sf.c else ""
+        parts.append(f"(1 {sign} x^{lb}{_exp_n(1 << sf.j)}{rb}{zpart})")
+    return joiner.join(parts)
 
 
 def render_text(f: SymbolicFormula) -> str:
     """Plain-text rendering; byte-stable, suitable for golden comparisons."""
     if f.k == 1:
         return "x^((n+1)/2)"
-    body = " + ".join(_term_text(rt) for rt in normalize_signs(f))
+    body = " + ".join(_term(rt, "()", "*") for rt in normalize_signs(f))
     return f"2^-{f.k - 1} * x^((n+1)/2) * [ {body} ]"
-
-
-def _term_math(rt: RenderedTerm) -> str:
-    parts = []
-    if rt.e:
-        parts.append(f"z^{{{_exp_n(rt.e)}}}")
-    for sf in rt.factors:
-        sign = "+" if sf.sign > 0 else "-"
-        zpart = f" z^{{{_exp_n(sf.c)}}}" if sf.c else ""
-        parts.append(f"(1 {sign} x^{{{_exp_n(1 << sf.j)}}}{zpart})")
-    return " ".join(parts)
 
 
 def render_math(f: SymbolicFormula) -> str:
     """LaTeX rendering of the sign-normalized formula."""
     if f.k == 1:
         return "x^{(n+1)/2}"
-    body = " + ".join(_term_math(rt) for rt in normalize_signs(f))
+    body = " + ".join(_term(rt, "{}", " ") for rt in normalize_signs(f))
     return f"2^{{-{f.k - 1}}} x^{{(n+1)/2}} \\left[ {body} \\right]"
 
 

@@ -28,6 +28,17 @@ def test_sqrt_f3(capsys):
     assert (doc["root"], doc["coroot"], doc["method"]) == (17, 24, "f3")
 
 
+@pytest.mark.parametrize(
+    "p,method,count", [("13", "f2", 11), ("41", "f3", 19), ("17", "f4", 16)]
+)
+def test_sqrt_mul_count_pinned(capsys, p, method, count):
+    # a change to these counts is a change to the cost model: make it on purpose
+    code, out, _ = run_cli(capsys, "sqrt", "--p", p, "--a", "4")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["root"], doc["method"], doc["mul_count"]) == (2, method, count)
+
+
 def test_sqrt_nonresidue_exits_2(capsys):
     code, out, err = run_cli(capsys, "sqrt", "--p", "41", "--a", "3")
     assert code == 2

@@ -11,9 +11,9 @@ from sqrtmodp.formulas import (
     sqrt_f3,
     sqrt_f4,
 )
-from sqrtmodp.modarith import make_context, primes_in_range
+from sqrtmodp.modarith import PrimeContext, decompose, make_context, primes_in_range
 from sqrtmodp.oracles import brute_root_table, residue_class
-from sqrtmodp.synthesis import synthesize, term_values
+from sqrtmodp.synthesis import sqrt_synth, synthesize, term_values
 
 F_BY_K = {1: sqrt_f1, 2: sqrt_f2, 3: sqrt_f3, 4: sqrt_f4}
 
@@ -111,12 +111,41 @@ def test_canonical_root_is_smaller():
 
 
 def test_mul_count_constant_across_residues():
-    # straight-line evaluation: same count for every residue of a fixed prime
+    # the walk follows one path: same count for every residue of a fixed prime
     for p in [7, 11, 13, 29, 41, 73, 17, 113]:
         ctx = make_context(p)
         fn = F_BY_K[ctx.k]
         counts = {fn(ctx, a).mul_count for a in brute_root_table(p)}
         assert len(counts) == 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_fk_auto_and_synth_agree(k):
+    # one evaluator behind all three: equal roots and counts, own method tags
+    fk = F_BY_K[k]
+    primes = [p for p in primes_in_range(3, 300) if decompose(p)[0] == k][:3]
+    assert len(primes) == 3
+    for p in primes:
+        ctx = make_context(p)
+        for a in [0, *brute_root_table(p)]:
+            outs = [fk(ctx, a), sqrt_auto(ctx, a), sqrt_synth(ctx, a)]
+            assert [o.method for o in outs] == [f"f{k}", f"f{k}", "synth"]
+            assert len({(o.root, o.coroot, o.mul_count) for o in outs}) == 1
+
+
+@pytest.mark.parametrize("p,count", [(7, 3), (2147483647, 87)])
+def test_synth_k1_count_is_f1s(p, count):
+    # at k = 1 the bracket is empty: no scale or multiplier is charged
+    ctx = make_context(p)
+    assert sqrt_synth(ctx, 4).mul_count == sqrt_f1(ctx, 4).mul_count == count
+
+
+def test_invalid_context_is_reported():
+    # z = 2 is a residue mod 41, so a^n z^(cn) need not be +-1 on the path
+    p, k, n, z = 41, 3, 5, 2
+    ctx = PrimeContext(p, k, n, z, tuple(pow(z, j * n, p) for j in range(1 << k)))
+    with pytest.raises(ArithmeticError, match="context invalid"):
+        sqrt_f3(ctx, 2)
 
 
 def test_selector_property_k3_k4():
