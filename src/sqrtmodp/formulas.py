@@ -4,9 +4,12 @@ The square root of a residue a is 2^-(k-1) a^((n+1)/2) times a bracket of
 nonresidue-power terms that collapses, at any quadratic residue, to the
 single selector for the residue's class.  One private evaluator computes it
 for every k: sqrt_f1..sqrt_f4, sqrt_auto and synthesis.sqrt_synth differ
-only in the class they accept and the method tag they report.  The walk
-through the bracket follows one path, so the multiplication count is the
-same for every nonzero residue of a given prime.
+only in the class they accept and the method tag they report.  It takes
+one shared power per call, a^((n-1)/2); a^((n+1)/2), the levels a^(2^j n)
+and the Euler screen a^((p-1)/2) follow from it by two products and k-1
+squarings.  The walk through the bracket follows one path, so the
+multiplication count is the same for every nonzero residue of a given
+prime.
 """
 
 from dataclasses import dataclass
@@ -83,6 +86,10 @@ def _x_levels(ctx: PrimeContext, x: int, counter: MulCounter | None) -> list[int
 def _class_root(ctx: PrimeContext, a: int, method: str) -> SqrtOutcome:
     """Square root of a via the class formula, walking its one live path.
 
+    One power u = a^((n-1)/2) gives the rest: a^((n+1)/2) = a u, a^n =
+    a^((n+1)/2) u, and k-1 squarings give the levels a^(2^j n) for j = 0..k-1.
+    The last level is a^((p-1)/2), Euler's symbol, so it is the screen.
+
     The bracket's terms are the leaves of a binary tree of factors.  Level j,
     from k-2 down to 0, fixes bit k-2-j of the class index t; the two
     children of a node are 1 + prod and 1 - prod for one product
@@ -93,15 +100,24 @@ def _class_root(ctx: PrimeContext, a: int, method: str) -> SqrtOutcome:
     one more, so the count is the same for every nonzero residue.
     """
     p, k = ctx.p, ctx.k
+    if not 0 <= a < p:
+        raise ValueError(f"residue {a} out of range for p={p}")
     c = MulCounter()
-    _screen(ctx, a, c)
     if a == 0:  # every factor is 1 at x = 0, so no path is singled out
         return _canonical(0, p, method, c)
-    ah = mod_pow(a, (ctx.n + 1) // 2, p, c)
+    u = mod_pow(a, (ctx.n - 1) // 2, p, c)
+    ah = a * u % p
+    x = ah * u % p
+    xp = [x]
+    for _ in range(k - 1):
+        x = x * x % p
+        xp.append(x)
+    c.count += 2 + (k - 1)
+    if x == p - 1:
+        raise NotAResidue(f"{a} is not a quadratic residue mod {p}")
     if k == 1:  # the bracket is empty
         return _canonical(ah, p, method, c)
     zn_pow = ctx.zn_pow
-    xp = _x_levels(ctx, a, c)
     t, v = 0, 1
     for j in range(k - 2, -1, -1):
         prod = xp[j] * zn_pow(_factor_c(t, j, k)) % p

@@ -133,7 +133,7 @@ def test_fk_auto_and_synth_agree(k):
             assert len({(o.root, o.coroot, o.mul_count) for o in outs}) == 1
 
 
-@pytest.mark.parametrize("p,count", [(7, 3), (2147483647, 87)])
+@pytest.mark.parametrize("p,count", [(7, 2), (2147483647, 58)])
 def test_synth_k1_count_is_f1s(p, count):
     # at k = 1 the bracket is empty: no scale or multiplier is charged
     ctx = make_context(p)

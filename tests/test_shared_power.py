@@ -1,0 +1,95 @@
+"""The class evaluator's one shared power per call.
+
+Each call takes u = a^((n-1)/2) and derives a^((n+1)/2) = a u, a^n =
+a^((n+1)/2) u and the levels a^(2^j n) by squaring; the last level,
+a^((p-1)/2), is Euler's symbol and serves as the screen.  These tests pin the
+count that follows from (p, k) alone, the screen on every small prime, and
+the Fermat primes, where n = 1 and the shared power is 1.
+"""
+
+import random
+
+import pytest
+
+from sqrtmodp.formulas import NotAResidue, sqrt_auto, sqrt_f1, sqrt_f2, sqrt_f3, sqrt_f4
+from sqrtmodp.modarith import decompose, is_prime, legendre, make_context, primes_in_range
+from sqrtmodp.oracles import brute_root_table
+from sqrtmodp.synthesis import sqrt_synth
+
+F_BY_K = {1: sqrt_f1, 2: sqrt_f2, 3: sqrt_f3, 4: sqrt_f4}
+GOLDILOCKS = (1 << 64) - (1 << 32) + 1
+HIGH_K_PRIMES = (786433, 2013265921, 2130706433, GOLDILOCKS)  # k = 18, 27, 24, 32
+LARGE_PRIMES = (
+    2147483647,  # 2^31 - 1
+    2305843009213693951, 2305843009213693693, 2305843009213693561, 2305843009213691569,
+    1208925819614629174706111, 1208925819614629174704869,
+    1208925819614629174704889, 1208925819614629174706033,
+    2013265921, 2130706433, GOLDILOCKS,
+)
+
+
+def pow_cost(e):
+    """Square-and-multiply cost of x^e, as MulCounter charges it."""
+    return e.bit_length() - 1 + e.bit_count() - 1 if e else 0
+
+
+def expected_count(p, k):
+    n = (p - 1) >> k
+    front = pow_cost((n - 1) // 2) + 2 + (k - 1)  # u, a u, a^((n+1)/2) u, squarings
+    if k == 1:
+        return front
+    walk = 2 * (k - 1) + 1  # a product and a factor per level, the multiplier
+    scale = pow_cost(k - 1)  # (2^-1)^(k-1)
+    return front + walk + scale + 2  # the scale and the bracket times a^((n+1)/2)
+
+
+def smallest_prime_with_k(k):
+    n = 1
+    while not is_prime((n << k) + 1):
+        n += 2
+    return (n << k) + 1
+
+
+@pytest.mark.parametrize("p", [smallest_prime_with_k(k) for k in range(1, 19)] + list(LARGE_PRIMES))
+def test_count_follows_from_p_and_k(p):
+    ctx = make_context(p)
+    want = expected_count(p, ctx.k)
+    rng = random.Random(p)
+    for r in [1, 2, *(rng.randrange(1, p) for _ in range(5))]:
+        assert sqrt_auto(ctx, r * r % p).mul_count == want
+
+
+def test_screen_matches_legendre_below_1500():
+    for p in primes_in_range(3, 1500):
+        ctx = make_context(p)
+        fns = [sqrt_auto, sqrt_synth]
+        if ctx.k in F_BY_K:
+            fns.append(F_BY_K[ctx.k])
+        for a in range(1, p):
+            residue = legendre(a, p) == 1
+            for fn in fns:
+                try:
+                    out = fn(ctx, a)
+                except NotAResidue:
+                    assert not residue, (p, a, fn.__name__)
+                else:
+                    assert residue and out.root * out.root % p == a, (p, a, fn.__name__)
+
+
+@pytest.mark.parametrize("p", HIGH_K_PRIMES)
+def test_nonresidue_z_is_rejected_at_high_k(p):
+    ctx = make_context(p)
+    for fn in (sqrt_auto, sqrt_synth):
+        with pytest.raises(NotAResidue):
+            fn(ctx, ctx.z)
+
+
+def test_fermat_prime_65537_every_residue():
+    p = 65537
+    k, n = decompose(p)
+    assert (k, n) == (16, 1)  # (n - 1) / 2 = 0: the shared power is 1
+    ctx = make_context(p)
+    assert sqrt_auto(ctx, 0).root == 0
+    for a, (root, coroot) in brute_root_table(p).items():
+        out = sqrt_auto(ctx, a)
+        assert (out.root, out.coroot) == (root, coroot)

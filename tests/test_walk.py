@@ -60,7 +60,7 @@ def test_walk_count_is_constant_per_prime(k):
 
 @pytest.mark.parametrize("p", [12289, 786433, 2130706433, 2013265921])
 def test_walk_count_is_linear_in_k(p):
-    # three powers of at most 2 log2(p) mults each, then about 3 per level;
+    # one shared power of at most 2 log2(p) mults, then about 4 per level;
     # the full bracket would need at least 2^(k-1)
     ctx = make_context(p)
     assert sqrt_synth(ctx, 4).mul_count <= 6 * p.bit_length() + 3 * ctx.k + 8
