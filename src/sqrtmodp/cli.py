@@ -1,15 +1,22 @@
 """Command-line frontend: sqrt, synthesize, verify, expand, density, bench.
 
+Every method is named once, in _METHODS: the module and function that
+compute it and the k it needs, if any.  Commands look the function up when
+they start, so a patched module attribute is the one that runs.
+
 Structured JSON reports go to stdout and are byte-stable for fixed
-arguments (timings go to stderr, never into the documents).  Exit codes:
-0 success/pass, 1 usage or internal failure, 2 not a quadratic residue.
+arguments (timings go to stderr, never into the documents).  Reports are
+write-only: no command reads one back.  The verify and bench documents take
+their entries from the PrimeCheck, Failure and BenchRecord fields, in field
+order.  Exit codes: 0 success/pass, 1 usage or internal failure, 2 not a
+quadratic residue.
 """
 
 import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import analysis, formulas, modarith, oracles, synthesis
@@ -20,21 +27,14 @@ __all__ = [
     "Failure",
     "PrimeCheck",
     "VerificationReport",
-    "bench_from_doc",
     "bench_to_doc",
-    "density_from_doc",
     "density_to_doc",
     "main",
     "main_entry",
     "run_bench",
     "run_verification",
-    "verification_from_doc",
     "verification_to_doc",
 ]
-
-METHODS = ("auto", "f1", "f2", "f3", "f4", "synth", "tonelli", "direct", "brute")
-_CLASS_OF_METHOD = {"f1": 1, "f2": 2, "f3": 3, "f4": 4}
-
 
 def _brute_outcome(ctx: modarith.PrimeContext, a: int) -> formulas.SqrtOutcome:
     roots = oracles.brute_force_sqrt(ctx.p, a)
@@ -45,22 +45,27 @@ def _brute_outcome(ctx: modarith.PrimeContext, a: int) -> formulas.SqrtOutcome:
     return formulas.SqrtOutcome(root, coroot, "brute", ctx.p)
 
 
-def _method_fn(name: str):
-    # Late-bound through the module attributes so tests can inject faults.
-    table = {
-        "auto": lambda ctx, a: formulas.sqrt_auto(ctx, a),
-        "f1": lambda ctx, a: formulas.sqrt_f1(ctx, a),
-        "f2": lambda ctx, a: formulas.sqrt_f2(ctx, a),
-        "f3": lambda ctx, a: formulas.sqrt_f3(ctx, a),
-        "f4": lambda ctx, a: formulas.sqrt_f4(ctx, a),
-        "synth": lambda ctx, a: synthesis.sqrt_synth(ctx, a),
-        "tonelli": lambda ctx, a: oracles.tonelli_shanks(ctx, a),
-        "direct": lambda ctx, a: oracles.direct_sqrt(ctx, a),
-        "brute": _brute_outcome,
-    }
-    if name not in table:
+# name -> (module, function name, the k it needs or None)
+_METHODS = {
+    "auto": (formulas, "sqrt_auto", None),
+    "f1": (formulas, "sqrt_f1", 1),
+    "f2": (formulas, "sqrt_f2", 2),
+    "f3": (formulas, "sqrt_f3", 3),
+    "f4": (formulas, "sqrt_f4", 4),
+    "synth": (synthesis, "sqrt_synth", None),
+    "tonelli": (oracles, "tonelli_shanks", None),
+    "direct": (oracles, "direct_sqrt", None),
+    "brute": (sys.modules[__name__], "_brute_outcome", None),
+}
+METHODS = tuple(_METHODS)
+
+
+def _method(name: str):
+    """The method's function, read from its module now, and the k it needs."""
+    if name not in _METHODS:
         raise ValueError(f"unknown method {name!r}")
-    return table[name]
+    mod, fn_name, k = _METHODS[name]
+    return getattr(mod, fn_name), k
 
 
 @dataclass(frozen=True)
@@ -100,15 +105,13 @@ def run_verification(
     prime in [pmin, pmax]; class-specific methods skip non-matching primes."""
     if pmax > oracles.BRUTE_LIMIT:
         raise ValueError(f"pmax={pmax} exceeds the exhaustion bound 2^20")
-    fn = _method_fn(method)
+    fn, method_k = _method(method)
     t0 = time.perf_counter()
     checks = []
     total = 0
     for p in modarith.primes_in_range(max(pmin, 3), pmax):
         k = ((p - 1) & (1 - p)).bit_length() - 1  # 2-adic valuation of p - 1
-        if k_filter is not None and k != k_filter:
-            continue
-        if method in _CLASS_OF_METHOD and k != _CLASS_OF_METHOD[method]:
+        if k_filter not in (None, k) or method_k not in (None, k):
             continue
         ctx = modarith.make_context(p)
         failures = []
@@ -141,57 +144,11 @@ def verification_to_doc(rep: VerificationReport) -> dict:
         "pmax": rep.pmax,
         "method": rep.method,
         "k_filter": rep.k_filter,
-        "primes": [
-            {
-                "p": pc.p,
-                "k": pc.k,
-                "n": pc.n,
-                "z": pc.z,
-                "residues_checked": pc.residues_checked,
-                "failures": [
-                    {
-                        "a": fl.a,
-                        "root": fl.root,
-                        "coroot": fl.coroot,
-                        "expected": list(fl.expected),
-                    }
-                    for fl in pc.failures
-                ],
-            }
-            for pc in rep.primes
-        ],
+        "primes": [asdict(pc) for pc in rep.primes],
         "total_primes": len(rep.primes),
         "total_residues": rep.total_residues,
         "pass": rep.passed,
     }
-
-
-def verification_from_doc(doc: dict) -> VerificationReport:
-    if doc.get("kind") != "verification_report":
-        raise ValueError("not a verification_report document")
-    primes = tuple(
-        PrimeCheck(
-            pd["p"],
-            pd["k"],
-            pd["n"],
-            pd["z"],
-            pd["residues_checked"],
-            tuple(
-                Failure(fd["a"], fd["root"], fd["coroot"], tuple(fd["expected"]))
-                for fd in pd["failures"]
-            ),
-        )
-        for pd in doc["primes"]
-    )
-    return VerificationReport(
-        doc["pmin"],
-        doc["pmax"],
-        doc["method"],
-        doc["k_filter"],
-        primes,
-        doc["total_residues"],
-        doc["pass"],
-    )
 
 
 @dataclass(frozen=True)
@@ -245,16 +202,16 @@ def run_bench(
     ctx = modarith.make_context(p)
     if methods is None:
         methods = _default_methods(ctx)
-    for m in methods:
-        if m in _CLASS_OF_METHOD and ctx.k != _CLASS_OF_METHOD[m]:
-            raise ValueError(f"method {m} needs k={_CLASS_OF_METHOD[m]}, p={p} has k={ctx.k}")
+    fns = [_method(m) for m in methods]
+    for m, (_, need_k) in zip(methods, fns):
+        if need_k not in (None, ctx.k):
+            raise ValueError(f"method {m} needs k={need_k}, p={p} has k={ctx.k}")
         if m == "brute" and p > oracles.BRUTE_LIMIT:
             raise ValueError(f"brute excluded for p > 2^20 (p={p})")
     sample = _sample_residues(ctx, trials, seed)
     t0 = time.perf_counter()
     records = []
-    for m in methods:
-        fn = _method_fn(m)
+    for m, (fn, _) in zip(methods, fns):
         m0 = time.perf_counter()
         counts = [fn(ctx, a).mul_count for a in sample]
         print(
@@ -285,39 +242,8 @@ def bench_to_doc(rep: BenchReport) -> dict:
         "p": rep.p,
         "trials": rep.trials,
         "seed": rep.seed,
-        "records": [
-            {
-                "method": r.method,
-                "p": r.p,
-                "trials": r.trials,
-                "total_mults": r.total_mults,
-                "mean_mults": r.mean_mults,
-                "min_mults": r.min_mults,
-                "max_mults": r.max_mults,
-                "constant_across_inputs": r.constant_across_inputs,
-            }
-            for r in rep.records
-        ],
+        "records": [asdict(r) for r in rep.records],
     }
-
-
-def bench_from_doc(doc: dict) -> BenchReport:
-    if doc.get("kind") != "bench_report":
-        raise ValueError("not a bench_report document")
-    records = tuple(
-        BenchRecord(
-            rd["method"],
-            rd["p"],
-            rd["trials"],
-            rd["total_mults"],
-            rd["mean_mults"],
-            rd["min_mults"],
-            rd["max_mults"],
-            rd["constant_across_inputs"],
-        )
-        for rd in doc["records"]
-    )
-    return BenchReport(doc["p"], doc["trials"], doc["seed"], records)
 
 
 def density_to_doc(rep: analysis.DensityReport) -> dict:
@@ -339,34 +265,18 @@ def density_to_doc(rep: analysis.DensityReport) -> dict:
     }
 
 
-def density_from_doc(doc: dict) -> analysis.DensityReport:
-    if doc.get("kind") != "density_report":
-        raise ValueError("not a density_report document")
-    return analysis.DensityReport(
-        doc["p"],
-        doc["k"],
-        doc["n"],
-        doc["qr_count"],
-        doc["odd_order_count"],
-        doc["exact_2k1_order_count"],
-        tuple(doc["class_histogram"]),
-        Fraction(doc["odd_order_fraction"]),
-        Fraction(doc["exact_2k1_fraction"]),
-    )
-
-
 def _emit(text: str, out: str | None) -> None:
-    print(text)
+    # The file first: a failed write must not leave a report on stdout.
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
+    print(text)
 
 
 def _cmd_sqrt(args) -> int:
     ctx = modarith.make_context(args.p)
-    if args.method == "brute" and args.p > oracles.BRUTE_LIMIT:
-        raise ValueError(f"brute excluded for p > 2^20 (p={args.p})")
-    out = _method_fn(args.method)(ctx, args.a)
+    fn, _ = _method(args.method)
+    out = fn(ctx, args.a)
     doc = {
         "kind": "sqrt_outcome",
         "p": args.p,
@@ -387,7 +297,7 @@ def _cmd_synthesize(args) -> int:
     elif args.format == "math":
         text = synthesis.render_math(f)
     else:
-        text = synthesis.formula_to_json(f)
+        text = json.dumps(synthesis.formula_to_doc(f), indent=2)
     _emit(text, args.out)
     return 0
 
@@ -435,10 +345,6 @@ def _cmd_density(args) -> int:
 
 def _cmd_bench(args) -> int:
     methods = args.methods.split(",") if args.methods else None
-    if methods:
-        for m in methods:
-            if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}")
     rep = run_bench(args.p, args.trials, methods, args.seed)
     _emit(json.dumps(bench_to_doc(rep), indent=2), args.out)
     print(f"bench: total {rep.wall_time_s:.2f}s", file=sys.stderr)

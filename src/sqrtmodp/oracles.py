@@ -69,14 +69,6 @@ def _lift_class(ctx: PrimeContext, an: int, counter: MulCounter | None) -> int:
     return t
 
 
-def _class_by_scan(ctx: PrimeContext, an: int) -> int:
-    """Reference path: enumerate the 2^(k-1) candidate classes directly."""
-    for t in range(1 << (ctx.k - 1)):
-        if ctx.zn_pow(2 * t) == an:
-            return t
-    raise ArithmeticError(f"no class index matches for p={ctx.p}; context invalid")
-
-
 def residue_class(
     ctx: PrimeContext, a: int, counter: MulCounter | None = None
 ) -> int:

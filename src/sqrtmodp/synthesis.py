@@ -25,7 +25,6 @@ and full expansion into a sparse polynomial whose degree is
 sqrt, verify and bench work for any k.
 """
 
-import json
 from dataclasses import dataclass
 
 from .formulas import (
@@ -51,7 +50,6 @@ __all__ = [
     "evaluate",
     "evaluate_at",
     "expand",
-    "formula_from_doc",
     "formula_to_doc",
     "normalize_signs",
     "render_math",
@@ -264,24 +262,6 @@ def formula_to_doc(f: SymbolicFormula) -> dict:
             for t, term in enumerate(f.terms)
         ],
     }
-
-
-def formula_from_doc(doc: dict) -> SymbolicFormula:
-    """Inverse of formula_to_doc."""
-    if doc.get("kind") != "sqrt_formula":
-        raise ValueError("not a sqrt_formula document")
-    terms = tuple(
-        Term(
-            int(td["e"]),
-            tuple(Factor(int(fd["j"]), int(fd["c"])) for fd in td["factors"]),
-        )
-        for td in doc["terms"]
-    )
-    return SymbolicFormula(int(doc["k"]), terms)
-
-
-def formula_to_json(f: SymbolicFormula) -> str:
-    return json.dumps(formula_to_doc(f), indent=2)
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,7 @@ import sys
 import pytest
 
 from sqrtmodp import cli, formulas
-from sqrtmodp.analysis import order_census
 from sqrtmodp.formulas import SqrtOutcome
-from sqrtmodp.modarith import make_context
-from sqrtmodp.synthesis import formula_from_doc, synthesize
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +74,14 @@ def test_sqrt_out_file(tmp_path, capsys):
     assert json.loads(path.read_text())["root"] == 17
 
 
+def test_sqrt_unwritable_out_prints_no_report(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "sqrt", "--p", "7", "--a", "2", "--out", str(path))
+    assert code == 1
+    assert out == ""
+    assert "error:" in err
+
+
 # ---------------------------------------------------------------------------
 # synthesize
 
@@ -85,14 +90,6 @@ def test_synthesize_text_k1(capsys):
     code, out, _ = run_cli(capsys, "synthesize", "--k", "1")
     assert code == 0
     assert out.strip() == "x^((n+1)/2)"
-
-
-def test_synthesize_structured_round_trip(capsys):
-    code, out, _ = run_cli(capsys, "synthesize", "--k", "4", "--format", "structured")
-    assert code == 0
-    doc = json.loads(out)
-    assert formula_from_doc(doc) == synthesize(4)
-    assert len(doc["terms"]) == 8
 
 
 def test_synthesize_math(capsys):
@@ -160,12 +157,6 @@ def test_verify_injected_fault_flips_exit(capsys, monkeypatch):
     assert any(pd["failures"] for pd in doc["primes"])
 
 
-def test_verify_round_trip(capsys):
-    _, out, _ = run_cli(capsys, "verify", "--pmin", "3", "--pmax", "100")
-    rep = cli.verification_from_doc(json.loads(out))
-    assert rep == cli.run_verification(3, 100)
-
-
 def test_verify_deterministic(capsys):
     a = run_cli(capsys, "verify", "--pmin", "3", "--pmax", "300")[1]
     b = run_cli(capsys, "verify", "--pmin", "3", "--pmax", "300")[1]
@@ -230,11 +221,6 @@ def test_density_k1_has_no_exact_prediction(capsys):
     assert doc["predicted_exact_2k1_fraction"] is None
 
 
-def test_density_round_trip(capsys):
-    _, out, _ = run_cli(capsys, "density", "--p", "41")
-    assert cli.density_from_doc(json.loads(out)) == order_census(make_context(41))
-
-
 # ---------------------------------------------------------------------------
 # bench
 
@@ -267,12 +253,6 @@ def test_bench_brute_guard(capsys):
 
 def test_bench_bad_trials(capsys):
     assert run_cli(capsys, "bench", "--p", "17", "--trials", "0")[0] == 1
-
-
-def test_bench_round_trip(capsys):
-    _, out, _ = run_cli(capsys, "bench", "--p", "41", "--trials", "10", "--seed", "3")
-    rep = cli.bench_from_doc(json.loads(out))
-    assert rep == cli.run_bench(41, 10, None, 3)
 
 
 def test_bench_unknown_method(capsys):

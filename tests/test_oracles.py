@@ -3,10 +3,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqrtmodp.formulas import NotAResidue
-from sqrtmodp.modarith import MulCounter, legendre, make_context, primes_in_range
+from sqrtmodp.modarith import (
+    MulCounter,
+    PrimeContext,
+    legendre,
+    make_context,
+    primes_in_range,
+)
 from sqrtmodp.oracles import (
     BRUTE_LIMIT,
-    _class_by_scan,
     brute_force_sqrt,
     brute_root_table,
     direct_sqrt,
@@ -102,6 +107,14 @@ def test_residue_class_round_trip_and_uniqueness():
             assert ctx.zn_pow(2 * t) == pow(a, ctx.n, p)
             # uniqueness within range
             assert [u for u in range(half) if ctx.zn_pow(2 * u) == pow(a, ctx.n, p)] == [t]
+
+
+def _class_by_scan(ctx: PrimeContext, an: int) -> int:
+    """Reference path: enumerate the 2^(k-1) candidate classes directly."""
+    for t in range(1 << (ctx.k - 1)):
+        if ctx.zn_pow(2 * t) == an:
+            return t
+    raise ArithmeticError(f"no class index matches for p={ctx.p}; context invalid")
 
 
 def test_lift_and_scan_agree():
