@@ -40,9 +40,7 @@ def _brute_outcome(ctx: modarith.PrimeContext, a: int) -> formulas.SqrtOutcome:
     roots = oracles.brute_force_sqrt(ctx.p, a)
     if not roots:
         raise formulas.NotAResidue(f"{a} is not a quadratic residue mod {ctx.p}")
-    root = min(roots)
-    coroot = max(roots)
-    return formulas.SqrtOutcome(root, coroot, "brute", ctx.p)
+    return formulas.SqrtOutcome(min(roots), max(roots), "brute", ctx.p)
 
 
 # name -> (module, function name, the k it needs or None)
@@ -102,10 +100,14 @@ def run_verification(
     pmin: int, pmax: int, method: str = "auto", k_filter: int | None = None
 ) -> VerificationReport:
     """Check the chosen method against brute force on every residue of every
-    prime in [pmin, pmax]; class-specific methods skip non-matching primes."""
+    prime in [pmin, pmax]; class-specific methods skip non-matching primes.
+    A k_filter that no prime the method accepts can meet is an error."""
     if pmax > oracles.BRUTE_LIMIT:
         raise ValueError(f"pmax={pmax} exceeds the exhaustion bound 2^20")
     fn, method_k = _method(method)
+    if k_filter is not None and (k_filter < 1 or method_k not in (None, k_filter)):
+        need = f"k={method_k}" if method_k else "k >= 1"
+        raise ValueError(f"method {method} needs {need}; --k {k_filter} selects no prime")
     t0 = time.perf_counter()
     checks = []
     total = 0
@@ -186,11 +188,8 @@ def _sample_residues(ctx: modarith.PrimeContext, trials: int, seed: int) -> list
 
 
 def _default_methods(ctx: modarith.PrimeContext) -> list[str]:
-    methods = ["auto"]
-    if ctx.k <= 4:
-        methods.append(f"f{ctx.k}")
-    methods += ["synth", "direct", "tonelli"]
-    return methods
+    fk = [f"f{ctx.k}"] if ctx.k <= 4 else []
+    return ["auto", *fk, "synth", "direct", "tonelli"]
 
 
 def run_bench(
@@ -277,15 +276,7 @@ def _cmd_sqrt(args) -> int:
     ctx = modarith.make_context(args.p)
     fn, _ = _method(args.method)
     out = fn(ctx, args.a)
-    doc = {
-        "kind": "sqrt_outcome",
-        "p": args.p,
-        "a": args.a,
-        "root": out.root,
-        "coroot": out.coroot,
-        "method": out.method,
-        "mul_count": out.mul_count,
-    }
+    doc = {"kind": "sqrt_outcome", "p": args.p, "a": args.a, **out._asdict()}
     _emit(json.dumps(doc, indent=2), args.out)
     return 0
 
@@ -315,6 +306,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_expand(args) -> int:
     ctx = modarith.make_context(args.p)
+    if ctx.k > synthesis.MAX_K:
+        raise ValueError(
+            f"expand supports k<={synthesis.MAX_K} (MAX_K); p={ctx.p} has k={ctx.k}"
+        )
     f = synthesis.synthesize(ctx.k)
     poly = synthesis.expand(f, ctx)
     ok = synthesis.degree_check(poly, ctx)

@@ -7,14 +7,13 @@ for every k: sqrt_f1..sqrt_f4, sqrt_auto and synthesis.sqrt_synth differ
 only in the class they accept and the method tag they report.  It takes
 one shared power per call, a^((n-1)/2); a^((n+1)/2), the levels a^(2^j n)
 and the Euler screen a^((p-1)/2) follow from it by two products and k-1
-squarings.  The walk through the bracket follows one path, so the
-multiplication count is the same for every nonzero residue of a given
-prime.
+squarings.  The walk through the bracket follows one path, and the count
+is the paper's cost of the formula, stated from (n, k) alone.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .modarith import MulCounter, PrimeContext, mod_pow
+from .modarith import MulCounter, PrimeContext, _pow_cost, mod_pow
 
 __all__ = [
     "NotAResidue",
@@ -36,8 +35,7 @@ class WrongClass(ValueError):
     """Evaluator applied to a context whose 2-adic class k does not match."""
 
 
-@dataclass(frozen=True)
-class SqrtOutcome:
+class SqrtOutcome(NamedTuple):
     """A canonical square root: root <= p - root, coroot the other sign."""
 
     root: int
@@ -50,16 +48,13 @@ def _screen(ctx: PrimeContext, a: int, counter: MulCounter) -> None:
     """Reject out-of-range and nonresidue inputs; one Euler-criterion power."""
     if not 0 <= a < ctx.p:
         raise ValueError(f"residue {a} out of range for p={ctx.p}")
-    if a == 0:
-        return
-    if mod_pow(a, (ctx.p - 1) // 2, ctx.p, counter) == ctx.p - 1:
+    if a and mod_pow(a, (ctx.p - 1) // 2, ctx.p, counter) == ctx.p - 1:
         raise NotAResidue(f"{a} is not a quadratic residue mod {ctx.p}")
 
 
-def _canonical(raw: int, p: int, method: str, counter: MulCounter) -> SqrtOutcome:
+def _canonical(raw: int, p: int, method: str, count: int) -> SqrtOutcome:
     root = min(raw, p - raw) if raw else 0
-    coroot = p - root if root else 0
-    return SqrtOutcome(root, coroot, method, counter.count)
+    return SqrtOutcome(root, p - root if root else 0, method, count)
 
 
 def _factor_c(t: int, j: int, k: int) -> int:
@@ -83,6 +78,14 @@ def _x_levels(ctx: PrimeContext, x: int, counter: MulCounter | None) -> list[int
     return xp
 
 
+def _class_cost(n: int, k: int) -> int:
+    """The formula's cost as the paper writes it: a^((n-1)/2), two products and
+    k-1 squarings; for k > 1 a product and a factor per level, the multiplier
+    z^(en), the scale (2^-1)^(k-1) and the two products that apply it."""
+    walk = 2 * (k - 1) + 1 + _pow_cost(k - 1) + 2 if k > 1 else 0
+    return _pow_cost((n - 1) // 2) + 2 + (k - 1) + walk
+
+
 def _class_root(ctx: PrimeContext, a: int, method: str) -> SqrtOutcome:
     """Square root of a via the class formula, walking its one live path.
 
@@ -95,41 +98,37 @@ def _class_root(ctx: PrimeContext, a: int, method: str) -> SqrtOutcome:
     children of a node are 1 + prod and 1 - prod for one product
     prod = x^(2^j n) z^(cn).  With a^n = z^(2sn), the node on the path agrees
     with s on the bits fixed so far, so prod = z^(2^(k-1) n m) = +-1 and
-    exactly one child is nonzero: the walk keeps one (t, v) pair.  Each
-    level is charged its product and its factor, and the multiplier z^(en)
-    one more, so the count is the same for every nonzero residue.
+    exactly one child is nonzero: the walk keeps one t.  The live child is 2
+    at every level, so the live term is 2^(k-1) z^(en), e = -t mod 2^(k-1),
+    and the prefactor 2^-(k-1) cancels its 2^(k-1): the root is
+    a^((n+1)/2) z^(en), and neither side of the cancellation is computed.
+
+    mul_count is _class_cost(n, k), the paper's cost of the formula as
+    written, cancelling factors included: the same for every nonzero residue
+    of the prime, and 0 at a = 0.
     """
     p, k = ctx.p, ctx.k
     if not 0 <= a < p:
         raise ValueError(f"residue {a} out of range for p={p}")
-    c = MulCounter()
     if a == 0:  # every factor is 1 at x = 0, so no path is singled out
-        return _canonical(0, p, method, c)
-    u = mod_pow(a, (ctx.n - 1) // 2, p, c)
+        return SqrtOutcome(0, 0, method, 0)
+    u = pow(a, (ctx.n - 1) // 2, p)
     ah = a * u % p
-    x = ah * u % p
-    xp = [x]
+    xp = [ah * u % p]
     for _ in range(k - 1):
-        x = x * x % p
-        xp.append(x)
-    c.count += 2 + (k - 1)
-    if x == p - 1:
+        xp.append(xp[-1] * xp[-1] % p)
+    if xp[-1] == p - 1:
         raise NotAResidue(f"{a} is not a quadratic residue mod {p}")
-    if k == 1:  # the bracket is empty
-        return _canonical(ah, p, method, c)
     zn_pow = ctx.zn_pow
-    t, v = 0, 1
+    t = 0
     for j in range(k - 2, -1, -1):
         prod = xp[j] * zn_pow(_factor_c(t, j, k)) % p
         if prod == p - 1:  # 1 + prod is 0: the live child sets the bit
             t |= 1 << (k - 2 - j)
         elif prod != 1:
             raise ArithmeticError(f"no class index matches for p={p}; context invalid")
-        v = 2 * v % p  # the live factor is 2 either way
-    c.count += 2 * (k - 1) + 1
-    total = zn_pow(-t % (1 << (k - 1))) * v % p
-    raw = c.mul(c.mul(ctx.half_pow(k - 1, c), ah, p), total, p)
-    return _canonical(raw, p, method, c)
+    raw = ah * zn_pow(-t % (1 << (k - 1))) % p
+    return _canonical(raw, p, method, _class_cost(ctx.n, k))
 
 
 _TAGS = ("f1", "f2", "f3", "f4")

@@ -2,7 +2,7 @@
 
 Every prime handled by this package has the shape p = 2^k * n + 1 with n odd.
 A PrimeContext bundles that decomposition with a deterministic quadratic
-nonresidue z and a precomputed table of the powers z^(j*n), which drive all
+nonresidue z and the powers z^(j*n) (a table for k <= 20), which drive all
 the square-root machinery in the other modules.
 """
 
@@ -24,16 +24,21 @@ __all__ = [
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Above this k the z^(j*n) table (2^k entries) is skipped and powers are
-# computed on demand; nothing at desk scale comes close.
+# Above this k no z^(j*n) table (2^k entries) is kept and each power is a full
+# pow; KoalaBear (k = 24), BabyBear (k = 27) and Goldilocks (k = 32) are above.
 _TABLE_K_CAP = 20
+
+
+def _pow_cost(e: int) -> int:
+    """Cost of x^e by square-and-multiply: floor(log2 e) + popcount(e) - 1."""
+    return e.bit_length() + e.bit_count() - 2 if e > 0 else 0
 
 
 class MulCounter:
     """Tallies modular multiplications; squarings count as multiplications.
 
-    Exponentiations are charged their left-to-right square-and-multiply cost:
-    floor(log2 e) squarings plus popcount(e) - 1 products.
+    Powers are charged _pow_cost.  tonelli, direct and evaluate tally live;
+    the class formula's count is the paper's cost, from (n, k) alone.
     """
 
     __slots__ = ("count",)
@@ -48,15 +53,15 @@ class MulCounter:
 
 def mod_pow(base: int, exp: int, p: int, counter: MulCounter | None = None) -> int:
     """base**exp mod p, with exp = 0 giving 1 (including 0**0)."""
-    if counter is not None and exp > 0:
-        counter.count += exp.bit_length() - 1 + exp.bit_count() - 1
+    if counter is not None:
+        counter.count += _pow_cost(exp)
     return pow(base, exp, p)
 
 
 def is_prime(m: int) -> bool:
     """Deterministic primality test, exact for all m below ~3.3e24."""
     if m >= _MR_BOUND:
-        raise ValueError(f"{m} exceeds the deterministic witness bound")
+        raise ValueError(f"p={m} is not below the primality bound {_MR_BOUND}")
     if m < 2:
         return False
     for q in _MR_WITNESSES:
@@ -115,10 +120,10 @@ def find_nonresidue(p: int) -> int:
 class PrimeContext:
     """A validated odd prime p = 2^k * n + 1 (n odd) with nonresidue z.
 
-    zn_pows[j] = z^(j*n) mod p for j in [0, 2^k); the element z^n generates
-    the full 2-part of the multiplicative group, so the table has period 2^k,
-    entry 0 is 1 and entry 2^(k-1) is p - 1.  Instances are immutable and
-    safe to share across workers.
+    For k <= _TABLE_K_CAP, zn_pows[j] = z^(j*n) mod p for j in [0, 2^k);
+    above it zn_pows is None and zn_pow computes each power.  z^n generates
+    the 2-part of the multiplicative group: period 2^k, z^(2^(k-1) n) = -1.
+    Instances are immutable and safe to share across workers.
     """
 
     p: int
@@ -140,7 +145,7 @@ class PrimeContext:
 
 
 def make_context(p: int) -> PrimeContext:
-    """Validate p, decompose p - 1, pick z, and tabulate the z^(j*n) powers."""
+    """Validate p, decompose p - 1, pick z, and tabulate z^(j*n) if k <= 20."""
     k, n = decompose(p)
     z = find_nonresidue(p)
     table = None

@@ -37,7 +37,7 @@ def tonelli_shanks(ctx: PrimeContext, a: int) -> SqrtOutcome:
     c = MulCounter()
     _screen(ctx, a, c)
     if a == 0:
-        return _canonical(0, p, "tonelli", c)
+        return _canonical(0, p, "tonelli", c.count)
     x = mod_pow(a, (ctx.n + 1) // 2, p, c)
     t = mod_pow(a, ctx.n, p, c)
     w = ctx.zn_pow(1)  # z^n, a generator of the 2-part
@@ -52,7 +52,7 @@ def tonelli_shanks(ctx: PrimeContext, a: int) -> SqrtOutcome:
         w = c.mul(b, b, p)
         t = c.mul(t, w, p)
         m = i
-    return _canonical(x, p, "tonelli", c)
+    return _canonical(x, p, "tonelli", c.count)
 
 
 def _lift_class(ctx: PrimeContext, an: int, counter: MulCounter | None) -> int:
@@ -86,10 +86,10 @@ def direct_sqrt(ctx: PrimeContext, a: int) -> SqrtOutcome:
     c = MulCounter()
     _screen(ctx, a, c)
     if a == 0:
-        return _canonical(0, p, "direct", c)
+        return _canonical(0, p, "direct", c.count)
     an = mod_pow(a, ctx.n, p, c)
     t = _lift_class(ctx, an, c)
     e = (-t) % (1 << (ctx.k - 1))
     ah = mod_pow(a, (ctx.n + 1) // 2, p, c)
     raw = c.mul(ah, ctx.zn_pow(e), p)
-    return _canonical(raw, p, "direct", c)
+    return _canonical(raw, p, "direct", c.count)

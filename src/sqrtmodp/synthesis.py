@@ -170,7 +170,7 @@ def evaluate(f: SymbolicFormula, ctx: PrimeContext, a: int) -> SqrtOutcome:
     total = sum(_bracket_terms(f, ctx, a, c)) % p
     ah = mod_pow(a, (ctx.n + 1) // 2, p, c)
     raw = c.mul(c.mul(ctx.half_pow(f.k - 1, c), ah, p), total, p)
-    return _canonical(raw, p, "synth", c)
+    return _canonical(raw, p, "synth", c.count)
 
 
 def sqrt_synth(ctx: PrimeContext, a: int) -> SqrtOutcome:

@@ -65,6 +65,14 @@ def test_sqrt_invalid_arguments_exit_1(capsys):
     assert run_cli(capsys, "sqrt", "--p", "2097169", "--a", "2", "--method", "brute")[0] == 1
 
 
+def test_sqrt_beyond_primality_bound_names_p_and_bound(capsys):
+    p = "3317044064679887385961983"
+    code, out, err = run_cli(capsys, "sqrt", "--p", p, "--a", "4")
+    assert (code, out) == (1, "")
+    assert f"p={p}" in err
+    assert "3317044064679887385961981" in err
+
+
 def test_sqrt_out_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out, _ = run_cli(
@@ -138,6 +146,23 @@ def test_verify_empty_range(capsys):
     assert doc["primes"] == [] and doc["pass"] is True
 
 
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (("--method", "f2", "--k", "3"), ("k=2", "--k 3")),
+        (("--method", "f4", "--k", "1"), ("k=4", "--k 1")),
+        (("--k", "0"), ("--k 0",)),
+        (("--k", "-2", "--method", "auto"), ("--k -2",)),
+    ],
+)
+def test_verify_contradictory_filter_exits_1(capsys, argv, named):
+    # a filter no prime can meet used to report "0 primes, pass"
+    code, out, err = run_cli(capsys, "verify", "--pmin", "3", "--pmax", "50", *argv)
+    assert (code, out) == (1, "")
+    for text in named:
+        assert text in err
+
+
 def test_verify_range_bound(capsys):
     assert run_cli(capsys, "verify", "--pmin", "3", "--pmax", str(1 << 21))[0] == 1
 
@@ -189,6 +214,13 @@ def test_expand_p41(capsys):
     assert doc["degree"] == 18
     assert doc["term_count"] <= 4
     assert doc["degree_check"] == "PASS"
+
+
+def test_expand_beyond_max_k_names_p(capsys):
+    code, out, err = run_cli(capsys, "expand", "--p", "786433")
+    assert (code, out) == (1, "")
+    assert "p=786433 has k=18" in err
+    assert "MAX_K" in err and "k<=16" in err
 
 
 def test_expand_composite_exits_1(capsys):

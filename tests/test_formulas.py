@@ -1,9 +1,12 @@
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqrtmodp.formulas import (
     NotAResidue,
+    SqrtOutcome,
     WrongClass,
     sqrt_auto,
     sqrt_f1,
@@ -70,6 +73,23 @@ def test_nonresidue_is_rejected():
 def test_out_of_range_rejected():
     with pytest.raises(ValueError):
         sqrt_f1(make_context(7), 7)
+
+
+def test_sqrt_outcome_contract():
+    # positional construction, named fields in this order, and no mutation
+    assert list(inspect.signature(SqrtOutcome).parameters) == [
+        "root", "coroot", "method", "mul_count"
+    ]
+    out = SqrtOutcome(2, 11, "f2", 8)
+    assert (out.root, out.coroot, out.method, out.mul_count) == (2, 11, "f2", 8)
+    assert out == SqrtOutcome(root=2, coroot=11, method="f2", mul_count=8)
+    with pytest.raises(AttributeError):
+        out.root = 3
+    with pytest.raises(AttributeError):
+        out.mul_count = 0
+    got = sqrt_auto(make_context(13), 4)
+    assert isinstance(got, SqrtOutcome)
+    assert got == out
 
 
 def test_auto_dispatch():
