@@ -156,7 +156,7 @@ def test_verify_empty_range(capsys):
     ],
 )
 def test_verify_contradictory_filter_exits_1(capsys, argv, named):
-    # a filter no prime can meet used to report "0 primes, pass"
+    # a filter no prime can meet is an error, not a pass over 0 primes
     code, out, err = run_cli(capsys, "verify", "--pmin", "3", "--pmax", "50", *argv)
     assert (code, out) == (1, "")
     for text in named:
