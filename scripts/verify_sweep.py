@@ -7,7 +7,7 @@ Usage: python scripts/verify_sweep.py --pmax 10000 --method auto
 import argparse
 from collections import Counter
 
-from sqrtmodp.cli import METHODS, run_verification
+from sqrtmodp.cli import METHODS, _rate, run_verification
 
 
 def main() -> None:
@@ -29,7 +29,8 @@ def main() -> None:
         print(f"{k:>3} {primes_by_k[k]:>8} {residues_by_k[k]:>10}")
     print(
         f"total: {len(rep.primes)} primes, {rep.total_residues} residues, "
-        f"{'PASS' if rep.passed else 'FAIL'} in {rep.wall_time_s:.1f}s"
+        f"{'PASS' if rep.passed else 'FAIL'} in {rep.wall_time_s:.1f}s "
+        f"({_rate(rep):,.0f} residues/s)"
     )
     raise SystemExit(0 if rep.passed else 1)
 

@@ -101,7 +101,10 @@ def run_verification(
 ) -> VerificationReport:
     """Check the chosen method against brute force on every residue of every
     prime in [pmin, pmax]; class-specific methods skip non-matching primes.
-    A k_filter that no prime the method accepts can meet is an error."""
+    An inverted range, or a k_filter that no prime the method accepts can
+    meet, is an error; an ordered range with no prime in it is an empty pass."""
+    if pmin > pmax:
+        raise ValueError(f"pmin={pmin} is above pmax={pmax}; the range is inverted")
     if pmax > oracles.BRUTE_LIMIT:
         raise ValueError(f"pmax={pmax} exceeds the exhaustion bound 2^20")
     fn, method_k = _method(method)
@@ -137,6 +140,11 @@ def run_verification(
         passed,
         time.perf_counter() - t0,
     )
+
+
+def _rate(rep: VerificationReport) -> float:
+    """Residues checked per second of the sweep's wall time."""
+    return rep.total_residues / rep.wall_time_s if rep.wall_time_s else 0.0
 
 
 def verification_to_doc(rep: VerificationReport) -> dict:
@@ -298,7 +306,8 @@ def _cmd_verify(args) -> int:
     _emit(json.dumps(verification_to_doc(rep), indent=2), args.out)
     print(
         f"verify: {len(rep.primes)} primes, {rep.total_residues} residues, "
-        f"{'pass' if rep.passed else 'FAIL'} in {rep.wall_time_s:.2f}s",
+        f"{'pass' if rep.passed else 'FAIL'} in {rep.wall_time_s:.2f}s "
+        f"({_rate(rep):,.0f} residues/s)",
         file=sys.stderr,
     )
     return 0 if rep.passed else 1

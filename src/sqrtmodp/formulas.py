@@ -7,10 +7,14 @@ for every k: sqrt_f1..sqrt_f4, sqrt_auto and synthesis.sqrt_synth differ
 only in the class they accept and the method tag they report.  It takes
 one shared power per call, a^((n-1)/2); a^((n+1)/2), the levels a^(2^j n)
 and the Euler screen a^((p-1)/2) follow from it by two products and k-1
-squarings.  The walk through the bracket follows one path, and the count
-is the paper's cost of the formula, stated from (n, k) alone.
+squarings.  At k = 1 the bracket is empty and the root is the bare power
+a^((n+1)/2), with no walk; for k > 1 the walk through the bracket follows
+one path.  The count is the paper's cost of the formula, priced once per
+(n, k).  sqrt_auto hands k > 4 to sqrt_synth, read from the synthesis
+module at each call.
 """
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .modarith import MulCounter, PrimeContext, _pow_cost, mod_pow
@@ -78,10 +82,14 @@ def _x_levels(ctx: PrimeContext, x: int, counter: MulCounter | None) -> list[int
     return xp
 
 
+@lru_cache(maxsize=256)
 def _class_cost(n: int, k: int) -> int:
     """The formula's cost as the paper writes it: a^((n-1)/2), two products and
     k-1 squarings; for k > 1 a product and a factor per level, the multiplier
-    z^(en), the scale (2^-1)^(k-1) and the two products that apply it."""
+    z^(en), the scale (2^-1)^(k-1) and the two products that apply it.
+
+    It depends on (n, k) alone, so it is priced once per pair; the memo is
+    bounded, so a sweep over many primes cannot grow it without limit."""
     walk = 2 * (k - 1) + 1 + _pow_cost(k - 1) + 2 if k > 1 else 0
     return _pow_cost((n - 1) // 2) + 2 + (k - 1) + walk
 
@@ -91,7 +99,9 @@ def _class_root(ctx: PrimeContext, a: int, method: str) -> SqrtOutcome:
 
     One power u = a^((n-1)/2) gives the rest: a^((n+1)/2) = a u, a^n =
     a^((n+1)/2) u, and k-1 squarings give the levels a^(2^j n) for j = 0..k-1.
-    The last level is a^((p-1)/2), Euler's symbol, so it is the screen.
+    The last level is a^((p-1)/2), Euler's symbol, so it is the screen.  At
+    k = 1 that level is a^n itself and the bracket is empty: the root is the
+    bare power a^((n+1)/2), and no walk is made.
 
     The bracket's terms are the leaves of a binary tree of factors.  Level j,
     from k-2 down to 0, fixes bit k-2-j of the class index t; the two
@@ -105,7 +115,7 @@ def _class_root(ctx: PrimeContext, a: int, method: str) -> SqrtOutcome:
 
     mul_count is _class_cost(n, k), the paper's cost of the formula as
     written, cancelling factors included: the same for every nonzero residue
-    of the prime, and 0 at a = 0.
+    of the prime, priced once per (n, k), and 0 at a = 0.
     """
     p, k = ctx.p, ctx.k
     if not 0 <= a < p:
@@ -113,22 +123,28 @@ def _class_root(ctx: PrimeContext, a: int, method: str) -> SqrtOutcome:
     if a == 0:  # every factor is 1 at x = 0, so no path is singled out
         return SqrtOutcome(0, 0, method, 0)
     u = pow(a, (ctx.n - 1) // 2, p)
-    ah = a * u % p
-    xp = [ah * u % p]
-    for _ in range(k - 1):
-        xp.append(xp[-1] * xp[-1] % p)
-    if xp[-1] == p - 1:
+    root = a * u % p
+    x = root * u % p  # a^n, level 0
+    if k > 1:
+        xp = [x]
+        for _ in range(k - 2):
+            x = x * x % p
+            xp.append(x)
+        x = x * x % p
+    if x == p - 1:  # x = a^(2^(k-1) n) = a^((p-1)/2)
         raise NotAResidue(f"{a} is not a quadratic residue mod {p}")
-    zn_pow = ctx.zn_pow
-    t = 0
-    for j in range(k - 2, -1, -1):
-        prod = xp[j] * zn_pow(_factor_c(t, j, k)) % p
-        if prod == p - 1:  # 1 + prod is 0: the live child sets the bit
-            t |= 1 << (k - 2 - j)
-        elif prod != 1:
-            raise ArithmeticError(f"no class index matches for p={p}; context invalid")
-    raw = ah * zn_pow(-t % (1 << (k - 1))) % p
-    return _canonical(raw, p, method, _class_cost(ctx.n, k))
+    if k > 1:
+        zn_pow = ctx.zn_pow
+        t = 0
+        for j in range(k - 2, -1, -1):
+            prod = xp[j] * zn_pow(_factor_c(t, j, k)) % p
+            if prod == p - 1:  # 1 + prod is 0: the live child sets the bit
+                t |= 1 << (k - 2 - j)
+            elif prod != 1:
+                raise ArithmeticError(f"no class index matches for p={p}; context invalid")
+        root = root * zn_pow(-t % (1 << (k - 1))) % p
+    root = min(root, p - root)  # root != 0, since a != 0
+    return SqrtOutcome(root, p - root, method, _class_cost(ctx.n, k))
 
 
 _TAGS = ("f1", "f2", "f3", "f4")
@@ -162,10 +178,12 @@ def sqrt_f4(ctx: PrimeContext, a: int) -> SqrtOutcome:
 
 def sqrt_auto(ctx: PrimeContext, a: int) -> SqrtOutcome:
     """The class formula, tagged f1..f4 for k <= 4 and handed to
-    sqrt_synth for larger k."""
+    synthesis.sqrt_synth, looked up at each call, for larger k."""
     k = ctx.k
     if k <= 4:
         return _class_root(ctx, a, _TAGS[k - 1])
-    from .synthesis import sqrt_synth
+    return _synthesis.sqrt_synth(ctx, a)
 
-    return sqrt_synth(ctx, a)
+
+# Last, because synthesis imports names from this module.
+from . import synthesis as _synthesis  # noqa: E402

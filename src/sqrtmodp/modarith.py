@@ -106,14 +106,19 @@ def legendre(a: int, p: int) -> int:
     return -1 if pow(a, (p - 1) // 2, p) == p - 1 else 1
 
 
-def find_nonresidue(p: int) -> int:
-    """Smallest z >= 2 with legendre(z, p) = -1; deterministic by construction."""
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
+def _smallest_nonresidue(p: int) -> int:
+    """Smallest z >= 2 with legendre(z, p) = -1, for a p already validated."""
     for z in range(2, p):
         if legendre(z, p) == -1:
             return z
     raise ArithmeticError(f"no nonresidue below {p}")  # unreachable for odd primes
+
+
+def find_nonresidue(p: int) -> int:
+    """Smallest z >= 2 with legendre(z, p) = -1; deterministic by construction."""
+    if p < 3 or not is_prime(p):
+        raise ValueError(f"{p} is not an odd prime")
+    return _smallest_nonresidue(p)
 
 
 @dataclass(frozen=True)
@@ -145,9 +150,12 @@ class PrimeContext:
 
 
 def make_context(p: int) -> PrimeContext:
-    """Validate p, decompose p - 1, pick z, and tabulate z^(j*n) if k <= 20."""
+    """Validate p, decompose p - 1, pick z, and tabulate z^(j*n) if k <= 20.
+
+    decompose runs the one primality test; the nonresidue search relies on it.
+    """
     k, n = decompose(p)
-    z = find_nonresidue(p)
+    z = _smallest_nonresidue(p)
     table = None
     if k <= _TABLE_K_CAP:
         w = pow(z, n, p)

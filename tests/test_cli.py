@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -161,6 +162,21 @@ def test_verify_contradictory_filter_exits_1(capsys, argv, named):
     assert (code, out) == (1, "")
     for text in named:
         assert text in err
+
+
+def test_verify_inverted_range_exits_1(capsys):
+    # pmin > pmax checks nothing, so it is an error, not a pass over 0 primes
+    code, out, err = run_cli(capsys, "verify", "--pmin", "100", "--pmax", "50")
+    assert (code, out) == (1, "")
+    assert "pmin=100" in err and "pmax=50" in err
+
+
+def test_verify_reports_its_rate_on_stderr(capsys):
+    code, out, err = run_cli(capsys, "verify", "--pmin", "3", "--pmax", "200")
+    assert code == 0 and json.loads(out)["pass"] is True
+    assert re.fullmatch(
+        r"verify: 45 primes, 2090 residues, pass in \d+\.\d\ds \([\d,]+ residues/s\)\n", err
+    )
 
 
 def test_verify_range_bound(capsys):

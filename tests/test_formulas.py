@@ -14,6 +14,7 @@ from sqrtmodp.formulas import (
     sqrt_f3,
     sqrt_f4,
 )
+from sqrtmodp import synthesis
 from sqrtmodp.modarith import PrimeContext, decompose, make_context, primes_in_range
 from sqrtmodp.oracles import brute_root_table, residue_class
 from sqrtmodp.synthesis import sqrt_synth, synthesize, term_values
@@ -161,11 +162,36 @@ def test_synth_k1_count_is_f1s(p, count):
 
 
 def test_invalid_context_is_reported():
-    # z = 2 is a residue mod 41, so a^n z^(cn) need not be +-1 on the path
-    p, k, n, z = 41, 3, 5, 2
-    ctx = PrimeContext(p, k, n, z, tuple(pow(z, j * n, p) for j in range(1 << k)))
-    with pytest.raises(ArithmeticError, match="context invalid"):
-        sqrt_f3(ctx, 2)
+    # z = 2 is a residue mod 41 and mod 97, so a^n z^(cn) need not be +-1 on
+    # the path; the walk must say so with or without a power table, and also
+    # when sqrt_auto reaches it at k = 5 through sqrt_synth
+    def table(p, k, n, z):
+        return tuple(pow(z, j * n, p) for j in range(1 << k))
+
+    cases = [
+        (sqrt_f3, PrimeContext(41, 3, 5, 2, table(41, 3, 5, 2))),
+        (sqrt_f3, PrimeContext(41, 3, 5, 2, None)),
+        (sqrt_auto, PrimeContext(97, 5, 3, 2, table(97, 5, 3, 2))),
+    ]
+    for fn, ctx in cases:
+        with pytest.raises(ArithmeticError, match="context invalid"):
+            fn(ctx, 2)
+
+
+def test_auto_reaches_sqrt_synth_through_its_module(monkeypatch):
+    # sqrt_auto looks sqrt_synth up on the synthesis module at each call, so
+    # a wrapper set there (a tracer, a fault) sees every k > 4 call
+    calls = []
+
+    def spy(ctx, a):
+        calls.append((ctx.p, a))
+        return sqrt_synth(ctx, a)
+
+    monkeypatch.setattr(synthesis, "sqrt_synth", spy)
+    ctx = make_context(97)  # k = 5
+    assert sqrt_auto(ctx, 4) == sqrt_synth(ctx, 4)
+    assert sqrt_auto(make_context(41), 2).method == "f3"  # k <= 4: no hand-off
+    assert calls == [(97, 4)]
 
 
 def test_selector_property_k3_k4():

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqrtmodp import modarith
 from sqrtmodp.modarith import (
     MulCounter,
     decompose,
@@ -144,6 +145,24 @@ def test_make_context_examples(p, k, n, z):
 def test_make_context_rejects_composite():
     with pytest.raises(ValueError):
         make_context(91)
+    with pytest.raises(ValueError):
+        find_nonresidue(91)
+
+
+@pytest.mark.parametrize("p", [7, 2999, 18446744069414584321])
+def test_make_context_tests_primality_once(monkeypatch, p):
+    # decompose validates p; the nonresidue search must not test it again
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return is_prime(m)
+
+    monkeypatch.setattr(modarith, "is_prime", counting)
+    assert make_context(p).p == p
+    assert calls == [p]
+    assert find_nonresidue(p) == make_context(p).z  # the public entry still checks
+    assert calls == [p, p, p]
 
 
 def test_power_table_contract():
