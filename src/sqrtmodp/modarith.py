@@ -2,8 +2,12 @@
 
 Every prime handled by this package has the shape p = 2^k * n + 1 with n odd.
 A PrimeContext bundles that decomposition with a deterministic quadratic
-nonresidue z and the powers z^(j*n) (a table for k <= 20), which drive all
-the square-root machinery in the other modules.
+nonresidue z and windowed rows of the powers z^(j*n), which drive all the
+square-root machinery in the other modules.  With g = z^n, row i holds
+g^(d 2^(8i)) for d < 2^min(8, k - 8i): ceil(k/8) rows and at most
+ceil(k/8)*256 entries for any k, in place of a table of all 2^k powers.  A
+lookup multiplies one entry from each row (Bernstein, "Faster square roots
+in annoying finite fields", 2001; Sarkar, IACR ePrint 2020/1407).
 """
 
 from dataclasses import dataclass, field
@@ -24,9 +28,9 @@ __all__ = [
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Above this k no z^(j*n) table (2^k entries) is kept and each power is a full
-# pow; KoalaBear (k = 24), BabyBear (k = 27) and Goldilocks (k = 32) are above.
-_TABLE_K_CAP = 20
+# Window width of the z^(j*n) rows: row i covers bits 8i..8i+7 of j.
+_W = 8
+_DIGIT = (1 << _W) - 1
 
 
 def _pow_cost(e: int) -> int:
@@ -125,47 +129,66 @@ def find_nonresidue(p: int) -> int:
 class PrimeContext:
     """A validated odd prime p = 2^k * n + 1 (n odd) with nonresidue z.
 
-    For k <= _TABLE_K_CAP, zn_pows[j] = z^(j*n) mod p for j in [0, 2^k);
-    above it zn_pows is None and zn_pow computes each power.  z^n generates
-    the 2-part of the multiplicative group: period 2^k, z^(2^(k-1) n) = -1.
-    Instances are immutable and safe to share across workers.
+    zn_rows holds the powers of g = z^n in windows of 8 bits: row i is
+    g^(d 2^(8i)) for d < 2^min(8, k - 8i), so there are ceil(k/8) rows and at
+    most ceil(k/8)*256 entries.  At k <= 8 the one row is every power.
+    g generates the 2-part of the multiplicative group: period 2^k,
+    g^(2^(k-1)) = -1.  Instances are immutable and safe to share across
+    workers.
     """
 
     p: int
     k: int
     n: int
     z: int
-    zn_pows: tuple[int, ...] | None = field(default=None, repr=False)
+    zn_rows: tuple[tuple[int, ...], ...] = field(default=(), repr=False)
 
     def zn_pow(self, j: int) -> int:
-        """z^(j*n) mod p; j is reduced mod 2^k, the order of z^n."""
+        """z^(j*n) mod p; j is reduced mod 2^k, the order of z^n.
+
+        One entry from each row, so ceil(k/8) - 1 products; none at k <= 8.
+        """
         j &= (1 << self.k) - 1
-        if self.zn_pows is not None:
-            return self.zn_pows[j]
-        return pow(self.z, j * self.n, self.p)
+        rows = self.zn_rows
+        if self.k <= _W:
+            return rows[0][j]
+        p = self.p
+        v = rows[0][j & _DIGIT]
+        for row in rows[1:]:
+            j >>= _W
+            v = v * row[j & _DIGIT] % p
+        return v
 
     def half_pow(self, m: int, counter: MulCounter | None = None) -> int:
         """(2^-1)^m mod p, the scale in front of every bracket of terms."""
         return mod_pow((self.p + 1) // 2, m, self.p, counter)
 
 
-def make_context(p: int) -> PrimeContext:
-    """Validate p, decompose p - 1, pick z, and tabulate z^(j*n) if k <= 20.
+def _zn_rows(g: int, k: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of PrimeContext.zn_rows for g = z^n: about ceil(k/8)*256 products."""
+    rows = []
+    for shift in range(0, k, _W):
+        row = [1] * (1 << min(_W, k - shift))
+        for d in range(1, len(row)):
+            row[d] = row[d - 1] * g % p
+        rows.append(tuple(row))
+        g = row[-1] * g % p  # g^(2^8): the next row's step
+    return tuple(rows)
 
-    decompose runs the one primality test; the nonresidue search relies on it.
+
+def make_context(p: int) -> PrimeContext:
+    """Validate p, decompose p - 1, pick z, and build the rows of z^(j*n).
+
+    decompose runs the one primality test; the nonresidue search relies on
+    it.  The rows are checked for every k: z^(2^(k-1) n) must be -1, or z
+    was not a nonresidue and ArithmeticError is raised here.
     """
     k, n = decompose(p)
     z = _smallest_nonresidue(p)
-    table = None
-    if k <= _TABLE_K_CAP:
-        w = pow(z, n, p)
-        pows = [1] * (1 << k)
-        for j in range(1, 1 << k):
-            pows[j] = pows[j - 1] * w % p
-        if pows[1 << (k - 1)] != p - 1:
-            raise ArithmeticError(f"power table inconsistent for p={p}")
-        table = tuple(pows)
-    return PrimeContext(p, k, n, z, table)
+    ctx = PrimeContext(p, k, n, z, _zn_rows(pow(z, n, p), k, p))
+    if ctx.zn_pow(1 << (k - 1)) != p - 1:
+        raise ArithmeticError(f"nonresidue powers inconsistent for p={p}")
+    return ctx
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:

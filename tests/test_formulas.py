@@ -15,7 +15,7 @@ from sqrtmodp.formulas import (
     sqrt_f4,
 )
 from sqrtmodp import synthesis
-from sqrtmodp.modarith import PrimeContext, decompose, make_context, primes_in_range
+from sqrtmodp.modarith import PrimeContext, _zn_rows, decompose, make_context, primes_in_range
 from sqrtmodp.oracles import brute_root_table, residue_class
 from sqrtmodp.synthesis import sqrt_synth, synthesize, term_values
 
@@ -162,16 +162,17 @@ def test_synth_k1_count_is_f1s(p, count):
 
 
 def test_invalid_context_is_reported():
-    # z = 2 is a residue mod 41 and mod 97, so a^n z^(cn) need not be +-1 on
-    # the path; the walk must say so with or without a power table, and also
-    # when sqrt_auto reaches it at k = 5 through sqrt_synth
-    def table(p, k, n, z):
-        return tuple(pow(z, j * n, p) for j in range(1 << k))
+    # z = 2 is a residue mod 41, 97 and BabyBear, so a^n z^(cn) need not be
+    # +-1 on the path; the walk must say so with one row of powers, also when
+    # sqrt_auto reaches it at k = 5 through sqrt_synth, and with four rows
+    def bad(p, z):
+        k, n = decompose(p)
+        return PrimeContext(p, k, n, z, _zn_rows(pow(z, n, p), k, p))
 
     cases = [
-        (sqrt_f3, PrimeContext(41, 3, 5, 2, table(41, 3, 5, 2))),
-        (sqrt_f3, PrimeContext(41, 3, 5, 2, None)),
-        (sqrt_auto, PrimeContext(97, 5, 3, 2, table(97, 5, 3, 2))),
+        (sqrt_f3, bad(41, 2)),
+        (sqrt_auto, bad(97, 2)),
+        (sqrt_auto, bad(2013265921, 2)),
     ]
     for fn, ctx in cases:
         with pytest.raises(ArithmeticError, match="context invalid"):

@@ -15,6 +15,7 @@ from sqrtmodp.modarith import (
 )
 
 SMALL_PRIMES = primes_in_range(3, 1000)
+GOLDILOCKS = (1 << 64) - (1 << 32) + 1
 
 
 def sieve_is_prime(m):
@@ -165,19 +166,53 @@ def test_make_context_tests_primality_once(monkeypatch, p):
     assert calls == [p, p, p]
 
 
-def test_power_table_contract():
-    for p in [7, 13, 17, 41, 97, 193]:
-        ctx = make_context(p)
-        assert ctx.zn_pows is not None
-        assert len(ctx.zn_pows) == 1 << ctx.k
-        assert ctx.zn_pows[0] == 1
-        assert ctx.zn_pows[1 << (ctx.k - 1)] == p - 1
-        for j in range(1 << ctx.k):
-            assert ctx.zn_pows[j] == pow(ctx.z, j * ctx.n, p)
-        # period 2^k: indices wrap
-        assert ctx.zn_pow(1 << ctx.k) == 1
-        assert ctx.zn_pow((1 << ctx.k) + 3) == ctx.zn_pow(3)
-        assert ctx.zn_pow(-1) == ctx.zn_pow((1 << ctx.k) - 1)
+# the smallest prime 2^k n + 1 (n odd) for k = 1, 8, 9, 16, 18 and 20, then
+# KoalaBear, BabyBear and Goldilocks
+PRIME_WITH_K = {
+    1: 3, 8: 257, 9: 7681, 16: 65537, 18: 786433, 20: 7340033,
+    24: 2130706433, 27: 2013265921, 32: GOLDILOCKS,
+}
+
+
+@pytest.mark.parametrize("k", PRIME_WITH_K)
+def test_zn_pow_contract(k):
+    p = PRIME_WITH_K[k]
+    ctx = make_context(p)
+    assert ctx.k == k
+    rows = -(-k // 8)
+    assert len(ctx.zn_rows) == rows
+    assert sum(map(len, ctx.zn_rows)) <= rows * 256
+    if k <= 8:  # the one row is every power
+        assert ctx.zn_rows == (tuple(pow(ctx.z, j * ctx.n, p) for j in range(1 << k)),)
+    for j in [0, 255, 256, 1 << (k - 1), (1 << k) - 1, (1 << k) + 3, -1]:
+        assert ctx.zn_pow(j) == pow(ctx.z, j * ctx.n, p), j
+    assert ctx.zn_pow(1 << (k - 1)) == p - 1
+
+
+@st.composite
+def prime_with_k(draw):
+    """A prime 2^k n + 1 with n odd: the first at or above a drawn odd n."""
+    k = draw(st.integers(min_value=1, max_value=64))
+    n = draw(st.integers(min_value=0, max_value=1 << 12)) * 2 + 1
+    while not is_prime((n << k) + 1):
+        n += 2
+    return (n << k) + 1
+
+
+@given(prime_with_k(), st.integers(min_value=-(1 << 70), max_value=1 << 70))
+@settings(max_examples=60, deadline=None)
+def test_zn_pow_matches_pow(p, j):
+    ctx = make_context(p)
+    assert ctx.zn_pow(j) == pow(ctx.z, j * ctx.n, p)
+
+
+@pytest.mark.parametrize("p", [7, 786433, 2013265921, GOLDILOCKS])
+def test_make_context_rejects_a_residue_as_z(monkeypatch, p):
+    # 4 is a residue mod every odd prime: the rows' z^(2^(k-1) n) is then
+    # 1, not -1, and make_context must say so itself, for every k
+    monkeypatch.setattr(modarith, "_smallest_nonresidue", lambda p: 4)
+    with pytest.raises(ArithmeticError, match=f"p={p}"):
+        make_context(p)
 
 
 def test_z_power_engine_identities():
