@@ -17,7 +17,7 @@ module at each call.
 from functools import lru_cache
 from typing import NamedTuple
 
-from .modarith import MulCounter, PrimeContext, _pow_cost, mod_pow
+from .modarith import _W, MulCounter, PrimeContext, _pow_cost, mod_pow
 
 __all__ = [
     "NotAResidue",
@@ -86,11 +86,14 @@ def _x_levels(ctx: PrimeContext, x: int, counter: MulCounter | None) -> list[int
 def _class_cost(n: int, k: int) -> int:
     """The formula's cost as the paper writes it: a^((n-1)/2), two products and
     k-1 squarings; for k > 1 a product and a factor per level, the multiplier
-    z^(en), the scale (2^-1)^(k-1) and the two products that apply it.
+    z^(en), the scale (2^-1)^(k-1) and the two products that apply it.  The
+    k-1 factors and the multiplier are k zn_pow lookups of ceil(k/8) - 1
+    products each.
 
     It depends on (n, k) alone, so it is priced once per pair; the memo is
     bounded, so a sweep over many primes cannot grow it without limit."""
-    walk = 2 * (k - 1) + 1 + _pow_cost(k - 1) + 2 if k > 1 else 0
+    lookups = k * ((k - 1) // _W)
+    walk = 2 * (k - 1) + 1 + lookups + _pow_cost(k - 1) + 2 if k > 1 else 0
     return _pow_cost((n - 1) // 2) + 2 + (k - 1) + walk
 
 

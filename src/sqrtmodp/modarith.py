@@ -41,8 +41,10 @@ def _pow_cost(e: int) -> int:
 class MulCounter:
     """Tallies modular multiplications; squarings count as multiplications.
 
-    Powers are charged _pow_cost.  tonelli, direct and evaluate tally live;
-    the class formula's count is the paper's cost, from (n, k) alone.
+    Powers are charged _pow_cost, and a PrimeContext.zn_pow lookup the
+    ceil(k/8) - 1 products that combine its rows.  tonelli, direct and
+    evaluate tally live; the class formula's count is the paper's cost,
+    from (n, k) alone.
     """
 
     __slots__ = ("count",)
@@ -143,10 +145,12 @@ class PrimeContext:
     z: int
     zn_rows: tuple[tuple[int, ...], ...] = field(default=(), repr=False)
 
-    def zn_pow(self, j: int) -> int:
+    def zn_pow(self, j: int, counter: MulCounter | None = None) -> int:
         """z^(j*n) mod p; j is reduced mod 2^k, the order of z^n.
 
-        One entry from each row, so ceil(k/8) - 1 products; none at k <= 8.
+        One entry from each row, so ceil(k/8) - 1 products, charged to
+        counter; none at k <= 8.  A zero digit is not skipped, so the cost
+        of a lookup depends on k alone.
         """
         j &= (1 << self.k) - 1
         rows = self.zn_rows
@@ -157,6 +161,8 @@ class PrimeContext:
         for row in rows[1:]:
             j >>= _W
             v = v * row[j & _DIGIT] % p
+        if counter is not None:
+            counter.count += len(rows) - 1
         return v
 
     def half_pow(self, m: int, counter: MulCounter | None = None) -> int:

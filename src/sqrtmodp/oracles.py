@@ -40,7 +40,7 @@ def tonelli_shanks(ctx: PrimeContext, a: int) -> SqrtOutcome:
         return _canonical(0, p, "tonelli", c.count)
     x = mod_pow(a, (ctx.n + 1) // 2, p, c)
     t = mod_pow(a, ctx.n, p, c)
-    w = ctx.zn_pow(1)  # z^n, a generator of the 2-part
+    w = ctx.zn_pow(1, c)  # z^n, a generator of the 2-part
     m = ctx.k
     while t != 1:
         t2, i = c.mul(t, t, p), 1
@@ -62,7 +62,7 @@ def _lift_class(ctx: PrimeContext, an: int, counter: MulCounter | None) -> int:
     for i in range(ctx.k - 1):
         if mod_pow(cur, 1 << (ctx.k - 2 - i), p, counter) == p - 1:
             t |= 1 << i
-            w = ctx.zn_pow((1 << ctx.k) - (1 << (i + 1)))  # z^(-2^(i+1) n)
+            w = ctx.zn_pow((1 << ctx.k) - (1 << (i + 1)), counter)  # z^(-2^(i+1) n)
             cur = counter.mul(cur, w, p) if counter else cur * w % p
     if cur != 1:
         raise ArithmeticError(f"no class index matches for p={p}; context invalid")
@@ -91,5 +91,5 @@ def direct_sqrt(ctx: PrimeContext, a: int) -> SqrtOutcome:
     t = _lift_class(ctx, an, c)
     e = (-t) % (1 << (ctx.k - 1))
     ah = mod_pow(a, (ctx.n + 1) // 2, p, c)
-    raw = c.mul(ah, ctx.zn_pow(e), p)
+    raw = c.mul(ah, ctx.zn_pow(e, c), p)
     return _canonical(raw, p, "direct", c.count)

@@ -128,12 +128,12 @@ def _bracket_terms(
     cache: dict[tuple[int, int], int] = {}
     values = []
     for term in f.terms:
-        v = ctx.zn_pow(term.e)
+        v = ctx.zn_pow(term.e, counter)
         for fc in term.factors:
             key = (fc.j, fc.c)
             fv = cache.get(key)
             if fv is None:
-                base, w = xp[fc.j], ctx.zn_pow(fc.c)
+                base, w = xp[fc.j], ctx.zn_pow(fc.c, counter)
                 prod = counter.mul(base, w, p) if counter else base * w % p
                 fv = cache[key] = (1 + prod) % p
             if fv == 0:

@@ -187,6 +187,10 @@ def test_zn_pow_contract(k):
     for j in [0, 255, 256, 1 << (k - 1), (1 << k) - 1, (1 << k) + 3, -1]:
         assert ctx.zn_pow(j) == pow(ctx.z, j * ctx.n, p), j
     assert ctx.zn_pow(1 << (k - 1)) == p - 1
+    c = MulCounter()
+    ctx.zn_pow(0, c)  # a zero digit is not skipped: the cost follows from k
+    ctx.zn_pow(-1, c)
+    assert c.count == 2 * (rows - 1)
 
 
 @st.composite

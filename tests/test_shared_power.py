@@ -39,8 +39,9 @@ def expected_count(p, k):
     if k == 1:
         return front
     walk = 2 * (k - 1) + 1  # a product and a factor per level, the multiplier
+    rows = k * ((k + 7) // 8 - 1)  # k lookups, each combining ceil(k/8) rows
     scale = pow_cost(k - 1)  # (2^-1)^(k-1)
-    return front + walk + scale + 2  # the scale and the bracket times a^((n+1)/2)
+    return front + walk + rows + scale + 2  # the scale and the bracket times a^((n+1)/2)
 
 
 def smallest_prime_with_k(k):
