@@ -206,7 +206,9 @@ def run_bench(
     """Per-method multiplication counts over a deterministic residue sample."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    c0 = time.perf_counter()
     ctx = modarith.make_context(p)
+    print(f"bench context on p={p}: {time.perf_counter() - c0:.3f}s", file=sys.stderr)
     if methods is None:
         methods = _default_methods(ctx)
     fns = [_method(m) for m in methods]

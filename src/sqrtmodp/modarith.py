@@ -5,9 +5,10 @@ A PrimeContext bundles that decomposition with a deterministic quadratic
 nonresidue z and windowed rows of the powers z^(j*n), which drive all the
 square-root machinery in the other modules.  With g = z^n, row i holds
 g^(d 2^(8i)) for d < 2^min(8, k - 8i): ceil(k/8) rows and at most
-ceil(k/8)*256 entries for any k, in place of a table of all 2^k powers.  A
-lookup multiplies one entry from each row (Bernstein, "Faster square roots
-in annoying finite fields", 2001; Sarkar, IACR ePrint 2020/1407).
+ceil(k/8)*256 entries for any k, so no table of all 2^k powers is kept.  A
+lookup multiplies one entry from each row, ceil(k/8) - 1 products
+(Bernstein, "Faster square roots in annoying finite fields", 2001; Sarkar,
+IACR ePrint 2020/1407).
 """
 
 from dataclasses import dataclass, field

@@ -285,6 +285,18 @@ def test_bench_constant_vs_varying(capsys):
         assert r["mean_mults"] == r["total_mults"] / r["trials"]
 
 
+def test_bench_reports_context_time_on_stderr(capsys):
+    code, out, err = run_cli(capsys, "bench", "--p", "786433", "--trials", "3")
+    assert code == 0 and json.loads(out)["p"] == 786433
+    lines = err.splitlines()
+    assert re.fullmatch(r"bench context on p=786433: \d+\.\d{3}s", lines[0])
+    methods = ["auto", "synth", "direct", "tonelli"]
+    for m, line in zip(methods, lines[1:]):
+        assert re.fullmatch(rf"bench {m} on p=786433: \d+\.\d{{3}}s", line)
+    assert re.fullmatch(r"bench: total \d+\.\d\ds", lines[-1])
+    assert len(lines) == len(methods) + 2
+
+
 def test_bench_deterministic_with_seed(capsys):
     a = run_cli(capsys, "bench", "--p", "97", "--trials", "20", "--seed", "5")[1]
     b = run_cli(capsys, "bench", "--p", "97", "--trials", "20", "--seed", "5")[1]
