@@ -145,6 +145,17 @@ class PrimeContext:
     n: int
     z: int
     zn_rows: tuple[tuple[int, ...], ...] = field(default=(), repr=False)
+    # zn_pow's view of zn_rows, derived once: the mask 2^k - 1, the first
+    # row and the others
+    _mask: int = field(init=False, repr=False, compare=False)
+    _head: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _rest: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        head, *rest = self.zn_rows or ((),)
+        object.__setattr__(self, "_mask", (1 << self.k) - 1)
+        object.__setattr__(self, "_head", head)
+        object.__setattr__(self, "_rest", tuple(rest))
 
     def zn_pow(self, j: int, counter: MulCounter | None = None) -> int:
         """z^(j*n) mod p; j is reduced mod 2^k, the order of z^n.
@@ -153,17 +164,16 @@ class PrimeContext:
         counter; none at k <= 8.  A zero digit is not skipped, so the cost
         of a lookup depends on k alone.
         """
-        j &= (1 << self.k) - 1
-        rows = self.zn_rows
+        j &= self._mask
         if self.k <= _W:
-            return rows[0][j]
+            return self._head[j]
         p = self.p
-        v = rows[0][j & _DIGIT]
-        for row in rows[1:]:
+        v = self._head[j & _DIGIT]
+        for row in self._rest:
             j >>= _W
             v = v * row[j & _DIGIT] % p
         if counter is not None:
-            counter.count += len(rows) - 1
+            counter.count += len(self._rest)
         return v
 
     def half_pow(self, m: int, counter: MulCounter | None = None) -> int:
