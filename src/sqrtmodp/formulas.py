@@ -17,7 +17,7 @@ module at each call.
 from functools import lru_cache
 from typing import NamedTuple
 
-from .modarith import _W, MulCounter, PrimeContext, _pow_cost, mod_pow
+from .modarith import MulCounter, PrimeContext, _lookup_cost, _pow_cost, mod_pow
 
 __all__ = [
     "NotAResidue",
@@ -92,7 +92,7 @@ def _class_cost(n: int, k: int) -> int:
 
     It depends on (n, k) alone, so it is priced once per pair; the memo is
     bounded, so a sweep over many primes cannot grow it without limit."""
-    lookups = k * ((k - 1) // _W)
+    lookups = k * _lookup_cost(k)
     walk = 2 * (k - 1) + 1 + lookups + _pow_cost(k - 1) + 2 if k > 1 else 0
     return _pow_cost((n - 1) // 2) + 2 + (k - 1) + walk
 

@@ -39,6 +39,11 @@ def _pow_cost(e: int) -> int:
     return e.bit_length() + e.bit_count() - 2 if e > 0 else 0
 
 
+def _lookup_cost(k: int) -> int:
+    """Cost of one PrimeContext.zn_pow: a product per row after the first."""
+    return (k - 1) // _W
+
+
 class MulCounter:
     """Tallies modular multiplications; squarings count as multiplications.
 
