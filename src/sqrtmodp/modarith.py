@@ -149,7 +149,7 @@ class PrimeContext:
     k: int
     n: int
     z: int
-    zn_rows: tuple[tuple[int, ...], ...] = field(default=(), repr=False)
+    zn_rows: tuple[tuple[int, ...], ...] = field(default=((),), repr=False)
     # zn_pow's view of zn_rows, derived once: the mask 2^k - 1, the first
     # row and the others
     _mask: int = field(init=False, repr=False, compare=False)
@@ -157,7 +157,7 @@ class PrimeContext:
     _rest: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        head, *rest = self.zn_rows or ((),)
+        head, *rest = self.zn_rows
         object.__setattr__(self, "_mask", (1 << self.k) - 1)
         object.__setattr__(self, "_head", head)
         object.__setattr__(self, "_rest", tuple(rest))
