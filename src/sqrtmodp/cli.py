@@ -13,6 +13,7 @@ quadratic residue.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -317,12 +318,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_expand(args) -> int:
     ctx = modarith.make_context(args.p)
-    if ctx.k > synthesis.MAX_K:
-        raise ValueError(
-            f"expand supports k<={synthesis.MAX_K} (MAX_K); p={ctx.p} has k={ctx.k}"
-        )
-    f = synthesis.synthesize(ctx.k)
-    poly = synthesis.expand(f, ctx)
+    poly = synthesis.expand(ctx)
     ok = synthesis.degree_check(poly, ctx)
     doc = {
         "kind": "expanded_polynomial",
@@ -418,10 +414,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first main call, not at import: building costs about 1 ms,
+# twenty times a parse, and parsing leaves the parser unchanged.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -19,10 +19,17 @@ every nonzero residue, for any k.
 
 The symbolic object, built by synthesize for k <= MAX_K, supports sign
 normalization (folding z-exponents at or above 2^(k-1) into minus signs via
-z^(2^(k-1) n) = -1), rendering to text, LaTeX, and a structured document,
-and full expansion into a sparse polynomial whose degree is
-2^(k-1) n - (n-1)/2 with at most 2^(k-1) terms.  MAX_K limits only these;
-sqrt, verify and bench work for any k.
+z^(2^(k-1) n) = -1) and rendering to text, LaTeX, and a structured document.
+
+Expanded over F_p, the polynomial has exactly 2^(k-1) nonzero terms and
+degree 2^(k-1) n - (n-1)/2.  With g = z^n and y = x^n, term t's factors
+multiply out to the sum of y^i g^(-2it) over i < 2^(k-1), and its multiplier
+is g^(e_t) = -g^(-t) for t >= 1 (1 for t = 0): e_t = -t mod 2^(k-1) is
+2^(k-1) - t there, and g^(2^(k-1)) = -1.  Summed over t, the coefficient of
+y^i is a geometric series in w = g^-(2i+1), equal to 2w/(w - 1); w has
+order 2^k, so it is never 1 and the coefficient is never 0.  expand
+computes the polynomial from this closed form, without the symbolic object.
+MAX_K limits synthesize and expand; sqrt, verify and bench work for any k.
 """
 
 from dataclasses import dataclass
@@ -292,37 +299,32 @@ class ExpandedPolynomial:
         return " + ".join(bits)
 
 
-def expand(f: SymbolicFormula, ctx: PrimeContext) -> ExpandedPolynomial:
-    """Multiply the bracket out over F_p and attach the prefactor.
+def expand(ctx: PrimeContext) -> ExpandedPolynomial:
+    """The formula for ctx's prime multiplied out over F_p, prefactor included.
 
-    Exponents are collected as plain integers (never reduced mod x^p - x);
-    within one term the factor levels carry distinct powers of two, so
-    subset exponents never collide.
+    The coefficient of x^(i n + (n+1)/2), for each i < 2^(k-1), is
+    2^-(k-1) * 2w/(w - 1) with w = g^-(2i+1) and g = z^n, computed as
+    2^-(k-1) * 2/(1 - g^(2i+1)): one zn_pow lookup and one inverse.  The
+    sum over classes behind it is geometric because e_t = -t mod 2^(k-1)
+    (sign -1 for t >= 1); w has order 2^k, so no coefficient is 0 and there
+    are exactly 2^(k-1) terms.  Exponents are plain integers, never reduced
+    mod x^p - x.
     """
-    if ctx.k != f.k:
-        raise WrongClass(f"formula has k={f.k}, context has k={ctx.k}")
+    if ctx.k > MAX_K:
+        raise ValueError(
+            f"expand supports k<={MAX_K} (MAX_K); p={ctx.p} has k={ctx.k}"
+        )
     p, n = ctx.p, ctx.n
-    width = 1 << (f.k - 1)
-    acc = [0] * width  # coefficient of x^(i*n) inside the bracket
-    for term in f.terms:
-        poly = {0: ctx.zn_pow(term.e)}
-        for fc in term.factors:
-            w = ctx.zn_pow(fc.c)
-            step = 1 << fc.j
-            poly.update({i + step: v * w % p for i, v in poly.items()})
-        for i, v in poly.items():
-            acc[i] = (acc[i] + v) % p
-    scale = ctx.half_pow(f.k - 1)
+    scale = 2 * ctx.half_pow(ctx.k - 1) % p
     off = (n + 1) // 2
     terms = tuple(
-        (i * n + off, acc[i] * scale % p)
-        for i in range(width - 1, -1, -1)
-        if acc[i]
+        (i * n + off, scale * pow(1 - ctx.zn_pow(2 * i + 1), -1, p) % p)
+        for i in range((1 << (ctx.k - 1)) - 1, -1, -1)
     )
     return ExpandedPolynomial(p, terms)
 
 
 def degree_check(poly: ExpandedPolynomial, ctx: PrimeContext) -> bool:
-    """True iff degree is exactly 2^(k-1) n - (n-1)/2 with <= 2^(k-1) terms."""
+    """True iff the degree is 2^(k-1) n - (n-1)/2 and there are 2^(k-1) terms."""
     want = (1 << (ctx.k - 1)) * ctx.n - (ctx.n - 1) // 2
-    return poly.degree == want and len(poly.terms) <= 1 << (ctx.k - 1)
+    return poly.degree == want and len(poly.terms) == 1 << (ctx.k - 1)

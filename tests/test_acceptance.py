@@ -81,20 +81,20 @@ def test_criterion_2_printed_formula_fidelity():
 
 
 def test_criterion_3_expansion_structure():
-    # degree exactly 2^(k-1) n - (n-1)/2 and at most 2^(k-1) terms for every
+    # degree exactly 2^(k-1) n - (n-1)/2 and exactly 2^(k-1) terms for every
     # prime below 5000 with 2 <= k <= 6; p = 13 pinned to its golden value
     with criterion(3, "expanded degree/length, p < 5000, 2 <= k <= 6"):
-        golden = expand(synthesize(2), make_context(13))
+        golden = expand(make_context(13))
         assert golden.terms == ((5, 3), (2, 11))
         checked = 0
         for p in primes_in_range(3, 4999):
             ctx = make_context(p)
             if not 2 <= ctx.k <= 6:
                 continue
-            poly = expand(synthesize(ctx.k), ctx)
+            poly = expand(ctx)
             want = (1 << (ctx.k - 1)) * ctx.n - (ctx.n - 1) // 2
             assert poly.degree == want
-            assert len(poly.terms) <= 1 << (ctx.k - 1)
+            assert len(poly.terms) == 1 << (ctx.k - 1)
             assert degree_check(poly, ctx)
             checked += 1
         assert checked > 300

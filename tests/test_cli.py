@@ -228,7 +228,7 @@ def test_expand_p41(capsys):
     code, out, _ = run_cli(capsys, "expand", "--p", "41")
     doc = json.loads(out)
     assert doc["degree"] == 18
-    assert doc["term_count"] <= 4
+    assert doc["term_count"] == 4
     assert doc["degree_check"] == "PASS"
 
 
@@ -334,6 +334,31 @@ def test_bench_tonelli_constant_for_k1(capsys):
 
 def test_unknown_command_exits_1(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 1
+
+
+def test_shared_parser_keeps_each_call_independent(capsys):
+    # main builds its parser on the first call and reuses it; every call in
+    # a sequence must read as a call made with a freshly built parser
+    seq = [
+        ("sqrt", "--p", "41", "--a", "2"),
+        ("expand", "--p", "13"),
+        ("sqrt", "--p", "41"),  # usage error: --a is missing
+        ("--help",),
+        ("sqrt", "--p", "41", "--a", "3"),  # not a residue
+        ("sqrt", "--p", "41", "--a", "2"),
+    ]
+    fresh = []
+    for argv in seq:
+        cli._parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    cli._parser.cache_clear()
+    shared = [run_cli(capsys, *argv) for argv in seq]
+    assert cli._parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 1, 0, 2, 0]
+    assert shared[2][2] == "error: the following arguments are required: --a\n"
+    assert shared[3][1].startswith("usage: sqrtmodp")  # capsys captures --help
+    assert shared[0] == shared[5]
 
 
 def test_module_entry_point():

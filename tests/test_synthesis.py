@@ -1,4 +1,6 @@
 import json
+import random
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from sqrtmodp.modarith import make_context, primes_in_range
 from sqrtmodp.oracles import brute_root_table
 from sqrtmodp.synthesis import (
     MAX_K,
+    ExpandedPolynomial,
     degree_check,
     evaluate,
     evaluate_at,
@@ -194,9 +197,68 @@ def test_selector_exclusivity():
 # expansion
 
 
+def _expand_reference(ctx):
+    """The bracket multiplied out term by term: about 4^(k-1) updates."""
+    f = _formula(ctx.k)
+    p, n = ctx.p, ctx.n
+    width = 1 << (f.k - 1)
+    acc = [0] * width  # coefficient of x^(i*n) inside the bracket
+    for term in f.terms:
+        poly = {0: ctx.zn_pow(term.e)}
+        for fc in term.factors:
+            w = ctx.zn_pow(fc.c)
+            step = 1 << fc.j
+            poly.update({i + step: v * w % p for i, v in poly.items()})
+        for i, v in poly.items():
+            acc[i] = (acc[i] + v) % p
+    scale = ctx.half_pow(f.k - 1)
+    off = (n + 1) // 2
+    terms = tuple(
+        (i * n + off, acc[i] * scale % p)
+        for i in range(width - 1, -1, -1)
+        if acc[i]
+    )
+    return ExpandedPolynomial(p, terms)
+
+
+@cache
+def _formula(k):
+    return synthesize(k)
+
+
+def test_expand_matches_reference_below_6000():
+    checked = 0
+    for p in primes_in_range(3, 6000):
+        ctx = make_context(p)
+        assert ctx.k <= 9
+        assert expand(ctx) == _expand_reference(ctx), p
+        checked += 1
+    assert checked == 782
+
+
+@pytest.mark.parametrize("p,k", [(40961, 13), (65537, 16)])
+def test_expand_large_k_exact_terms_and_roots(p, k):
+    ctx = make_context(p)
+    assert ctx.k == k
+    poly = expand(ctx)
+    assert len(poly.terms) == 1 << (k - 1)
+    assert all(0 < co < p for _, co in poly.terms)
+    assert poly.degree == (1 << (k - 1)) * ctx.n - (ctx.n - 1) // 2
+    assert degree_check(poly, ctx)
+    rng = random.Random(k)
+    for r in (rng.randrange(1, p) for _ in range(16)):
+        a = r * r % p
+        assert pow(poly.evaluate_at(a), 2, p) == a
+
+
+def test_expand_beyond_max_k_raises():
+    with pytest.raises(ValueError, match=r"^expand supports k<=16 \(MAX_K\); p=786433 has k=18$"):
+        expand(make_context(786433))
+
+
 def test_expand_golden_p13():
     ctx = make_context(13)
-    poly = expand(synthesize(2), ctx)
+    poly = expand(ctx)
     assert poly.terms == ((5, 3), (2, 11))
     assert poly.text() == "3x^5 + 11x^2"
     assert poly.degree == 5
@@ -206,7 +268,7 @@ def test_expand_golden_p13():
 
 def test_expand_golden_p7():
     ctx = make_context(7)
-    poly = expand(synthesize(1), ctx)
+    poly = expand(ctx)
     assert poly.terms == ((2, 1),)
     assert poly.text() == "x^2"
     assert degree_check(poly, ctx)
@@ -214,17 +276,16 @@ def test_expand_golden_p7():
 
 def test_expand_p41_structure():
     ctx = make_context(41)
-    poly = expand(synthesize(3), ctx)
+    poly = expand(ctx)
     assert poly.degree == 18  # 2^2 * 5 - 2
-    assert len(poly.terms) <= 4
-    assert {ex for ex, _ in poly.terms} <= {3, 8, 13, 18}
+    assert [ex for ex, _ in poly.terms] == [18, 13, 8, 3]
     assert degree_check(poly, ctx)
 
 
 def test_expand_exponents_descending_coeffs_nonzero():
     for p in [13, 41, 17, 97, 193]:
         ctx = make_context(p)
-        poly = expand(synthesize(ctx.k), ctx)
+        poly = expand(ctx)
         exps = [ex for ex, _ in poly.terms]
         assert exps == sorted(exps, reverse=True)
         assert all(0 < co < p for _, co in poly.terms)
@@ -235,15 +296,15 @@ def test_degree_check_sweep():
         ctx = make_context(p)
         if not 2 <= ctx.k <= 6:
             continue
-        assert degree_check(expand(synthesize(ctx.k), ctx), ctx)
+        assert degree_check(expand(ctx), ctx)
 
 
 def test_degree_check_rejects_tampering():
-    from sqrtmodp.synthesis import ExpandedPolynomial
-
     ctx = make_context(13)
-    poly = expand(synthesize(2), ctx)
+    poly = expand(ctx)
     assert not degree_check(ExpandedPolynomial(ctx.p, poly.terms[1:]), ctx)
+    # the top term kept, a lower one dropped: right degree, one term short
+    assert not degree_check(ExpandedPolynomial(ctx.p, poly.terms[:1]), ctx)
 
 
 def test_pointwise_agreement_all_points():
@@ -252,7 +313,7 @@ def test_pointwise_agreement_all_points():
     for p in [7, 13, 17, 41, 97]:
         ctx = make_context(p)
         f = synthesize(ctx.k)
-        poly = expand(f, ctx)
+        poly = expand(ctx)
         for v in range(p):
             assert poly.evaluate_at(v) == evaluate_at(f, ctx, v)
 
@@ -263,7 +324,7 @@ def test_pointwise_agreement_property(p, data):
     v = data.draw(st.integers(min_value=0, max_value=p - 1))
     ctx = make_context(p)
     f = synthesize(ctx.k)
-    assert expand(f, ctx).evaluate_at(v) == evaluate_at(f, ctx, v)
+    assert expand(ctx).evaluate_at(v) == evaluate_at(f, ctx, v)
 
 
 # ---------------------------------------------------------------------------
