@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Mean modular-multiplication counts per method over a few primes.
 
-The class-formula evaluator follows one path through the bracket, so its
-count is constant per prime (min = max), while the iterative baseline's
-count depends on the residue's class index.
+The class-formula evaluator reads every window of the class index, whatever
+its digits, so its count is constant per prime (min = max), while the
+iterative baseline's count depends on the residue's class index.
 
 Usage: python scripts/bench_table.py --primes 17,41,113,449 --trials 64
 """

@@ -5,19 +5,23 @@ nonresidue-power terms that collapses, at any quadratic residue, to the
 single selector for the residue's class.  One private evaluator computes it
 for every k: sqrt_f1..sqrt_f4, sqrt_auto and synthesis.sqrt_synth differ
 only in the class they accept and the method tag they report.  It takes
-one shared power per call, a^((n-1)/2); a^((n+1)/2), the levels a^(2^j n)
-and the Euler screen a^((p-1)/2) follow from it by two products and k-1
-squarings.  At k = 1 the bracket is empty and the root is the bare power
-a^((n+1)/2), with no walk; for k > 1 the walk through the bracket follows
-one path.  The count is the paper's cost of the formula, priced once per
-(n, k).  sqrt_auto hands k > 4 to sqrt_synth, read from the synthesis
-module at each call.
+one shared power per call, a^((n-1)/2); a^((n+1)/2) and a^n = z^(sn) follow
+from it by two products.  The bracket's k-1 level factors each fix one bit
+of the class index t = s/2; the evaluator reads those bits 8 at a time
+instead, by one log-table lookup per window of s after k - min(8, k)
+squarings (the windowed discrete log of Bernstein 2001 and Sarkar, IACR
+ePrint 2020/1407), and the low bit of s is Euler's symbol, so the screen
+costs nothing more.  The root is the bracket's one live term, a^((n+1)/2)
+z^(en).  At k = 1 the bracket is empty and the root is the bare power
+a^((n+1)/2).  The count is the lift's cost, priced once per (n, k).
+sqrt_auto hands k > 4 to sqrt_synth, read from the synthesis module at each
+call.
 """
 
 from functools import lru_cache
 from typing import NamedTuple
 
-from .modarith import MulCounter, PrimeContext, _lookup_cost, _pow_cost, mod_pow
+from .modarith import _W, MulCounter, PrimeContext, _lookup_cost, _pow_cost, mod_pow
 
 __all__ = [
     "NotAResidue",
@@ -61,91 +65,75 @@ def _canonical(raw: int, p: int, method: str, count: int) -> SqrtOutcome:
     return SqrtOutcome(root, p - root if root else 0, method, count)
 
 
-def _factor_c(t: int, j: int, k: int) -> int:
-    """z-exponent coefficient of class t's level-j factor: -2^(j+1) t mod 2^k.
-
-    It depends only on t mod 2^(k-1-j), the low k-1-j bits of t.
-    """
-    return (-(t << (j + 1))) % (1 << k)
-
-
-def _x_levels(ctx: PrimeContext, x: int, counter: MulCounter | None) -> list[int]:
-    """x^(2^j n) for j = 0..k-2: one power, then k-2 squarings."""
-    p, k = ctx.p, ctx.k
-    if k == 1:
-        return []
-    xp = [mod_pow(x, ctx.n, p, counter)]
-    for _ in range(k - 2):
-        xp.append(xp[-1] * xp[-1] % p)
-    if counter is not None:
-        counter.count += k - 2
-    return xp
-
-
 @lru_cache(maxsize=256)
 def _class_cost(n: int, k: int) -> int:
-    """The formula's cost as the paper writes it: a^((n-1)/2), two products and
-    k-1 squarings; for k > 1 a product and a factor per level, the multiplier
-    z^(en), the scale (2^-1)^(k-1) and the two products that apply it.  The
-    k-1 factors and the multiplier are k zn_pow lookups of ceil(k/8) - 1
-    products each.
+    """The class lift's cost: the power a^((n-1)/2), two products and k - w
+    squarings, w = min(8, k); for each window after the first a zn_pow
+    lookup (ceil(k/8) - 1 products) and one product; then, for k > 1, the
+    multiplier's lookup and its product.
 
-    It depends on (n, k) alone, so it is priced once per pair; the memo is
+    Every window is charged, also while the bits already known are 0, so the
+    count depends on (n, k) alone and is priced once per pair; the memo is
     bounded, so a sweep over many primes cannot grow it without limit."""
-    lookups = k * _lookup_cost(k)
-    walk = 2 * (k - 1) + 1 + lookups + _pow_cost(k - 1) + 2 if k > 1 else 0
-    return _pow_cost((n - 1) // 2) + 2 + (k - 1) + walk
+    w = min(_W, k)
+    step = _lookup_cost(k) + 1
+    windows = -(-k // w)
+    lift = (windows - 1) * step + (step if k > 1 else 0)
+    return _pow_cost((n - 1) // 2) + 2 + (k - w) + lift
 
 
 def _class_root(ctx: PrimeContext, a: int, method: str) -> SqrtOutcome:
-    """Square root of a via the class formula, walking its one live path.
+    """Square root of a via the class formula, its class index read 8 bits
+    per table lookup.
 
-    One power u = a^((n-1)/2) gives the rest: a^((n+1)/2) = a u, a^n =
-    a^((n+1)/2) u, and k-1 squarings give the levels a^(2^j n) for j = 0..k-1.
-    The last level is a^((p-1)/2), Euler's symbol, so it is the screen.  At
-    k = 1 that level is a^n itself and the bracket is empty: the root is the
-    bare power a^((n+1)/2), and no walk is made.
+    One power u = a^((n-1)/2) gives root = a^((n+1)/2) = a u and a^n =
+    root u = g^s, g = z^n.  Windows of w = min(8, k) bits go from the low end
+    of s: a^n squared k - w times is h^d, h = g^(2^(k-w)), and ctx._log gives
+    the low digit d.  Each later window takes the saved square a^(2^m n) for
+    its shift m, divides out the bits already known with one zn_pow and one
+    product, and looks the next digit up; the last window may overlap the
+    one before it.  The first digit's low bit is s mod 2, Euler's symbol, so
+    it is the screen.  At k <= 8 s is one lookup of a^n, with no squarings.
 
-    The bracket's terms are the leaves of a binary tree of factors.  Level j,
-    from k-2 down to 0, fixes bit k-2-j of the class index t; the two
-    children of a node are 1 + prod and 1 - prod for one product
-    prod = x^(2^j n) z^(cn).  With a^n = z^(2sn), the node on the path agrees
-    with s on the bits fixed so far, so prod = z^(2^(k-1) n m) = +-1 and
-    exactly one child is nonzero: the walk keeps one t.  The live child is 2
-    at every level, so the live term is 2^(k-1) z^(en), e = -t mod 2^(k-1),
-    and the prefactor 2^-(k-1) cancels its 2^(k-1): the root is
-    a^((n+1)/2) z^(en), and neither side of the cancellation is computed.
+    s = 2t for the class index t, and the root is the paper's value at a,
+    a^((n+1)/2) z^(en) with e = -t mod 2^(k-1), up to sign: root times
+    zn_pow(-s/2).  At k = 1 the bracket is empty and the root is the bare
+    power.  A context whose z is a residue has an empty log table, so its
+    first lookup fails and ArithmeticError is raised.
 
-    mul_count is _class_cost(n, k), the paper's cost of the formula as
-    written, cancelling factors included: the same for every nonzero residue
-    of the prime, priced once per (n, k), and 0 at a = 0.
+    mul_count is _class_cost(n, k): the same for every nonzero residue of
+    the prime, priced once per (n, k), and 0 at a = 0.
     """
     p, k = ctx.p, ctx.k
     if not 0 <= a < p:
         raise ValueError(f"residue {a} out of range for p={p}")
-    if a == 0:  # every factor is 1 at x = 0, so no path is singled out
+    if a == 0:  # every factor is 1 at x = 0, so no class is singled out
         return SqrtOutcome(0, 0, method, 0)
     u = pow(a, (ctx.n - 1) // 2, p)
     root = a * u % p
-    x = root * u % p  # a^n, level 0
-    if k > 1:
-        xp = [x]
-        for _ in range(k - 2):
-            x = x * x % p
-            xp.append(x)
-        x = x * x % p
-    if x == p - 1:  # x = a^(2^(k-1) n) = a^((p-1)/2)
+    x = root * u % p  # a^n = g^s
+    log = ctx._log
+    try:
+        if k <= _W:
+            s = log[x]
+        else:
+            squares = [x]  # squares[m] = a^(2^m n)
+            for _ in range(k - _W):
+                x = x * x % p
+                squares.append(x)
+            s = log[x]
+            if not s & 1:
+                zn_pow = ctx.zn_pow
+                for m in range(k - 2 * _W, -_W, -_W):
+                    m = max(m, 0)  # the last window may overlap the one before
+                    d = log[squares[m] * zn_pow(-s << m) % p]
+                    s += d << (k - _W - m)
+    except KeyError:
+        raise ArithmeticError(f"no class index matches for p={p}; context invalid") from None
+    if s & 1:  # s mod 2 is Euler's symbol: a^((p-1)/2) = g^(2^(k-1) s)
         raise NotAResidue(f"{a} is not a quadratic residue mod {p}")
     if k > 1:
-        zn_pow = ctx.zn_pow
-        t = 0
-        for j in range(k - 2, -1, -1):
-            prod = xp[j] * zn_pow(_factor_c(t, j, k)) % p
-            if prod == p - 1:  # 1 + prod is 0: the live child sets the bit
-                t |= 1 << (k - 2 - j)
-            elif prod != 1:
-                raise ArithmeticError(f"no class index matches for p={p}; context invalid")
-        root = root * zn_pow(-t % (1 << (k - 1))) % p
+        root = root * ctx.zn_pow(-(s >> 1)) % p
     root = min(root, p - root)  # root != 0, since a != 0
     return SqrtOutcome(root, p - root, method, _class_cost(ctx.n, k))
 

@@ -6,7 +6,8 @@ nonresidue z and windowed rows of the powers z^(j*n), which drive all the
 square-root machinery in the other modules.  With g = z^n, row i holds
 g^(d 2^(8i)) for d < 2^min(8, k - 8i): ceil(k/8) rows and at most
 ceil(k/8)*256 entries for any k, so no table of all 2^k powers is kept.  A
-lookup multiplies one entry from each row, ceil(k/8) - 1 products
+lookup multiplies one entry from each row, ceil(k/8) - 1 products, and a
+log table of 2^min(8, k) entries reads 8 bits of a discrete log in g at once
 (Bernstein, "Faster square roots in annoying finite fields", 2001; Sarkar,
 IACR ePrint 2020/1407).
 """
@@ -49,8 +50,8 @@ class MulCounter:
 
     Powers are charged _pow_cost, and a PrimeContext.zn_pow lookup the
     ceil(k/8) - 1 products that combine its rows.  tonelli, direct and
-    evaluate tally live; the class formula's count is the paper's cost,
-    from (n, k) alone.
+    evaluate tally live; the class formula's count is the class lift's
+    cost, from (n, k) alone.
     """
 
     __slots__ = ("count",)
@@ -141,8 +142,15 @@ class PrimeContext:
     g^(d 2^(8i)) for d < 2^min(8, k - 8i), so there are ceil(k/8) rows and at
     most ceil(k/8)*256 entries.  At k <= 8 the one row is every power.
     g generates the 2-part of the multiplicative group: period 2^k,
-    g^(2^(k-1)) = -1.  Instances are immutable and safe to share across
-    workers.
+    g^(2^(k-1)) = -1.
+
+    A private log table, derived with the rest, maps h^d -> d for
+    h = g^(2^(k-w)), w = min(8, k) and d < 2^w: it reads w bits of a
+    discrete log in one lookup.  When k <= 8 or 8 divides k it is the
+    inverse of the last row; otherwise its 2^8 entries cost 2^8 products.
+    h has order 2^w exactly when z is a nonresidue; otherwise the table has
+    collisions and is left empty, so the first lookup fails.  Instances are
+    immutable and safe to share across workers.
     """
 
     p: int
@@ -155,12 +163,26 @@ class PrimeContext:
     _mask: int = field(init=False, repr=False, compare=False)
     _head: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _rest: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _log: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         head, *rest = self.zn_rows
         object.__setattr__(self, "_mask", (1 << self.k) - 1)
         object.__setattr__(self, "_head", head)
         object.__setattr__(self, "_rest", tuple(rest))
+        object.__setattr__(self, "_log", self._log_table())
+
+    def _log_table(self) -> dict[int, int]:
+        """h^d -> d for h = g^(2^(k-w)), d < 2^w; empty if h's order is short."""
+        w = min(_W, self.k)
+        powers = self.zn_rows[-1]  # the powers of h when k <= 8 or 8 divides k
+        if self.k % _W and self.k > _W and powers:
+            h, p = self.zn_pow(1 << (self.k - _W)), self.p
+            powers = [1] * (1 << _W)
+            for d in range(1, 1 << _W):
+                powers[d] = powers[d - 1] * h % p
+        log = dict(zip(powers, range(1 << w)))
+        return log if len(log) == 1 << w else {}
 
     def zn_pow(self, j: int, counter: MulCounter | None = None) -> int:
         """z^(j*n) mod p; j is reduced mod 2^k, the order of z^n.

@@ -12,10 +12,10 @@ value at every quadratic residue is a square root of it.
 
 The level-j factor depends only on t mod 2^(k-1-j), so the terms are the
 leaves of a binary prefix tree of factors.  At a nonzero residue one child
-is 0 and the other 2 at each level, so sqrt_synth, like sqrt_f1..sqrt_f4,
-follows the one live path down that tree from the prime context alone (the
-evaluator lives in formulas): k-1 levels per call, and the same count for
-every nonzero residue, for any k.
+is 0 and the other 2 at each level, so one term is live, and sqrt_synth,
+like sqrt_f1..sqrt_f4, computes only that term from the prime context (the
+evaluator lives in formulas): it reads t 8 bits per table lookup, not one
+bit per level, with the same count for every nonzero residue, for any k.
 
 The symbolic object, built by synthesize for k <= MAX_K, supports sign
 normalization (folding z-exponents at or above 2^(k-1) into minus signs via
@@ -34,15 +34,7 @@ MAX_K limits synthesize and expand; sqrt, verify and bench work for any k.
 
 from dataclasses import dataclass
 
-from .formulas import (
-    SqrtOutcome,
-    WrongClass,
-    _canonical,
-    _class_root,
-    _factor_c,
-    _screen,
-    _x_levels,
-)
+from .formulas import SqrtOutcome, WrongClass, _canonical, _class_root, _screen
 from .modarith import MulCounter, PrimeContext, mod_pow
 
 __all__ = [
@@ -92,6 +84,27 @@ class SymbolicFormula:
 
     k: int
     terms: tuple[Term, ...]
+
+
+def _factor_c(t: int, j: int, k: int) -> int:
+    """z-exponent coefficient of class t's level-j factor: -2^(j+1) t mod 2^k.
+
+    It depends only on t mod 2^(k-1-j), the low k-1-j bits of t.
+    """
+    return (-(t << (j + 1))) % (1 << k)
+
+
+def _x_levels(ctx: PrimeContext, x: int, counter: MulCounter | None) -> list[int]:
+    """x^(2^j n) for j = 0..k-2: one power, then k-2 squarings."""
+    p, k = ctx.p, ctx.k
+    if k == 1:
+        return []
+    xp = [mod_pow(x, ctx.n, p, counter)]
+    for _ in range(k - 2):
+        xp.append(xp[-1] * xp[-1] % p)
+    if counter is not None:
+        counter.count += k - 2
+    return xp
 
 
 def synthesize(k: int) -> SymbolicFormula:
@@ -284,7 +297,19 @@ class ExpandedPolynomial:
         return self.terms[0][0] if self.terms else -1
 
     def evaluate_at(self, x: int) -> int:
-        return sum(co * pow(x, ex, self.p) for ex, co in self.terms) % self.p
+        """The value at x: Horner in y = x^stride when the exponents are evenly
+        spaced, as expand's i n + (n+1)/2 are, else one power per term."""
+        p, terms = self.p, self.terms
+        if not terms:
+            return 0
+        last = terms[-1][0]
+        stride = terms[0][0] - terms[1][0] if len(terms) > 1 else 1
+        if any(ex != last + i * stride for i, (ex, _) in enumerate(reversed(terms))):
+            return sum(co * pow(x, ex, p) for ex, co in terms) % p
+        y, acc = pow(x, stride, p), 0
+        for _, co in terms:
+            acc = (acc * y + co) % p
+        return acc * pow(x, last, p) % p
 
     def text(self) -> str:
         if not self.terms:

@@ -152,7 +152,7 @@ def test_criterion_7_determinism():
 
 
 def test_criterion_8_bench_shape():
-    # the class formula follows one path, so it costs the same on every
+    # the class lift charges every window, so it costs the same on every
     # input, while the iterative baseline varies with the class index
     with criterion(8, "constant formula counts vs varying iteration counts"):
         for p, tag in ((17, "f4"), (41, "f3"), (13, "f2")):

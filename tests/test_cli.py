@@ -27,7 +27,7 @@ def test_sqrt_f3(capsys):
 
 
 @pytest.mark.parametrize(
-    "p,method,count", [("13", "f2", 8), ("41", "f3", 13), ("17", "f4", 16)]
+    "p,method,count", [("13", "f2", 3), ("41", "f3", 4), ("17", "f4", 3)]
 )
 def test_sqrt_mul_count_pinned(capsys, p, method, count):
     # a change to these counts is a change to the cost model: make it on purpose

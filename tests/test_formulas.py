@@ -81,9 +81,9 @@ def test_sqrt_outcome_contract():
     assert list(inspect.signature(SqrtOutcome).parameters) == [
         "root", "coroot", "method", "mul_count"
     ]
-    out = SqrtOutcome(2, 11, "f2", 8)
-    assert (out.root, out.coroot, out.method, out.mul_count) == (2, 11, "f2", 8)
-    assert out == SqrtOutcome(root=2, coroot=11, method="f2", mul_count=8)
+    out = SqrtOutcome(2, 11, "f2", 3)
+    assert (out.root, out.coroot, out.method, out.mul_count) == (2, 11, "f2", 3)
+    assert out == SqrtOutcome(root=2, coroot=11, method="f2", mul_count=3)
     with pytest.raises(AttributeError):
         out.root = 3
     with pytest.raises(AttributeError):
@@ -132,7 +132,7 @@ def test_canonical_root_is_smaller():
 
 
 def test_mul_count_constant_across_residues():
-    # the walk follows one path: same count for every residue of a fixed prime
+    # every window is charged: same count for every residue of a fixed prime
     for p in [7, 11, 13, 29, 41, 73, 17, 113]:
         ctx = make_context(p)
         fn = F_BY_K[ctx.k]
@@ -162,9 +162,12 @@ def test_synth_k1_count_is_f1s(p, count):
 
 
 def test_invalid_context_is_reported():
-    # z = 2 is a residue mod 41, 97 and BabyBear, so a^n z^(cn) need not be
-    # +-1 on the path; the walk must say so with one row of powers, also when
-    # sqrt_auto reaches it at k = 5 through sqrt_synth, and with four rows
+    # z = 2 is a residue mod 41, 97, 7681, 65537 and BabyBear, so z^n has
+    # order below 2^k and the log table would have collisions; the lift must
+    # say so, never KeyError or NotAResidue, with one row of powers, also
+    # when sqrt_auto reaches it at k = 5 through sqrt_synth, with two
+    # windows at k = 9 and k = 16 and with four rows, for a residue and a
+    # nonresidue alike
     def bad(p, z):
         k, n = decompose(p)
         return PrimeContext(p, k, n, z, _zn_rows(pow(z, n, p), k, p))
@@ -172,11 +175,14 @@ def test_invalid_context_is_reported():
     cases = [
         (sqrt_f3, bad(41, 2)),
         (sqrt_auto, bad(97, 2)),
+        (sqrt_auto, bad(7681, 2)),
+        (sqrt_auto, bad(65537, 2)),
         (sqrt_auto, bad(2013265921, 2)),
     ]
     for fn, ctx in cases:
-        with pytest.raises(ArithmeticError, match="context invalid"):
-            fn(ctx, 2)
+        for a in (2, 9, make_context(ctx.p).z):
+            with pytest.raises(ArithmeticError, match="context invalid"):
+                fn(ctx, a)
 
 
 def test_auto_reaches_sqrt_synth_through_its_module(monkeypatch):

@@ -18,7 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
         (
             "bench_table.py",
             ["--primes", "17,41", "--trials", "8"],
-            "      41        f3     13.00     13     13  constant",
+            "      41        f3      4.00      4      4  constant",
         ),
         (
             "density_trend.py",

@@ -1,10 +1,10 @@
 """The class evaluator's one shared power per call.
 
-Each call takes u = a^((n-1)/2) and derives a^((n+1)/2) = a u, a^n =
-a^((n+1)/2) u and the levels a^(2^j n) by squaring; the last level,
-a^((p-1)/2), is Euler's symbol and serves as the screen.  These tests pin the
-count that follows from (p, k) alone, the screen on every small prime, and
-the Fermat primes, where n = 1 and the shared power is 1.
+Each call takes u = a^((n-1)/2) and derives a^((n+1)/2) = a u and a^n =
+a^((n+1)/2) u = g^s, g = z^n; the class lift reads s 8 bits per table
+lookup, and the low bit of s, Euler's symbol, serves as the screen.  These
+tests pin the count that follows from (p, k) alone, the screen on every small
+prime, and the Fermat primes, where n = 1 and the shared power is 1.
 """
 
 import random
@@ -35,13 +35,14 @@ def pow_cost(e):
 
 def expected_count(p, k):
     n = (p - 1) >> k
-    front = pow_cost((n - 1) // 2) + 2 + (k - 1)  # u, a u, a^((n+1)/2) u, squarings
+    w = min(8, k)  # bits of the class index read per table lookup
+    front = pow_cost((n - 1) // 2) + 2 + (k - w)  # u, a u, a^((n+1)/2) u, squarings
     if k == 1:
-        return front
-    walk = 2 * (k - 1) + 1  # a product and a factor per level, the multiplier
-    rows = k * ((k + 7) // 8 - 1)  # k lookups, each combining ceil(k/8) rows
-    scale = pow_cost(k - 1)  # (2^-1)^(k-1)
-    return front + walk + rows + scale + 2  # the scale and the bracket times a^((n+1)/2)
+        return front  # the bare power: no multiplier
+    lookup = (k + 7) // 8 - 1  # one zn_pow, combining ceil(k/8) rows
+    windows = -(-k // w)
+    # a lookup and a product per window after the first, then the multiplier's
+    return front + (windows - 1) * (lookup + 1) + lookup + 1
 
 
 def smallest_prime_with_k(k):

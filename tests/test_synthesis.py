@@ -251,6 +251,26 @@ def test_expand_large_k_exact_terms_and_roots(p, k):
         assert pow(poly.evaluate_at(a), 2, p) == a
 
 
+def test_evaluate_at_matches_the_per_term_sum():
+    # Horner in x^stride on expand's evenly spaced exponents, and the
+    # per-term sum when the spacing is uneven
+    def per_term(poly, x):
+        return sum(co * pow(x, ex, poly.p) for ex, co in poly.terms) % poly.p
+
+    polys = [expand(make_context(p)) for p in (7, 13, 41, 97, 257, 7681)]
+    polys += [
+        ExpandedPolynomial(13, ()),
+        ExpandedPolynomial(13, ((0, 5),)),
+        ExpandedPolynomial(13, ((7, 3),)),
+        ExpandedPolynomial(13, ((9, 1), (5, 2), (1, 3))),
+        ExpandedPolynomial(13, ((9, 1), (4, 2), (1, 3))),
+        ExpandedPolynomial(13, ((2, 4), (1, 6), (0, 12))),
+    ]
+    for poly in polys:
+        for x in range(min(poly.p, 300)):
+            assert poly.evaluate_at(x) == per_term(poly, x), (poly.p, poly.terms[:3], x)
+
+
 def test_expand_beyond_max_k_raises():
     with pytest.raises(ValueError, match=r"^expand supports k<=16 \(MAX_K\); p=786433 has k=18$"):
         expand(make_context(786433))

@@ -1,6 +1,6 @@
-"""sqrt_synth as a pruned walk over the factor tree, and every k it serves.
+"""sqrt_synth as the one live term of the factor tree, and every k it serves.
 
-The walk must give the value of the symbolic formula wherever synthesize
+The class lift must give the value of the symbolic formula wherever synthesize
 exists (k <= MAX_K), the same multiplication count for every nonzero residue
 of a prime, and correct roots for primes whose k is far above MAX_K.
 """
@@ -32,7 +32,7 @@ def smallest_primes_with_k(k, count):
 
 
 # ---------------------------------------------------------------------------
-# the walk against the symbolic formula
+# the class lift against the symbolic formula
 
 
 @pytest.mark.parametrize("k", range(1, 13))
