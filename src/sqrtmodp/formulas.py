@@ -13,15 +13,14 @@ squarings (the windowed discrete log of Bernstein 2001 and Sarkar, IACR
 ePrint 2020/1407), and the low bit of s is Euler's symbol, so the screen
 costs nothing more.  The root is the bracket's one live term, a^((n+1)/2)
 z^(en).  At k = 1 the bracket is empty and the root is the bare power
-a^((n+1)/2).  The count is the lift's cost, priced once per (n, k).
+a^((n+1)/2).  The count is the lift's cost, priced once per context.
 sqrt_auto hands k > 4 to sqrt_synth, read from the synthesis module at each
 call.
 """
 
-from functools import lru_cache
 from typing import NamedTuple
 
-from .modarith import _W, MulCounter, PrimeContext, _lookup_cost, _pow_cost, mod_pow
+from .modarith import _W, MulCounter, PrimeContext, mod_pow
 
 __all__ = [
     "NotAResidue",
@@ -65,21 +64,9 @@ def _canonical(raw: int, p: int, method: str, count: int) -> SqrtOutcome:
     return SqrtOutcome(root, p - root if root else 0, method, count)
 
 
-@lru_cache(maxsize=256)
-def _class_cost(n: int, k: int) -> int:
-    """The class lift's cost: the power a^((n-1)/2), two products and k - w
-    squarings, w = min(8, k); for each window after the first a zn_pow
-    lookup (ceil(k/8) - 1 products) and one product; then, for k > 1, the
-    multiplier's lookup and its product.
-
-    Every window is charged, also while the bits already known are 0, so the
-    count depends on (n, k) alone and is priced once per pair; the memo is
-    bounded, so a sweep over many primes cannot grow it without limit."""
-    w = min(_W, k)
-    step = _lookup_cost(k) + 1
-    windows = -(-k // w)
-    lift = (windows - 1) * step + (step if k > 1 else 0)
-    return _pow_cost((n - 1) // 2) + 2 + (k - w) + lift
+# _new_tuple(SqrtOutcome, fields) is the call SqrtOutcome._make makes; the
+# hot path uses it to skip the generated __new__ and its argument binding.
+_new_tuple = tuple.__new__
 
 
 def _class_root(ctx: PrimeContext, a: int, method: str) -> SqrtOutcome:
@@ -101,8 +88,8 @@ def _class_root(ctx: PrimeContext, a: int, method: str) -> SqrtOutcome:
     power.  A context whose z is a residue has an empty log table, so its
     first lookup fails and ArithmeticError is raised.
 
-    mul_count is _class_cost(n, k): the same for every nonzero residue of
-    the prime, priced once per (n, k), and 0 at a = 0.
+    mul_count is ctx._cost, modarith._class_cost(n, k): the same for every
+    nonzero residue of the prime, priced once per context, and 0 at a = 0.
     """
     p, k = ctx.p, ctx.k
     if not 0 <= a < p:
@@ -134,8 +121,9 @@ def _class_root(ctx: PrimeContext, a: int, method: str) -> SqrtOutcome:
         raise NotAResidue(f"{a} is not a quadratic residue mod {p}")
     if k > 1:
         root = root * ctx.zn_pow(-(s >> 1)) % p
-    root = min(root, p - root)  # root != 0, since a != 0
-    return SqrtOutcome(root, p - root, method, _class_cost(ctx.n, k))
+    if root > p - root:  # root != 0, since a != 0
+        root = p - root
+    return _new_tuple(SqrtOutcome, (root, p - root, method, ctx._cost))
 
 
 _TAGS = ("f1", "f2", "f3", "f4")

@@ -26,9 +26,24 @@ __all__ = [
     "primes_in_range",
 ]
 
-# Witness set proven deterministic for every m below this bound (covers 64 bits).
+# The primes 2..41 as Miller-Rabin bases.  (bound, t): the first t bases are
+# proven deterministic for every m below bound, and bound itself is a strong
+# pseudoprime to them (Jaeschke 1993; Jiang and Deng 2014; Sorenson and
+# Webster 2015).  All 13 hold below _MR_BOUND, about 3.3e24.
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_TIERS = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (_MR_BOUND, 13),
+)
 
 # Window width of the z^(j*n) rows: row i covers bits 8i..8i+7 of j.
 _W = 8
@@ -43,6 +58,21 @@ def _pow_cost(e: int) -> int:
 def _lookup_cost(k: int) -> int:
     """Cost of one PrimeContext.zn_pow: a product per row after the first."""
     return (k - 1) // _W
+
+
+def _class_cost(n: int, k: int) -> int:
+    """The class lift's cost: the power a^((n-1)/2), two products and k - w
+    squarings, w = min(8, k); for each window after the first a zn_pow
+    lookup (ceil(k/8) - 1 products) and one product; then, for k > 1, the
+    multiplier's lookup and its product.
+
+    Every window is charged, also while the bits already known are 0, so the
+    count depends on (n, k) alone; PrimeContext prices it once, as _cost."""
+    w = min(_W, k)
+    step = _lookup_cost(k) + 1
+    windows = -(-k // w)
+    lift = (windows - 1) * step + (step if k > 1 else 0)
+    return _pow_cost((n - 1) // 2) + 2 + (k - w) + lift
 
 
 class MulCounter:
@@ -72,7 +102,13 @@ def mod_pow(base: int, exp: int, p: int, counter: MulCounter | None = None) -> i
 
 
 def is_prime(m: int) -> bool:
-    """Deterministic primality test, exact for all m below ~3.3e24."""
+    """Deterministic primality test, exact for all m below _MR_BOUND (~3.3e24).
+
+    Trial division by the 13 primes 2..41, then strong-probable-prime tests
+    to only as many of them as are proven to suffice for the size of m: one
+    base below 2,047, four below 3.2e9 (31 bits), nine below 3.8e18 (61
+    bits), all 13 from 3.2e23 up to the bound.
+    """
     if m >= _MR_BOUND:
         raise ValueError(f"p={m} is not below the primality bound {_MR_BOUND}")
     if m < 2:
@@ -86,7 +122,8 @@ def is_prime(m: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    t = next(t for bound, t in _MR_TIERS if m < bound)
+    for a in _MR_WITNESSES[:t]:
         x = pow(a, d, m)
         if x in (1, m - 1):
             continue
@@ -149,8 +186,11 @@ class PrimeContext:
     discrete log in one lookup.  When k <= 8 or 8 divides k it is the
     inverse of the last row; otherwise its 2^8 entries cost 2^8 products.
     h has order 2^w exactly when z is a nonresidue; otherwise the table has
-    collisions and is left empty, so the first lookup fails.  Instances are
-    immutable and safe to share across workers.
+    collisions and is left empty, so the first lookup fails.
+
+    The class lift's count, _cost, is derived in the same pass: it depends
+    on (n, k) alone (_class_cost), so each call reads it, not prices it.
+    Instances are immutable and safe to share across workers.
     """
 
     p: int
@@ -164,6 +204,7 @@ class PrimeContext:
     _head: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _rest: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _log: dict[int, int] = field(init=False, repr=False, compare=False)
+    _cost: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         head, *rest = self.zn_rows
@@ -171,6 +212,7 @@ class PrimeContext:
         object.__setattr__(self, "_head", head)
         object.__setattr__(self, "_rest", tuple(rest))
         object.__setattr__(self, "_log", self._log_table())
+        object.__setattr__(self, "_cost", _class_cost(self.n, self.k))
 
     def _log_table(self) -> dict[int, int]:
         """h^d -> d for h = g^(2^(k-w)), d < 2^w; empty if h's order is short."""

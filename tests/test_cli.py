@@ -7,6 +7,7 @@ import pytest
 
 from sqrtmodp import cli, formulas
 from sqrtmodp.formulas import SqrtOutcome
+from sqrtmodp.oracles import brute_root_table
 
 
 def run_cli(capsys, *argv):
@@ -196,6 +197,61 @@ def test_verify_injected_fault_flips_exit(capsys, monkeypatch):
     doc = json.loads(out)
     assert doc["pass"] is False
     assert any(pd["failures"] for pd in doc["primes"])
+
+
+def _verify_with(capsys, monkeypatch, method):
+    """verify --method f2 over 3..60 with sqrt_f2 replaced by method."""
+    monkeypatch.setattr(formulas, "sqrt_f2", method)
+    code, out, _ = run_cli(capsys, "verify", "--pmin", "3", "--pmax", "60", "--method", "f2")
+    return code, json.loads(out)
+
+
+def _expected_failures(doc, wrong):
+    """Every residue as a Failure document, with the root and coroot that
+    wrong(p, root, coroot) makes of the true pair."""
+    assert [pd["p"] for pd in doc["primes"]] == [5, 13, 29, 37, 53]  # the k = 2 primes
+    return [
+        [
+            {"a": a, "root": r, "coroot": c, "expected": list(pair)}
+            for a, pair in brute_root_table(pd["p"]).items()
+            for r, c in [wrong(pd["p"], *pair)]
+        ]
+        for pd in doc["primes"]
+    ]
+
+
+def test_verify_flags_a_wrong_coroot(capsys, monkeypatch):
+    # the right root with the wrong coroot fails the pair check alone
+    def bad_coroot(ctx, a):
+        out = _orig(ctx, a)
+        return SqrtOutcome(out.root, out.root, out.method, out.mul_count)
+
+    _orig = formulas.sqrt_f2
+    code, doc = _verify_with(capsys, monkeypatch, bad_coroot)
+    assert code == 1 and doc["pass"] is False
+    want = _expected_failures(doc, lambda p, r, c: (r, r))
+    assert [pd["failures"] for pd in doc["primes"]] == want
+
+
+def test_verify_flags_a_non_root(capsys, monkeypatch):
+    # the pair (0, 0) squares to no residue in the table, which omits a = 0
+    def non_root(ctx, a):
+        out = _orig(ctx, a)
+        return SqrtOutcome(0, 0, out.method, out.mul_count)
+
+    _orig = formulas.sqrt_f2
+    code, doc = _verify_with(capsys, monkeypatch, non_root)
+    assert code == 1 and doc["pass"] is False
+    want = _expected_failures(doc, lambda p, r, c: (0, 0))
+    assert [pd["failures"] for pd in doc["primes"]] == want
+
+
+def test_sqrt_rejects_a_strong_pseudoprime(capsys):
+    # 399165290221 * 798330580441 passes the strong test to every base 2..37
+    p = "318665857834031151167461"
+    code, out, err = run_cli(capsys, "sqrt", "--p", p, "--a", "4")
+    assert (code, out) == (1, "")
+    assert f"error: {p} is not an odd prime" in err
 
 
 def test_verify_deterministic(capsys):

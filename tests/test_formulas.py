@@ -93,6 +93,22 @@ def test_sqrt_outcome_contract():
     assert got == out
 
 
+@pytest.mark.parametrize(
+    "fn,p,a",
+    [(sqrt_f1, 7, 2), (sqrt_f2, 13, 4), (sqrt_f3, 41, 2), (sqrt_f4, 17, 13), (sqrt_synth, 97, 4)],
+)
+def test_outcome_is_a_plain_sqrt_outcome(fn, p, a):
+    # built with tuple.__new__ on the hot path: the same type, equality and
+    # field order as the generated constructor gives, at a residue and at 0
+    ctx = make_context(p)
+    for x in (a, 0):
+        out = fn(ctx, x)
+        assert type(out) is SqrtOutcome
+        assert out == SqrtOutcome(*out)
+        assert list(out._asdict()) == ["root", "coroot", "method", "mul_count"]
+        assert out.root * out.root % p == x
+
+
 def test_auto_dispatch():
     assert sqrt_auto(make_context(7), 2).method == "f1"
     assert sqrt_auto(make_context(13), 4).method == "f2"

@@ -65,6 +65,53 @@ def test_is_prime_large_known():
         is_prime(10**25)
 
 
+# The smallest strong pseudoprime to the first t prime bases, for each tier of
+# is_prime: each passes every base the tier below it tests.
+SPSP_BY_TIER = [
+    2047,  # base 2
+    1373653,  # 2, 3
+    25326001,  # 2..5
+    3215031751,  # 2..7
+    2152302898747,  # 2..11
+    3474749660383,  # 2..13
+    341550071728321,  # 2..19
+    3825123056546413051,  # 2..31
+    318665857834031151167461,  # 2..37
+]
+
+
+def strong_probable_prime(m, a):
+    d, r = m - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, m)
+    if x in (1, m - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % m
+        if x == m - 1:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("m", SPSP_BY_TIER)
+def test_is_prime_rejects_each_tiers_pseudoprime(m):
+    assert not is_prime(m)
+    with pytest.raises(ValueError, match=f"{m} is not an odd prime"):
+        make_context(m)
+
+
+def test_is_prime_tiers_end_at_a_pseudoprime():
+    # below each tier's bound its t bases are proven; the bound itself fools them
+    tiers = modarith._MR_TIERS
+    assert [bound for bound, _ in tiers] == SPSP_BY_TIER + [modarith._MR_BOUND]
+    assert [t for _, t in tiers] == [1, 2, 3, 4, 5, 6, 7, 9, 12, 13]
+    assert modarith._MR_WITNESSES == tuple(primes_in_range(2, 41))
+    for bound, t in tiers:
+        assert all(strong_probable_prime(bound, a) for a in modarith._MR_WITNESSES[:t])
+    assert 318665857834031151167461 == 399165290221 * 798330580441
+
+
 @pytest.mark.parametrize("base,exp,p,want", [(3, 4, 7, 4), (5, 0, 13, 1), (2, 5, 13, 6), (0, 0, 7, 1)])
 def test_mod_pow_examples(base, exp, p, want):
     assert mod_pow(base, exp, p) == want

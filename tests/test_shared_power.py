@@ -12,7 +12,15 @@ import random
 import pytest
 
 from sqrtmodp.formulas import NotAResidue, sqrt_auto, sqrt_f1, sqrt_f2, sqrt_f3, sqrt_f4
-from sqrtmodp.modarith import decompose, is_prime, legendre, make_context, primes_in_range
+from sqrtmodp.modarith import (
+    PrimeContext,
+    _zn_rows,
+    decompose,
+    is_prime,
+    legendre,
+    make_context,
+    primes_in_range,
+)
 from sqrtmodp.oracles import brute_root_table
 from sqrtmodp.synthesis import sqrt_synth
 
@@ -59,6 +67,17 @@ def test_count_follows_from_p_and_k(p):
     rng = random.Random(p)
     for r in [1, 2, *(rng.randrange(1, p) for _ in range(5))]:
         assert sqrt_auto(ctx, r * r % p).mul_count == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 9, 16, 17, 24, 32])
+def test_context_prices_the_lift_once(k):
+    # _cost is derived with the context, built by make_context or by hand
+    p = smallest_prime_with_k(k)
+    ctx = make_context(p)
+    n, z = ctx.n, ctx.z
+    by_hand = PrimeContext(p, k, n, z, _zn_rows(pow(z, n, p), k, p))
+    assert ctx._cost == by_hand._cost == expected_count(p, k)
+    assert sqrt_auto(by_hand, 1).mul_count == expected_count(p, k)
 
 
 def test_screen_matches_legendre_below_1500():
