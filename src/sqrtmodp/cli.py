@@ -102,8 +102,18 @@ def run_verification(
 ) -> VerificationReport:
     """Check the chosen method against brute force on every residue of every
     prime in [pmin, pmax]; class-specific methods skip non-matching primes.
+
+    The roots are walked, not tabled: each r in 1..(p-1)/2 is the canonical
+    root of a distinct residue a = r^2 mod p, so the method is called once
+    per a, in ascending r, and its outcome must square to a and equal the
+    pair (r, p - r).  These are the residues and the order of
+    oracles.brute_root_table(p), but no table is built: failures aside, the
+    memory is O(1) per prime.
+
     An inverted range, or a k_filter that no prime the method accepts can
-    meet, is an error; an ordered range with no prime in it is an empty pass."""
+    meet, is an error; an ordered range with no prime in it is an empty pass.
+    A method that raises NotAResidue on a residue is at fault, and the sweep
+    stops with an ArithmeticError naming the method, p and a."""
     if pmin > pmax:
         raise ValueError(f"pmin={pmin} is above pmax={pmax}; the range is inverted")
     if pmax > oracles.BRUTE_LIMIT:
@@ -121,15 +131,19 @@ def run_verification(
             continue
         ctx = modarith.make_context(p)
         failures = []
-        table = oracles.brute_root_table(p)
-        for a, pair in table.items():
-            root, coroot, _, _ = fn(ctx, a)
-            if root * root % p != a or (root, coroot) != pair:
-                failures.append(Failure(a, root, coroot, pair))
-        checks.append(
-            PrimeCheck(p, ctx.k, ctx.n, ctx.z, len(table), tuple(failures))
-        )
-        total += len(table)
+        half = (p - 1) // 2
+        try:
+            for r in range(1, half + 1):
+                a = r * r % p
+                root, coroot, _, _ = fn(ctx, a)
+                if root * root % p != a or root != r or coroot != p - r:
+                    failures.append(Failure(a, root, coroot, (r, p - r)))
+        except formulas.NotAResidue as exc:
+            raise ArithmeticError(
+                f"method {method} raised NotAResidue on the residue a={a} of p={p}: {exc}"
+            ) from exc
+        checks.append(PrimeCheck(p, ctx.k, ctx.n, ctx.z, half, tuple(failures)))
+        total += half
     passed = all(not pc.failures for pc in checks)
     return VerificationReport(
         pmin,
@@ -207,12 +221,14 @@ def run_bench(
     """Per-method multiplication counts over a deterministic residue sample."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    # an unknown name is a usage error, reported before any context is built
+    fns = None if methods is None else [_method(m) for m in methods]
     c0 = time.perf_counter()
     ctx = modarith.make_context(p)
     print(f"bench context on p={p}: {time.perf_counter() - c0:.3f}s", file=sys.stderr)
     if methods is None:
         methods = _default_methods(ctx)
-    fns = [_method(m) for m in methods]
+        fns = [_method(m) for m in methods]
     for m, (_, need_k) in zip(methods, fns):
         if need_k not in (None, ctx.k):
             raise ValueError(f"method {m} needs k={need_k}, p={p} has k={ctx.k}")

@@ -246,6 +246,21 @@ def test_verify_flags_a_non_root(capsys, monkeypatch):
     assert [pd["failures"] for pd in doc["primes"]] == want
 
 
+def test_verify_method_raising_not_a_residue_exits_1(capsys, monkeypatch):
+    # a method that refuses a true residue is at fault: exit 1, not the
+    # exit 2 reserved for a nonresidue input, and no report on stdout
+    def refuses(ctx, a):
+        if (ctx.p, a) == (29, 4):
+            raise formulas.NotAResidue(f"{a} is not a quadratic residue mod {ctx.p}")
+        return _orig(ctx, a)
+
+    _orig = formulas.sqrt_f2
+    monkeypatch.setattr(formulas, "sqrt_f2", refuses)
+    code, out, err = run_cli(capsys, "verify", "--pmin", "3", "--pmax", "60", "--method", "f2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: method f2 raised NotAResidue on the residue a=4 of p=29")
+
+
 def test_sqrt_rejects_a_strong_pseudoprime(capsys):
     # 399165290221 * 798330580441 passes the strong test to every base 2..37
     p = "318665857834031151167461"
@@ -372,7 +387,10 @@ def test_bench_bad_trials(capsys):
 
 
 def test_bench_unknown_method(capsys):
-    assert run_cli(capsys, "bench", "--p", "17", "--methods", "nope")[0] == 1
+    # the name is checked before the context is built, so no timing line
+    assert run_cli(capsys, "bench", "--p", "13", "--methods", "auto,nope") == (
+        1, "", "error: unknown method 'nope'\n"
+    )
 
 
 def test_bench_tonelli_constant_for_k1(capsys):
