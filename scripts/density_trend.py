@@ -19,11 +19,10 @@ def main() -> None:
 
     rows = []
     for p in primes_in_range(3, args.pmax):
-        ctx = make_context(p)
-        if ctx.k != args.k:
+        if ((p - 1) & (1 - p)).bit_length() - 1 != args.k:  # 2-adic valuation of p - 1
             continue
-        rep = order_census(ctx)
-        rows.append((ctx.n, p, rep))
+        ctx = make_context(p)
+        rows.append((ctx.n, p, order_census(ctx)))
     rows.sort()
 
     print(f"primes with k = {args.k}, p <= {args.pmax}")

@@ -37,13 +37,46 @@ class DensityReport:
     exact_2k1_fraction: Fraction
 
 
+def _odd_prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of odd n, by trial division."""
+    out, q = [], 3
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _residue_generator(ctx: PrimeContext) -> int:
+    """gamma = c^2 for the smallest c >= 2 whose square has order (p-1)/2.
+
+    The order is tested against the prime factors q of 2^(k-1) n: gamma
+    generates the residues iff gamma^((p-1)/(2q)) != 1 for each of them.
+    """
+    p, k, n = ctx.p, ctx.k, ctx.n
+    m = (p - 1) // 2
+    primes = ([2] if k >= 2 else []) + _odd_prime_factors(n)
+    for c in range(2, p):
+        gamma = c * c % p
+        if all(pow(gamma, m // q, p) != 1 for q in primes):
+            return gamma
+    raise ArithmeticError(f"no generator of the residues mod p={p}")  # p prime: unreachable
+
+
 def order_census(ctx: PrimeContext) -> DensityReport:
     """Exact per-class counts over all residues, by full enumeration.
 
-    Residues are enumerated as v^2 for v in [1, (p-1)/2], hitting each
-    exactly once.  A residue has odd order iff a^n = 1 (class 0), and order
-    exactly 2^(k-1) iff a^(2^(k-2)) = -1 (k >= 2), so no factorization of n
-    is needed.
+    Residues are enumerated as the powers gamma^i, i < (p-1)/2, of one
+    generator gamma of the residue group, hitting each exactly once; finding
+    gamma takes the odd prime factors of n, by trial division (n < 2^21
+    under CENSUS_LIMIT).  A residue has odd order iff a^n = 1 (class 0), and
+    order exactly 2^(k-1) iff a^(2^(k-2)) = -1 (k >= 2) or a = 1 (k = 1).
+    Both powers advance by one product per step, as powers of gamma^n and
+    gamma^(2^(k-2)), and both walks must end back at 1.
     """
     p, k, n = ctx.p, ctx.k, ctx.n
     if p > CENSUS_LIMIT:
@@ -51,17 +84,20 @@ def order_census(ctx: PrimeContext) -> DensityReport:
     half = 1 << (k - 1)
     class_of = {ctx.zn_pow(2 * t): t for t in range(half)}
     hist = [0] * half
+    gamma = _residue_generator(ctx)
+    step_n = pow(gamma, n, p)
+    step_e, target = (pow(gamma, 1 << (k - 2), p), p - 1) if k >= 2 else (gamma, 1)
+    an = ae = 1
     exact = 0
-    two_exp = 1 << (k - 2) if k >= 2 else 0
-    for v in range(1, (p + 1) // 2):
-        a = v * v % p
-        hist[class_of[pow(a, n, p)]] += 1
-        if k >= 2:
-            if pow(a, two_exp, p) == p - 1:
-                exact += 1
-        elif a == 1:
-            exact += 1
     qr = (p - 1) // 2
+    for _ in range(qr):
+        hist[class_of[an]] += 1
+        if ae == target:
+            exact += 1
+        an = an * step_n % p
+        ae = ae * step_e % p
+    if an != 1 or ae != 1:
+        raise ArithmeticError(f"residue walk did not close for p={p}")
     return DensityReport(
         p,
         k,

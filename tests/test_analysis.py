@@ -4,6 +4,7 @@ import pytest
 
 from sqrtmodp.analysis import (
     CENSUS_LIMIT,
+    DensityReport,
     multiplier_census,
     multiplier_coverage,
     order_census,
@@ -18,6 +19,42 @@ def naive_order(a, p):
         x = x * a % p
         d += 1
     return d
+
+
+def _census_reference(ctx):
+    """order_census as it was before the generator walk: residues as v^2,
+    two full-size powers each.  The reference of the walked census."""
+    p, k, n = ctx.p, ctx.k, ctx.n
+    half = 1 << (k - 1)
+    class_of = {ctx.zn_pow(2 * t): t for t in range(half)}
+    hist = [0] * half
+    exact = 0
+    two_exp = 1 << (k - 2) if k >= 2 else 0
+    for v in range(1, (p + 1) // 2):
+        a = v * v % p
+        hist[class_of[pow(a, n, p)]] += 1
+        if k >= 2:
+            if pow(a, two_exp, p) == p - 1:
+                exact += 1
+        elif a == 1:
+            exact += 1
+    qr = (p - 1) // 2
+    return DensityReport(
+        p, k, n, qr, hist[0], exact, tuple(hist), Fraction(hist[0], qr), Fraction(exact, qr)
+    )
+
+
+def test_census_matches_reference_below_3000():
+    for p in primes_in_range(3, 3000):
+        ctx = make_context(p)
+        assert order_census(ctx) == _census_reference(ctx), p
+
+
+@pytest.mark.parametrize("p,k", [(40961, 13), (65537, 16), (786433, 18)])
+def test_census_matches_reference_at_high_k(p, k):
+    ctx = make_context(p)
+    assert ctx.k == k
+    assert order_census(ctx) == _census_reference(ctx)
 
 
 def test_census_p13():

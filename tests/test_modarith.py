@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,6 +157,67 @@ def test_legendre_rejects_out_of_range():
         legendre(7, 7)
     with pytest.raises(ValueError):
         legendre(-1, 7)
+
+
+@pytest.mark.parametrize("a,p", [(1, 2), (0, 2), (3, 4), (1, 4), (2, 10), (0, 1), (0, -3)])
+def test_legendre_rejects_even_or_small_modulus(a, p):
+    # legendre(1, 2) once returned -1 though 1 = 1^2 mod 2
+    with pytest.raises(ValueError, match=f"p={p}"):
+        legendre(a, p)
+
+
+def test_legendre_is_the_jacobi_symbol_at_odd_composites():
+    assert legendre(2, 15) == 1  # (2/3)(2/5) = (-1)(-1), yet 2 is no square mod 15
+    assert legendre(3, 9) == 0
+    assert legendre(5, 21) == legendre(2, 3) * legendre(5, 7)
+
+
+def _euler_legendre(a, p):
+    """Euler's criterion, the power legendre once took: the reference."""
+    if a == 0:
+        return 0
+    return -1 if pow(a, (p - 1) // 2, p) == p - 1 else 1
+
+
+def _euler_nonresidue(p):
+    return next(z for z in range(2, p) if _euler_legendre(z, p) == -1)
+
+
+# the large_p grid of the benchmark (31, 61 and 80 bits, k = 1..4), then
+# 786433 (k = 18), KoalaBear, BabyBear and Goldilocks
+GRID_PRIMES = [
+    2147483647, 2147483629, 2147483497, 2147483249,
+    2305843009213693951, 2305843009213693693, 2305843009213693561, 2305843009213691569,
+    1208925819614629174706111, 1208925819614629174704869,
+    1208925819614629174704889, 1208925819614629174706033,
+    786433, 2130706433, 2013265921, GOLDILOCKS,
+]
+
+
+def test_legendre_matches_euler_below_2000():
+    for p in primes_in_range(3, 2000):
+        assert [legendre(a, p) for a in range(p)] == [_euler_legendre(a, p) for a in range(p)], p
+
+
+@pytest.mark.parametrize("p", GRID_PRIMES)
+def test_legendre_matches_euler_at_grid_primes(p):
+    rng = random.Random(p)
+    for a in [rng.randrange(p) for _ in range(500)] + [1, 2, p - 1]:
+        assert legendre(a, p) == _euler_legendre(a, p), a
+
+
+@given(st.sampled_from(primes_in_range(3, 1 << 14) + GRID_PRIMES), st.data())
+@settings(max_examples=200)
+def test_legendre_is_multiplicative(p, data):
+    a = data.draw(st.integers(min_value=0, max_value=p - 1))
+    b = data.draw(st.integers(min_value=0, max_value=p - 1))
+    assert legendre(a * b % p, p) == legendre(a, p) * legendre(b, p)
+
+
+def test_context_nonresidue_matches_euler_scan():
+    # every z in every document is the one the Euler scan picked
+    for p in primes_in_range(3, 10_000) + GRID_PRIMES:
+        assert make_context(p).z == _euler_nonresidue(p), p
 
 
 @given(st.sampled_from(primes_in_range(3, 1 << 14)), st.data())
