@@ -7,7 +7,7 @@ method, brute force), exact order-class statistics, and a CLI for sweeps and
 benchmarks.
 """
 
-from .analysis import DensityReport, multiplier_census, multiplier_coverage, order_census
+from .analysis import DensityReport, multiplier_coverage, order_census
 from .formulas import (
     NotAResidue,
     SqrtOutcome,
@@ -22,7 +22,6 @@ from .modarith import (
     MulCounter,
     PrimeContext,
     decompose,
-    find_nonresidue,
     is_prime,
     legendre,
     make_context,
@@ -44,15 +43,12 @@ from .synthesis import (
     SymbolicFormula,
     Term,
     degree_check,
-    evaluate,
-    evaluate_at,
     expand,
     normalize_signs,
     render_math,
     render_text,
     sqrt_synth,
     synthesize,
-    term_values,
 )
 
 __version__ = "0.1.0"
@@ -75,15 +71,11 @@ __all__ = [
     "decompose",
     "degree_check",
     "direct_sqrt",
-    "evaluate",
-    "evaluate_at",
     "expand",
-    "find_nonresidue",
     "is_prime",
     "legendre",
     "make_context",
     "mod_pow",
-    "multiplier_census",
     "multiplier_coverage",
     "normalize_signs",
     "order_census",
@@ -98,6 +90,5 @@ __all__ = [
     "sqrt_f4",
     "sqrt_synth",
     "synthesize",
-    "term_values",
     "tonelli_shanks",
 ]

@@ -13,7 +13,6 @@ from .modarith import PrimeContext
 __all__ = [
     "CENSUS_LIMIT",
     "DensityReport",
-    "multiplier_census",
     "multiplier_coverage",
     "multiplier_histogram",
     "order_census",
@@ -112,16 +111,12 @@ def order_census(ctx: PrimeContext) -> DensityReport:
 
 
 def multiplier_histogram(report: DensityReport) -> tuple[int, ...]:
-    """Histogram over multiplier exponents e = -t mod 2^(k-1), one bucket per e."""
+    """Histogram over multiplier exponents e = -t mod 2^(k-1), one bucket per e:
+    how many residues take z^(en) in their root a^((n+1)/2) z^(en).  Bucket
+    e = 0 is exactly the odd-order class."""
     hist = report.class_histogram
     half = len(hist)
     return tuple(hist[(-e) % half] for e in range(half))
-
-
-def multiplier_census(ctx: PrimeContext) -> tuple[int, ...]:
-    """How many residues take each multiplier exponent e in their root
-    a^((n+1)/2) * z^(en); bucket e = 0 is exactly the odd-order class."""
-    return multiplier_histogram(order_census(ctx))
 
 
 def multiplier_coverage(report: DensityReport) -> Fraction:

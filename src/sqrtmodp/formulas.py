@@ -54,7 +54,7 @@ class SqrtOutcome(NamedTuple):
 def _screen(ctx: PrimeContext, a: int, counter: MulCounter) -> None:
     """Reject out-of-range and nonresidue inputs; one Euler-criterion power."""
     # Not modarith.legendre: this power is part of the cost model, so it is
-    # charged to counter and shows in the tonelli, direct and evaluate counts.
+    # charged to counter and shows in the tonelli and direct counts.
     if not 0 <= a < ctx.p:
         raise ValueError(f"residue {a} out of range for p={ctx.p}")
     if a and mod_pow(a, (ctx.p - 1) // 2, ctx.p, counter) == ctx.p - 1:

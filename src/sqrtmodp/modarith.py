@@ -18,7 +18,6 @@ __all__ = [
     "MulCounter",
     "PrimeContext",
     "decompose",
-    "find_nonresidue",
     "is_prime",
     "legendre",
     "make_context",
@@ -79,9 +78,9 @@ class MulCounter:
     """Tallies modular multiplications; squarings count as multiplications.
 
     Powers are charged _pow_cost, and a PrimeContext.zn_pow lookup the
-    ceil(k/8) - 1 products that combine its rows.  tonelli, direct and
-    evaluate tally live; the class formula's count is the class lift's
-    cost, from (n, k) alone.
+    ceil(k/8) - 1 products that combine its rows.  tonelli and direct
+    tally live; the class formula's count is the class lift's cost, from
+    (n, k) alone.
     """
 
     __slots__ = ("count",)
@@ -189,13 +188,6 @@ def _smallest_nonresidue(p: int) -> int:
     raise ArithmeticError(f"no nonresidue below {p}")  # unreachable for odd primes
 
 
-def find_nonresidue(p: int) -> int:
-    """Smallest z >= 2 with legendre(z, p) = -1; deterministic by construction."""
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
-    return _smallest_nonresidue(p)
-
-
 @dataclass(frozen=True)
 class PrimeContext:
     """A validated odd prime p = 2^k * n + 1 (n odd) with nonresidue z.
@@ -270,9 +262,9 @@ class PrimeContext:
             counter.count += len(self._rest)
         return v
 
-    def half_pow(self, m: int, counter: MulCounter | None = None) -> int:
+    def half_pow(self, m: int) -> int:
         """(2^-1)^m mod p, the scale in front of every bracket of terms."""
-        return mod_pow((self.p + 1) // 2, m, self.p, counter)
+        return pow((self.p + 1) // 2, m, self.p)
 
 
 def _zn_rows(g: int, k: int, p: int) -> tuple[tuple[int, ...], ...]:

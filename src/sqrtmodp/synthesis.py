@@ -34,8 +34,8 @@ MAX_K limits synthesize and expand; sqrt, verify and bench work for any k.
 
 from dataclasses import dataclass
 
-from .formulas import SqrtOutcome, WrongClass, _canonical, _class_root, _screen
-from .modarith import MulCounter, PrimeContext, mod_pow
+from .formulas import SqrtOutcome, _class_root
+from .modarith import PrimeContext
 
 __all__ = [
     "ExpandedPolynomial",
@@ -46,8 +46,6 @@ __all__ = [
     "SymbolicFormula",
     "Term",
     "degree_check",
-    "evaluate",
-    "evaluate_at",
     "expand",
     "formula_to_doc",
     "normalize_signs",
@@ -55,7 +53,6 @@ __all__ = [
     "render_text",
     "sqrt_synth",
     "synthesize",
-    "term_values",
 ]
 
 MAX_K = 16
@@ -94,19 +91,6 @@ def _factor_c(t: int, j: int, k: int) -> int:
     return (-(t << (j + 1))) % (1 << k)
 
 
-def _x_levels(ctx: PrimeContext, x: int, counter: MulCounter | None) -> list[int]:
-    """x^(2^j n) for j = 0..k-2: one power, then k-2 squarings."""
-    p, k = ctx.p, ctx.k
-    if k == 1:
-        return []
-    xp = [mod_pow(x, ctx.n, p, counter)]
-    for _ in range(k - 2):
-        xp.append(xp[-1] * xp[-1] % p)
-    if counter is not None:
-        counter.count += k - 2
-    return xp
-
-
 def synthesize(k: int) -> SymbolicFormula:
     """Build the k-class formula; no prime is needed, exponents stay symbolic.
 
@@ -116,7 +100,7 @@ def synthesize(k: int) -> SymbolicFormula:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > MAX_K:
         raise ValueError(
-            f"synthesize and expand support k<={MAX_K}, got k={k}; "
+            f"synthesize supports k<={MAX_K} (MAX_K), got k={k}; "
             "sqrt, verify and bench work for any k"
         )
     half = 1 << (k - 1)
@@ -134,70 +118,12 @@ def synthesize(k: int) -> SymbolicFormula:
     return SymbolicFormula(k, terms)
 
 
-def _bracket_terms(
-    f: SymbolicFormula, ctx: PrimeContext, x: int, counter: MulCounter | None
-) -> list[int]:
-    """Value of every bracket term at x, sharing factor values across terms.
-
-    A factor that evaluates to 0 zeroes its whole term, so the walk stops
-    there; the sum is unchanged, only the multiplication count depends on
-    which class x falls in.
-    """
-    p = ctx.p
-    xp = _x_levels(ctx, x, counter)
-    cache: dict[tuple[int, int], int] = {}
-    values = []
-    for term in f.terms:
-        v = ctx.zn_pow(term.e, counter)
-        for fc in term.factors:
-            key = (fc.j, fc.c)
-            fv = cache.get(key)
-            if fv is None:
-                base, w = xp[fc.j], ctx.zn_pow(fc.c, counter)
-                prod = counter.mul(base, w, p) if counter else base * w % p
-                fv = cache[key] = (1 + prod) % p
-            if fv == 0:
-                v = 0
-                break
-            v = counter.mul(v, fv, p) if counter else v * fv % p
-        values.append(v)
-    return values
-
-
-def term_values(f: SymbolicFormula, ctx: PrimeContext, x: int) -> list[int]:
-    """Each bracket term's value at x; at a residue exactly one is nonzero."""
-    if ctx.k != f.k:
-        raise WrongClass(f"formula has k={f.k}, context has k={ctx.k}")
-    return _bracket_terms(f, ctx, x, None)
-
-
-def evaluate_at(f: SymbolicFormula, ctx: PrimeContext, x: int) -> int:
-    """Raw value of the defining expression at any x, residue or not."""
-    if ctx.k != f.k:
-        raise WrongClass(f"formula has k={f.k}, context has k={ctx.k}")
-    p = ctx.p
-    total = sum(_bracket_terms(f, ctx, x, None)) % p
-    return ctx.half_pow(f.k - 1) * pow(x, (ctx.n + 1) // 2, p) % p * total % p
-
-
-def evaluate(f: SymbolicFormula, ctx: PrimeContext, a: int) -> SqrtOutcome:
-    """Square root of the residue a via the synthesized formula."""
-    if ctx.k != f.k:
-        raise WrongClass(f"formula has k={f.k}, context has k={ctx.k}")
-    p = ctx.p
-    c = MulCounter()
-    _screen(ctx, a, c)
-    total = sum(_bracket_terms(f, ctx, a, c)) % p
-    ah = mod_pow(a, (ctx.n + 1) // 2, p, c)
-    raw = c.mul(c.mul(ctx.half_pow(f.k - 1, c), ah, p), total, p)
-    return _canonical(raw, p, "synth", c.count)
-
-
 def sqrt_synth(ctx: PrimeContext, a: int) -> SqrtOutcome:
     """Square root of the residue a via the class formula, for any k.
 
-    The value equals evaluate(synthesize(ctx.k), ctx, a) wherever synthesize
-    exists, but no formula is built, and the count is the same for every
+    The value is the synthesized formula's at a, up to sign, wherever
+    synthesize exists (the tests check it against that formula, term by
+    term), but no formula is built, and the count is the same for every
     nonzero residue of the prime.
     """
     return _class_root(ctx, a, "synth")

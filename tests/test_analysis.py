@@ -5,8 +5,8 @@ import pytest
 from sqrtmodp.analysis import (
     CENSUS_LIMIT,
     DensityReport,
-    multiplier_census,
     multiplier_coverage,
+    multiplier_histogram,
     order_census,
 )
 from sqrtmodp.modarith import PrimeContext, make_context, primes_in_range
@@ -121,9 +121,9 @@ def test_exact_laws_sweep():
 
 
 def test_multiplier_census_examples():
-    assert multiplier_census(make_context(17)) == (1,) * 8  # n = 1: one per bucket
-    assert multiplier_census(make_context(13)) == (3, 3)
-    assert multiplier_census(make_context(7)) == (3,)  # k = 1: single bucket
+    # p = 17 has n = 1: one residue per bucket; p = 7 has k = 1: one bucket
+    for p, want in [(17, (1,) * 8), (13, (3, 3)), (7, (3,))]:
+        assert multiplier_histogram(order_census(make_context(p))) == want
 
 
 def test_multiplier_census_matches_per_element():
@@ -133,13 +133,13 @@ def test_multiplier_census_matches_per_element():
         hist = [0] * half
         for a in brute_root_table(p):
             hist[(-residue_class(ctx, a)) % half] += 1
-        assert tuple(hist) == multiplier_census(ctx)
+        assert tuple(hist) == multiplier_histogram(order_census(ctx))
 
 
 def test_bucket_zero_is_odd_order_class():
     for p in [13, 41, 17, 97]:
         ctx = make_context(p)
-        assert multiplier_census(ctx)[0] == ctx.n
+        assert multiplier_histogram(order_census(ctx))[0] == ctx.n
 
 
 def test_fractions_are_exact_rationals():

@@ -113,6 +113,12 @@ def test_synthesize_bad_k(capsys):
     assert run_cli(capsys, "synthesize", "--k", "40")[0] == 1
 
 
+def test_synthesize_beyond_max_k_names_k(capsys):
+    code, out, err = run_cli(capsys, "synthesize", "--k", "17")
+    assert (code, out) == (1, "")
+    assert "MAX_K" in err and "k<=16" in err and "k=17" in err
+
+
 def test_synthesize_byte_stable(capsys):
     a = run_cli(capsys, "synthesize", "--k", "5")[1]
     b = run_cli(capsys, "synthesize", "--k", "5")[1]

@@ -8,7 +8,6 @@ from sqrtmodp import modarith
 from sqrtmodp.modarith import (
     MulCounter,
     decompose,
-    find_nonresidue,
     is_prime,
     legendre,
     make_context,
@@ -237,12 +236,12 @@ def test_half_of_nonzero_residues_are_squares():
 
 @pytest.mark.parametrize("p,want", [(13, 2), (41, 3), (17, 3), (3, 2), (7, 3), (97, 5)])
 def test_find_nonresidue(p, want):
-    assert find_nonresidue(p) == want
+    assert make_context(p).z == want
 
 
 def test_find_nonresidue_is_smallest():
     for p in SMALL_PRIMES[:60]:
-        z = find_nonresidue(p)
+        z = make_context(p).z
         assert legendre(z, p) == -1
         assert all(legendre(w, p) == 1 for w in range(2, z))
 
@@ -254,10 +253,8 @@ def test_make_context_examples(p, k, n, z):
 
 
 def test_make_context_rejects_composite():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="91 is not an odd prime"):
         make_context(91)
-    with pytest.raises(ValueError):
-        find_nonresidue(91)
 
 
 @pytest.mark.parametrize("p", [7, 2999, 18446744069414584321])
@@ -272,8 +269,6 @@ def test_make_context_tests_primality_once(monkeypatch, p):
     monkeypatch.setattr(modarith, "is_prime", counting)
     assert make_context(p).p == p
     assert calls == [p]
-    assert find_nonresidue(p) == make_context(p).z  # the public entry still checks
-    assert calls == [p, p, p]
 
 
 # the smallest prime 2^k n + 1 (n odd) for k = 1, 8, 9, 16, 18 and 20, then
