@@ -30,7 +30,6 @@ from .modarith import (
 )
 from .oracles import (
     brute_force_sqrt,
-    brute_root_table,
     direct_sqrt,
     residue_class,
     tonelli_shanks,
@@ -67,7 +66,6 @@ __all__ = [
     "Term",
     "WrongClass",
     "brute_force_sqrt",
-    "brute_root_table",
     "decompose",
     "degree_check",
     "direct_sqrt",

@@ -5,8 +5,8 @@ equalities: the odd-order share is 1/2^(k-1) and, for k >= 2, the share of
 residues of order exactly 2^(k-1) is 1/(2n).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .modarith import PrimeContext
 
@@ -21,8 +21,7 @@ __all__ = [
 CENSUS_LIMIT = 1 << 22
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     """Counts of quadratic residues by class index and by order behaviour."""
 
     p: int

@@ -8,8 +8,9 @@ Structured JSON reports go to stdout and are byte-stable for fixed
 arguments (timings go to stderr, never into the documents).  Reports are
 write-only: no command reads one back.  The verify and bench documents take
 their entries from the PrimeCheck, Failure and BenchRecord fields, in field
-order.  Exit codes: 0 success/pass, 1 usage or internal failure, 2 not a
-quadratic residue.
+order: these are NamedTuples, written as objects through _asdict (json would
+write a bare tuple as a list).  Exit codes: 0 success/pass, 1 usage or
+internal failure, 2 not a quadratic residue.
 """
 
 import argparse
@@ -17,8 +18,9 @@ import functools
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import analysis, formulas, modarith, oracles, synthesis
 
@@ -67,16 +69,14 @@ def _method(name: str):
     return getattr(mod, fn_name), k
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     a: int
     root: int
     coroot: int
     expected: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class PrimeCheck:
+class PrimeCheck(NamedTuple):
     p: int
     k: int
     n: int
@@ -100,15 +100,14 @@ class VerificationReport:
 def run_verification(
     pmin: int, pmax: int, method: str = "auto", k_filter: int | None = None
 ) -> VerificationReport:
-    """Check the chosen method against brute force on every residue of every
-    prime in [pmin, pmax]; class-specific methods skip non-matching primes.
+    """Check the chosen method on every residue of every prime in
+    [pmin, pmax]; class-specific methods skip non-matching primes.
 
     The roots are walked, not tabled: each r in 1..(p-1)/2 is the canonical
     root of a distinct residue a = r^2 mod p, so the method is called once
     per a, in ascending r, and its outcome must square to a and equal the
-    pair (r, p - r).  These are the residues and the order of
-    oracles.brute_root_table(p), but no table is built: failures aside, the
-    memory is O(1) per prime.
+    pair (r, p - r).  No table is built: failures aside, the memory is O(1)
+    per prime.
 
     An inverted range, or a k_filter that no prime the method accepts can
     meet, is an error; an ordered range with no prime in it is an empty pass.
@@ -169,15 +168,17 @@ def verification_to_doc(rep: VerificationReport) -> dict:
         "pmax": rep.pmax,
         "method": rep.method,
         "k_filter": rep.k_filter,
-        "primes": [asdict(pc) for pc in rep.primes],
+        "primes": [
+            {**pc._asdict(), "failures": [f._asdict() for f in pc.failures]}
+            for pc in rep.primes
+        ],
         "total_primes": len(rep.primes),
         "total_residues": rep.total_residues,
         "pass": rep.passed,
     }
 
 
-@dataclass(frozen=True)
-class BenchRecord:
+class BenchRecord(NamedTuple):
     method: str
     p: int
     trials: int
@@ -268,7 +269,7 @@ def bench_to_doc(rep: BenchReport) -> dict:
         "p": rep.p,
         "trials": rep.trials,
         "seed": rep.seed,
-        "records": [asdict(r) for r in rep.records],
+        "records": [r._asdict() for r in rep.records],
     }
 
 

@@ -6,7 +6,6 @@ from .modarith import MulCounter, PrimeContext, legendre, mod_pow
 __all__ = [
     "BRUTE_LIMIT",
     "brute_force_sqrt",
-    "brute_root_table",
     "direct_sqrt",
     "residue_class",
     "tonelli_shanks",
@@ -22,13 +21,6 @@ def brute_force_sqrt(p: int, a: int) -> set[int]:
     if not 0 <= a < p:
         raise ValueError(f"residue {a} out of range for p={p}")
     return {r for r in range(p) if r * r % p == a}
-
-
-def brute_root_table(p: int) -> dict[int, tuple[int, int]]:
-    """Every quadratic residue mapped to its ascending root pair, in one scan."""
-    if p > BRUTE_LIMIT:
-        raise ValueError(f"p={p} exceeds the exhaustion bound 2^20")
-    return {r * r % p: (r, p - r) for r in range(1, (p + 1) // 2)}
 
 
 def tonelli_shanks(ctx: PrimeContext, a: int) -> SqrtOutcome:

@@ -32,7 +32,7 @@ computes the polynomial from this closed form, without the symbolic object.
 MAX_K limits synthesize and expand; sqrt, verify and bench work for any k.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .formulas import SqrtOutcome, _class_root
 from .modarith import PrimeContext
@@ -58,24 +58,21 @@ __all__ = [
 MAX_K = 16
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(NamedTuple):
     """One indicator factor (1 + x^(2^j n) z^(cn))."""
 
     j: int  # x-exponent level: the factor carries x^(2^j * n)
     c: int  # z-exponent coefficient, in [0, 2^k)
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     """One bracket term: z^(en) times factors at levels j = k-2 down to 0."""
 
     e: int
     factors: tuple[Factor, ...]
 
 
-@dataclass(frozen=True)
-class SymbolicFormula:
+class SymbolicFormula(NamedTuple):
     """2^(k-1) terms indexed by residue class; the overall prefactor
     2^-(k-1) x^((n+1)/2) is implicit."""
 
@@ -129,8 +126,7 @@ def sqrt_synth(ctx: PrimeContext, a: int) -> SqrtOutcome:
     return _class_root(ctx, a, "synth")
 
 
-@dataclass(frozen=True)
-class SignedFactor:
+class SignedFactor(NamedTuple):
     """A factor after sign folding: (1 sign x^(2^j n) z^(cn)) with c < 2^(k-1)."""
 
     sign: int  # +1 or -1
@@ -138,8 +134,7 @@ class SignedFactor:
     c: int
 
 
-@dataclass(frozen=True)
-class RenderedTerm:
+class RenderedTerm(NamedTuple):
     e: int
     factors: tuple[SignedFactor, ...]
 
@@ -210,8 +205,7 @@ def formula_to_doc(f: SymbolicFormula) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ExpandedPolynomial:
+class ExpandedPolynomial(NamedTuple):
     """Sparse coefficient form: (exponent, coefficient) pairs, exponents
     strictly decreasing, coefficients nonzero in [1, p)."""
 

@@ -44,10 +44,24 @@ def term_values(f, ctx, x):
     return values
 
 
+# (k, p, x^n) -> the bracket sum of synthesize(k) at any x with that x^n
+_bracket_sums = {}
+
+
 def evaluate_at(f, ctx, x):
-    """Raw value of the defining expression at any x, residue or not."""
+    """Raw value of the defining expression at any x, residue or not.
+
+    Every factor is 1 + (x^n)^(2^j) z^(cn), so the bracket depends on x only
+    through x^n, and its sum is kept per (k, p, x^n): the residues of one
+    prime take 2^(k-1) values of x^n, so a walk over all of them sums the
+    2^(k-1)-term bracket 2^(k-1) times, not (p-1)/2 times.  The formula of
+    each k is synthesize(k)'s.
+    """
     p = ctx.p
-    total = sum(term_values(f, ctx, x)) % p
+    key = (f.k, p, pow(x, ctx.n, p))
+    total = _bracket_sums.get(key)
+    if total is None:
+        total = _bracket_sums[key] = sum(term_values(f, ctx, x)) % p
     return ctx.half_pow(f.k - 1) * pow(x, (ctx.n + 1) // 2, p) % p * total % p
 
 

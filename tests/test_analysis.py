@@ -10,7 +10,9 @@ from sqrtmodp.analysis import (
     order_census,
 )
 from sqrtmodp.modarith import PrimeContext, make_context, primes_in_range
-from sqrtmodp.oracles import brute_root_table, residue_class
+from sqrtmodp.oracles import residue_class
+
+from root_table import brute_root_table
 
 
 def naive_order(a, p):

@@ -7,7 +7,8 @@ import pytest
 
 from sqrtmodp import cli, formulas
 from sqrtmodp.formulas import SqrtOutcome
-from sqrtmodp.oracles import brute_root_table
+
+from root_table import brute_root_table
 
 
 def run_cli(capsys, *argv):

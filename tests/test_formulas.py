@@ -16,10 +16,11 @@ from sqrtmodp.formulas import (
 )
 from sqrtmodp import synthesis
 from sqrtmodp.modarith import PrimeContext, _zn_rows, decompose, make_context, primes_in_range
-from sqrtmodp.oracles import brute_root_table, residue_class
+from sqrtmodp.oracles import residue_class
 from sqrtmodp.synthesis import sqrt_synth, synthesize
 
 from formula_reference import term_values
+from root_table import brute_root_table
 
 F_BY_K = {1: sqrt_f1, 2: sqrt_f2, 3: sqrt_f3, 4: sqrt_f4}
 

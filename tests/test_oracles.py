@@ -13,11 +13,12 @@ from sqrtmodp.modarith import (
 from sqrtmodp.oracles import (
     BRUTE_LIMIT,
     brute_force_sqrt,
-    brute_root_table,
     direct_sqrt,
     residue_class,
     tonelli_shanks,
 )
+
+from root_table import brute_root_table
 
 
 def test_brute_examples():

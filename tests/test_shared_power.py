@@ -21,8 +21,9 @@ from sqrtmodp.modarith import (
     make_context,
     primes_in_range,
 )
-from sqrtmodp.oracles import brute_root_table
 from sqrtmodp.synthesis import sqrt_synth
+
+from root_table import brute_root_table
 
 F_BY_K = {1: sqrt_f1, 2: sqrt_f2, 3: sqrt_f3, 4: sqrt_f4}
 GOLDILOCKS = (1 << 64) - (1 << 32) + 1

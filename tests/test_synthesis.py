@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from sqrtmodp.formulas import sqrt_auto
 from sqrtmodp.modarith import make_context, primes_in_range
-from sqrtmodp.oracles import brute_root_table
 from sqrtmodp.synthesis import (
     MAX_K,
     ExpandedPolynomial,
@@ -23,6 +22,7 @@ from sqrtmodp.synthesis import (
 )
 
 from formula_reference import evaluate, evaluate_at, term_values
+from root_table import brute_root_table
 
 
 def first_primes_with_k(k, count):

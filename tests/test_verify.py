@@ -8,7 +8,8 @@ import pytest
 
 from sqrtmodp import cli, formulas, modarith
 from sqrtmodp.formulas import SqrtOutcome
-from sqrtmodp.oracles import brute_root_table
+
+from root_table import brute_root_table
 
 
 def _reference(pmin, pmax, method="auto", k_filter=None):

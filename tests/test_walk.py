@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 from sqrtmodp import cli, modarith
 from sqrtmodp.formulas import sqrt_auto
 from sqrtmodp.modarith import is_prime, make_context, primes_in_range
-from sqrtmodp.oracles import brute_root_table, direct_sqrt, tonelli_shanks
+from sqrtmodp.oracles import direct_sqrt, tonelli_shanks
 from sqrtmodp.synthesis import MAX_K, sqrt_synth, synthesize
 
 from formula_reference import evaluate
+from root_table import brute_root_table
 
 GOLDILOCKS = (1 << 64) - (1 << 32) + 1
 HIGH_K_PRIMES = (786433, 2130706433, 2013265921, GOLDILOCKS)  # k = 18, 24, 27, 32
@@ -69,9 +70,9 @@ def test_walk_count_is_linear_in_k(p):
 
 
 def test_synthesize_shares_factors():
-    f = synthesize(10)
-    distinct = {id(fc) for term in f.terms for fc in term.factors}
-    assert len(distinct) == (1 << 10) - 2  # one Factor per (j, c) pair
+    for k in range(1, 11):
+        distinct = {id(fc) for term in synthesize(k).terms for fc in term.factors}
+        assert len(distinct) == (1 << k) - 2  # one Factor per (j, c) pair
 
 
 def test_synthesize_error_names_what_it_limits():
