@@ -5,12 +5,13 @@ compute it and the k it needs, if any.  Commands look the function up when
 they start, so a patched module attribute is the one that runs.
 
 Structured JSON reports go to stdout and are byte-stable for fixed
-arguments (timings go to stderr, never into the documents).  Reports are
-write-only: no command reads one back.  The verify and bench documents take
-their entries from the PrimeCheck, Failure and BenchRecord fields, in field
-order: these are NamedTuples, written as objects through _asdict (json would
-write a bare tuple as a list).  Exit codes: 0 success/pass, 1 usage or
-internal failure, 2 not a quadratic residue.
+arguments.  Reports are write-only: no command reads one back.  The
+records are NamedTuples and carry no wall time: the verify and bench
+commands time the call whose time they print to stderr.  The verify and
+bench documents take their entries from the PrimeCheck, Failure and
+BenchRecord fields, in field order, written as objects through _asdict
+(json would write a bare tuple as a list).  Exit codes: 0 success/pass,
+1 usage or internal failure, 2 not a quadratic residue.
 """
 
 import argparse
@@ -18,7 +19,6 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -85,8 +85,7 @@ class PrimeCheck(NamedTuple):
     failures: tuple[Failure, ...]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     pmin: int
     pmax: int
     method: str
@@ -94,7 +93,6 @@ class VerificationReport:
     primes: tuple[PrimeCheck, ...]
     total_residues: int
     passed: bool
-    wall_time_s: float = field(default=0.0, compare=False)
 
 
 def run_verification(
@@ -121,7 +119,6 @@ def run_verification(
     if k_filter is not None and (k_filter < 1 or method_k not in (None, k_filter)):
         need = f"k={method_k}" if method_k else "k >= 1"
         raise ValueError(f"method {method} needs {need}; --k {k_filter} selects no prime")
-    t0 = time.perf_counter()
     checks = []
     total = 0
     for p in modarith.primes_in_range(max(pmin, 3), pmax):
@@ -144,21 +141,7 @@ def run_verification(
         checks.append(PrimeCheck(p, ctx.k, ctx.n, ctx.z, half, tuple(failures)))
         total += half
     passed = all(not pc.failures for pc in checks)
-    return VerificationReport(
-        pmin,
-        pmax,
-        method,
-        k_filter,
-        tuple(checks),
-        total,
-        passed,
-        time.perf_counter() - t0,
-    )
-
-
-def _rate(rep: VerificationReport) -> float:
-    """Residues checked per second of the sweep's wall time."""
-    return rep.total_residues / rep.wall_time_s if rep.wall_time_s else 0.0
+    return VerificationReport(pmin, pmax, method, k_filter, tuple(checks), total, passed)
 
 
 def verification_to_doc(rep: VerificationReport) -> dict:
@@ -189,13 +172,11 @@ class BenchRecord(NamedTuple):
     constant_across_inputs: bool
 
 
-@dataclass(frozen=True)
-class BenchReport:
+class BenchReport(NamedTuple):
     p: int
     trials: int
     seed: int
     records: tuple[BenchRecord, ...]
-    wall_time_s: float = field(default=0.0, compare=False)
 
 
 def _sample_residues(ctx: modarith.PrimeContext, trials: int, seed: int) -> list[int]:
@@ -236,7 +217,6 @@ def run_bench(
         if m == "brute" and p > oracles.BRUTE_LIMIT:
             raise ValueError(f"brute excluded for p > 2^20 (p={p})")
     sample = _sample_residues(ctx, trials, seed)
-    t0 = time.perf_counter()
     records = []
     for m, (fn, _) in zip(methods, fns):
         m0 = time.perf_counter()
@@ -258,9 +238,7 @@ def run_bench(
                 min(counts) == max(counts),
             )
         )
-    return BenchReport(
-        p, trials, seed, tuple(records), time.perf_counter() - t0
-    )
+    return BenchReport(p, trials, seed, tuple(records))
 
 
 def bench_to_doc(rep: BenchReport) -> dict:
@@ -322,12 +300,14 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    t0 = time.perf_counter()
     rep = run_verification(args.pmin, args.pmax, args.method, args.k)
+    dt = time.perf_counter() - t0
     _emit(json.dumps(verification_to_doc(rep), indent=2), args.out)
     print(
         f"verify: {len(rep.primes)} primes, {rep.total_residues} residues, "
-        f"{'pass' if rep.passed else 'FAIL'} in {rep.wall_time_s:.2f}s "
-        f"({_rate(rep):,.0f} residues/s)",
+        f"{'pass' if rep.passed else 'FAIL'} in {dt:.2f}s "
+        f"({rep.total_residues / dt if dt else 0.0:,.0f} residues/s)",
         file=sys.stderr,
     )
     return 0 if rep.passed else 1
@@ -364,9 +344,11 @@ def _cmd_density(args) -> int:
 
 def _cmd_bench(args) -> int:
     methods = args.methods.split(",") if args.methods else None
+    t0 = time.perf_counter()
     rep = run_bench(args.p, args.trials, methods, args.seed)
+    dt = time.perf_counter() - t0
     _emit(json.dumps(bench_to_doc(rep), indent=2), args.out)
-    print(f"bench: total {rep.wall_time_s:.2f}s", file=sys.stderr)
+    print(f"bench: total {dt:.2f}s", file=sys.stderr)
     return 0
 
 

@@ -20,7 +20,7 @@ call.
 
 from typing import NamedTuple
 
-from .modarith import _W, MulCounter, PrimeContext, mod_pow
+from .modarith import _W, PrimeContext
 
 __all__ = [
     "NotAResidue",
@@ -49,21 +49,6 @@ class SqrtOutcome(NamedTuple):
     coroot: int
     method: str
     mul_count: int
-
-
-def _screen(ctx: PrimeContext, a: int, counter: MulCounter) -> None:
-    """Reject out-of-range and nonresidue inputs; one Euler-criterion power."""
-    # Not modarith.legendre: this power is part of the cost model, so it is
-    # charged to counter and shows in the tonelli and direct counts.
-    if not 0 <= a < ctx.p:
-        raise ValueError(f"residue {a} out of range for p={ctx.p}")
-    if a and mod_pow(a, (ctx.p - 1) // 2, ctx.p, counter) == ctx.p - 1:
-        raise NotAResidue(f"{a} is not a quadratic residue mod {ctx.p}")
-
-
-def _canonical(raw: int, p: int, method: str, count: int) -> SqrtOutcome:
-    root = min(raw, p - raw) if raw else 0
-    return SqrtOutcome(root, p - root if root else 0, method, count)
 
 
 # _new_tuple(SqrtOutcome, fields) is the call SqrtOutcome._make makes; the

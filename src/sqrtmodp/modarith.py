@@ -77,10 +77,10 @@ def _class_cost(n: int, k: int) -> int:
 class MulCounter:
     """Tallies modular multiplications; squarings count as multiplications.
 
-    Powers are charged _pow_cost, and a PrimeContext.zn_pow lookup the
-    ceil(k/8) - 1 products that combine its rows.  tonelli and direct
-    tally live; the class formula's count is the class lift's cost, from
-    (n, k) alone.
+    The one place a cost is charged: mul charges 1, pow _pow_cost(exp), and
+    lookup, a PrimeContext.zn_pow, the ceil(k/8) - 1 products that combine
+    its rows.  tonelli and direct tally live; the class formula's count is
+    the class lift's cost, from (n, k) alone.
     """
 
     __slots__ = ("count",)
@@ -92,11 +92,17 @@ class MulCounter:
         self.count += 1
         return x * y % p
 
+    def pow(self, base: int, exp: int, p: int) -> int:
+        self.count += _pow_cost(exp)
+        return pow(base, exp, p)
 
-def mod_pow(base: int, exp: int, p: int, counter: MulCounter | None = None) -> int:
+    def lookup(self, ctx: "PrimeContext", j: int) -> int:
+        self.count += _lookup_cost(ctx.k)
+        return ctx.zn_pow(j)
+
+
+def mod_pow(base: int, exp: int, p: int) -> int:
     """base**exp mod p, with exp = 0 giving 1 (including 0**0)."""
-    if counter is not None:
-        counter.count += _pow_cost(exp)
     return pow(base, exp, p)
 
 
@@ -214,7 +220,7 @@ class PrimeContext:
     k: int
     n: int
     z: int
-    zn_rows: tuple[tuple[int, ...], ...] = field(default=((),), repr=False)
+    zn_rows: tuple[tuple[int, ...], ...] = field(repr=False)
     # zn_pow's view of zn_rows, derived once: the mask 2^k - 1, the first
     # row and the others
     _mask: int = field(init=False, repr=False, compare=False)
@@ -243,12 +249,12 @@ class PrimeContext:
         log = dict(zip(powers, range(1 << w)))
         return log if len(log) == 1 << w else {}
 
-    def zn_pow(self, j: int, counter: MulCounter | None = None) -> int:
+    def zn_pow(self, j: int) -> int:
         """z^(j*n) mod p; j is reduced mod 2^k, the order of z^n.
 
-        One entry from each row, so ceil(k/8) - 1 products, charged to
-        counter; none at k <= 8.  A zero digit is not skipped, so the cost
-        of a lookup depends on k alone.
+        One entry from each row, so ceil(k/8) - 1 products, none at k <= 8;
+        MulCounter.lookup charges them.  A zero digit is not skipped, so the
+        cost of a lookup depends on k alone.
         """
         j &= self._mask
         if self.k <= _W:
@@ -258,8 +264,6 @@ class PrimeContext:
         for row in self._rest:
             j >>= _W
             v = v * row[j & _DIGIT] % p
-        if counter is not None:
-            counter.count += len(self._rest)
         return v
 
     def half_pow(self, m: int) -> int:

@@ -217,18 +217,20 @@ class ExpandedPolynomial(NamedTuple):
         return self.terms[0][0] if self.terms else -1
 
     def evaluate_at(self, x: int) -> int:
-        """The value at x: Horner in y = x^stride when the exponents are evenly
-        spaced, as expand's i n + (n+1)/2 are, else one power per term."""
+        """The value at x: Horner over the gaps between exponents, from the
+        first term down, with a new power of x only where the gap changes;
+        expand's exponents i n + (n+1)/2 have the one gap n."""
         p, terms = self.p, self.terms
         if not terms:
             return 0
-        last = terms[-1][0]
-        stride = terms[0][0] - terms[1][0] if len(terms) > 1 else 1
-        if any(ex != last + i * stride for i, (ex, _) in enumerate(reversed(terms))):
-            return sum(co * pow(x, ex, p) for ex, co in terms) % p
-        y, acc = pow(x, stride, p), 0
-        for _, co in terms:
+        last, acc = terms[0]
+        gap, y = 0, 1
+        for ex, co in terms[1:]:
+            if last - ex != gap:
+                gap = last - ex
+                y = pow(x, gap, p)
             acc = (acc * y + co) % p
+            last = ex
         return acc * pow(x, last, p) % p
 
     def text(self) -> str:

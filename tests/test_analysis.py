@@ -9,7 +9,7 @@ from sqrtmodp.analysis import (
     multiplier_histogram,
     order_census,
 )
-from sqrtmodp.modarith import PrimeContext, make_context, primes_in_range
+from sqrtmodp.modarith import make_context, primes_in_range
 from sqrtmodp.oracles import residue_class
 
 from root_table import brute_root_table
@@ -177,6 +177,7 @@ def test_small_share_for_k_at_least_8():
 
 
 def test_census_bound():
-    fake = PrimeContext(CENSUS_LIMIT + 1, 1, CENSUS_LIMIT // 2, 2)
+    ctx = make_context(4194319)  # the smallest prime above CENSUS_LIMIT; k = 1
+    assert ctx.p > CENSUS_LIMIT and ctx.k == 1
     with pytest.raises(ValueError):
-        order_census(fake)
+        order_census(ctx)

@@ -135,7 +135,7 @@ def test_mod_pow_matches_naive(p, base, exp):
 def test_mod_pow_count_model(exp, cost):
     # left-to-right square-and-multiply: floor(log2 e) squarings + popcount(e)-1
     c = MulCounter()
-    mod_pow(3, exp, 101, c)
+    assert c.pow(3, exp, 101) == mod_pow(3, exp, 101)
     assert c.count == cost
 
 
@@ -293,8 +293,9 @@ def test_zn_pow_contract(k):
         assert ctx.zn_pow(j) == pow(ctx.z, j * ctx.n, p), j
     assert ctx.zn_pow(1 << (k - 1)) == p - 1
     c = MulCounter()
-    ctx.zn_pow(0, c)  # a zero digit is not skipped: the cost follows from k
-    ctx.zn_pow(-1, c)
+    # a zero digit is not skipped: the cost follows from k
+    assert c.lookup(ctx, 0) == ctx.zn_pow(0) == 1
+    assert c.lookup(ctx, -1) == ctx.zn_pow(-1)
     assert c.count == 2 * (rows - 1)
     w = min(8, k)  # the log table reads w bits: h^d -> d, h = z^(2^(k-w) n)
     h = pow(ctx.z, ctx.n << (k - w), p)

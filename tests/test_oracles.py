@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from sqrtmodp.formulas import NotAResidue
 from sqrtmodp.modarith import (
-    MulCounter,
     PrimeContext,
     legendre,
     make_context,
@@ -165,10 +164,3 @@ def test_oracle_agreement_sweep():
         for a, pair in brute_root_table(p).items():
             assert (direct_sqrt(ctx, a).root, direct_sqrt(ctx, a).coroot) == pair
             assert (tonelli_shanks(ctx, a).root, tonelli_shanks(ctx, a).coroot) == pair
-
-
-def test_residue_class_counter_counts():
-    ctx = make_context(97)
-    c = MulCounter()
-    residue_class(ctx, 2, c)
-    assert c.count > 0
