@@ -78,7 +78,7 @@ def order_census(ctx: PrimeContext) -> DensityReport:
     """
     p, k, n = ctx.p, ctx.k, ctx.n
     if p > CENSUS_LIMIT:
-        raise ValueError(f"p={p} exceeds the census bound 2^22")
+        raise ValueError(f"order_census supports p<={CENSUS_LIMIT} (CENSUS_LIMIT), got p={p}")
     half = 1 << (k - 1)
     class_of = {ctx.zn_pow(2 * t): t for t in range(half)}
     hist = [0] * half

@@ -114,7 +114,9 @@ def run_verification(
     if pmin > pmax:
         raise ValueError(f"pmin={pmin} is above pmax={pmax}; the range is inverted")
     if pmax > oracles.BRUTE_LIMIT:
-        raise ValueError(f"pmax={pmax} exceeds the exhaustion bound 2^20")
+        raise ValueError(
+            f"verify supports pmax<={oracles.BRUTE_LIMIT} (BRUTE_LIMIT), got pmax={pmax}"
+        )
     fn, method_k = _method(method)
     if k_filter is not None and (k_filter < 1 or method_k not in (None, k_filter)):
         need = f"k={method_k}" if method_k else "k >= 1"
@@ -215,7 +217,7 @@ def run_bench(
         if need_k not in (None, ctx.k):
             raise ValueError(f"method {m} needs k={need_k}, p={p} has k={ctx.k}")
         if m == "brute" and p > oracles.BRUTE_LIMIT:
-            raise ValueError(f"brute excluded for p > 2^20 (p={p})")
+            raise ValueError(f"brute supports p<={oracles.BRUTE_LIMIT} (BRUTE_LIMIT), got p={p}")
     sample = _sample_residues(ctx, trials, seed)
     records = []
     for m, (fn, _) in zip(methods, fns):

@@ -1,18 +1,16 @@
 """Prime contexts and the modular arithmetic primitives everything else consumes.
 
 Every prime handled by this package has the shape p = 2^k * n + 1 with n odd.
-A PrimeContext bundles that decomposition with a deterministic quadratic
-nonresidue z and windowed rows of the powers z^(j*n), which drive all the
-square-root machinery in the other modules.  With g = z^n, row i holds
-g^(d 2^(8i)) for d < 2^min(8, k - 8i): ceil(k/8) rows and at most
-ceil(k/8)*256 entries for any k, so no table of all 2^k powers is kept.  A
-lookup multiplies one entry from each row, ceil(k/8) - 1 products, and a
-log table of 2^min(8, k) entries reads 8 bits of a discrete log in g at once
-(Bernstein, "Faster square roots in annoying finite fields", 2001; Sarkar,
-IACR ePrint 2020/1407).
+A PrimeContext is built from that decomposition and a deterministic
+quadratic nonresidue z, and derives from them windowed rows of the powers
+z^(j*n), which drive all the square-root machinery in the other modules.
+With g = z^n, row i holds g^(d 2^(8i)) for d < 2^min(8, k - 8i): ceil(k/8)
+rows and at most ceil(k/8)*256 entries for any k, so no table of all 2^k
+powers is kept.  A lookup multiplies one entry from each row, ceil(k/8) - 1
+products, and a log table of 2^min(8, k) entries reads 8 bits of a discrete
+log in g at once (Bernstein, "Faster square roots in annoying finite
+fields", 2001; Sarkar, IACR ePrint 2020/1407).
 """
-
-from dataclasses import dataclass, field
 
 __all__ = [
     "MulCounter",
@@ -194,7 +192,6 @@ def _smallest_nonresidue(p: int) -> int:
     raise ArithmeticError(f"no nonresidue below {p}")  # unreachable for odd primes
 
 
-@dataclass(frozen=True)
 class PrimeContext:
     """A validated odd prime p = 2^k * n + 1 (n odd) with nonresidue z.
 
@@ -213,29 +210,23 @@ class PrimeContext:
 
     The class lift's count, _cost, is derived in the same pass: it depends
     on (n, k) alone (_class_cost), so each call reads it, not prices it.
-    Instances are immutable and safe to share across workers.
+    Everything is derived from (p, k, n, z) when the context is built and
+    never reassigned, so one context is safe to share across workers.
     """
 
-    p: int
-    k: int
-    n: int
-    z: int
-    zn_rows: tuple[tuple[int, ...], ...] = field(repr=False)
-    # zn_pow's view of zn_rows, derived once: the mask 2^k - 1, the first
-    # row and the others
-    _mask: int = field(init=False, repr=False, compare=False)
-    _head: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _rest: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _log: dict[int, int] = field(init=False, repr=False, compare=False)
-    _cost: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("p", "k", "n", "z", "zn_rows", "_mask", "_head", "_rest", "_log", "_cost")
 
-    def __post_init__(self) -> None:
+    def __init__(self, p: int, k: int, n: int, z: int) -> None:
+        self.p, self.k, self.n, self.z = p, k, n, z
+        self.zn_rows = _zn_rows(pow(z, n, p), k, p)
+        # zn_pow's view of zn_rows: the mask 2^k - 1, the first row and the others
         head, *rest = self.zn_rows
-        object.__setattr__(self, "_mask", (1 << self.k) - 1)
-        object.__setattr__(self, "_head", head)
-        object.__setattr__(self, "_rest", tuple(rest))
-        object.__setattr__(self, "_log", self._log_table())
-        object.__setattr__(self, "_cost", _class_cost(self.n, self.k))
+        self._mask, self._head, self._rest = (1 << k) - 1, head, tuple(rest)
+        self._log = self._log_table()
+        self._cost = _class_cost(n, k)
+
+    def __repr__(self) -> str:
+        return f"PrimeContext(p={self.p}, k={self.k}, n={self.n}, z={self.z})"
 
     def _log_table(self) -> dict[int, int]:
         """h^d -> d for h = g^(2^(k-w)), d < 2^w; empty if h's order is short."""
@@ -266,10 +257,6 @@ class PrimeContext:
             v = v * row[j & _DIGIT] % p
         return v
 
-    def half_pow(self, m: int) -> int:
-        """(2^-1)^m mod p, the scale in front of every bracket of terms."""
-        return pow((self.p + 1) // 2, m, self.p)
-
 
 def _zn_rows(g: int, k: int, p: int) -> tuple[tuple[int, ...], ...]:
     """The rows of PrimeContext.zn_rows for g = z^n: about ceil(k/8)*256 products."""
@@ -292,7 +279,7 @@ def make_context(p: int) -> PrimeContext:
     """
     k, n = decompose(p)
     z = _smallest_nonresidue(p)
-    ctx = PrimeContext(p, k, n, z, _zn_rows(pow(z, n, p), k, p))
+    ctx = PrimeContext(p, k, n, z)
     if ctx.zn_pow(1 << (k - 1)) != p - 1:
         raise ArithmeticError(f"nonresidue powers inconsistent for p={p}")
     return ctx

@@ -15,9 +15,9 @@ BRUTE_LIMIT = 1 << 20
 
 
 def brute_force_sqrt(p: int, a: int) -> set[int]:
-    """Exact root set {r : r^2 = a mod p} by scanning; p capped at 2^20."""
+    """Exact root set {r : r^2 = a mod p} by scanning; p at most BRUTE_LIMIT."""
     if p > BRUTE_LIMIT:
-        raise ValueError(f"p={p} exceeds the exhaustion bound 2^20")
+        raise ValueError(f"brute_force_sqrt supports p<={BRUTE_LIMIT} (BRUTE_LIMIT), got p={p}")
     if not 0 <= a < p:
         raise ValueError(f"residue {a} out of range for p={p}")
     return {r for r in range(p) if r * r % p == a}

@@ -262,7 +262,7 @@ def expand(ctx: PrimeContext) -> ExpandedPolynomial:
             f"expand supports k<={MAX_K} (MAX_K); p={ctx.p} has k={ctx.k}"
         )
     p, n = ctx.p, ctx.n
-    scale = 2 * ctx.half_pow(ctx.k - 1) % p
+    scale = pow(2, 2 - ctx.k, p)
     off = (n + 1) // 2
     terms = tuple(
         (i * n + off, scale * pow(1 - ctx.zn_pow(2 * i + 1), -1, p) % p)

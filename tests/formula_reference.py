@@ -62,7 +62,7 @@ def evaluate_at(f, ctx, x):
     total = _bracket_sums.get(key)
     if total is None:
         total = _bracket_sums[key] = sum(term_values(f, ctx, x)) % p
-    return ctx.half_pow(f.k - 1) * pow(x, (ctx.n + 1) // 2, p) % p * total % p
+    return pow(2, 1 - f.k, p) * pow(x, (ctx.n + 1) // 2, p) % p * total % p
 
 
 def evaluate(f, ctx, a):

@@ -13,5 +13,5 @@ def brute_root_table(p):
     """Every quadratic residue mapped to its ascending root pair, in one scan,
     in ascending order of the smaller root."""
     if p > BRUTE_LIMIT:
-        raise ValueError(f"p={p} exceeds the exhaustion bound 2^20")
+        raise ValueError(f"brute_root_table supports p<={BRUTE_LIMIT} (BRUTE_LIMIT), got p={p}")
     return {r * r % p: (r, p - r) for r in range(1, (p + 1) // 2)}

@@ -179,5 +179,5 @@ def test_small_share_for_k_at_least_8():
 def test_census_bound():
     ctx = make_context(4194319)  # the smallest prime above CENSUS_LIMIT; k = 1
     assert ctx.p > CENSUS_LIMIT and ctx.k == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rf"p<={CENSUS_LIMIT} \(CENSUS_LIMIT\)"):
         order_census(ctx)

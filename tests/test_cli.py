@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from sqrtmodp import cli, formulas
+from sqrtmodp import cli, formulas, oracles
 from sqrtmodp.formulas import SqrtOutcome
 
 from root_table import brute_root_table
@@ -188,7 +188,12 @@ def test_verify_reports_its_rate_on_stderr(capsys):
 
 
 def test_verify_range_bound(capsys):
-    assert run_cli(capsys, "verify", "--pmin", "3", "--pmax", str(1 << 21))[0] == 1
+    # a pmax past the bound is refused, naming the bound's constant
+    bound = oracles.BRUTE_LIMIT
+    for pmax in (bound + 1, 1 << 21):
+        code, out, err = run_cli(capsys, "verify", "--pmin", "3", "--pmax", str(pmax))
+        assert (code, out) == (1, "")
+        assert err == f"error: verify supports pmax<={bound} (BRUTE_LIMIT), got pmax={pmax}\n"
 
 
 def test_verify_injected_fault_flips_exit(capsys, monkeypatch):
@@ -386,7 +391,11 @@ def test_bench_method_class_mismatch(capsys):
 
 
 def test_bench_brute_guard(capsys):
-    assert run_cli(capsys, "bench", "--p", "2097169", "--methods", "brute")[0] == 1
+    code, _, err = run_cli(capsys, "bench", "--p", "2097169", "--methods", "brute")
+    assert code == 1
+    assert err.endswith(
+        f"error: brute supports p<={oracles.BRUTE_LIMIT} (BRUTE_LIMIT), got p=2097169\n"
+    )
 
 
 def test_bench_bad_trials(capsys):

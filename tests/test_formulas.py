@@ -15,7 +15,7 @@ from sqrtmodp.formulas import (
     sqrt_f4,
 )
 from sqrtmodp import synthesis
-from sqrtmodp.modarith import PrimeContext, _zn_rows, decompose, make_context, primes_in_range
+from sqrtmodp.modarith import PrimeContext, decompose, make_context, primes_in_range
 from sqrtmodp.oracles import residue_class
 from sqrtmodp.synthesis import sqrt_synth, synthesize
 
@@ -189,7 +189,7 @@ def test_invalid_context_is_reported():
     # nonresidue alike
     def bad(p, z):
         k, n = decompose(p)
-        return PrimeContext(p, k, n, z, _zn_rows(pow(z, n, p), k, p))
+        return PrimeContext(p, k, n, z)
 
     cases = [
         (sqrt_f3, bad(41, 2)),

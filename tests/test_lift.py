@@ -12,7 +12,7 @@ import random
 import pytest
 
 from sqrtmodp.formulas import NotAResidue, sqrt_auto
-from sqrtmodp.modarith import is_prime, legendre, make_context
+from sqrtmodp.modarith import PrimeContext, is_prime, legendre, make_context
 from sqrtmodp.oracles import direct_sqrt
 
 
@@ -70,16 +70,15 @@ class _CountingLog(dict):
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 8, 9, 15, 16, 17, 24, 25, 32])
-def test_one_table_read_per_window(k):
+def test_one_table_read_per_window(k, monkeypatch):
     # ceil(k/8) log-table reads at a residue, one at a nonresidue; a zn_pow
     # per window after the first and one for the multiplier (none at k = 1)
     p = primes_with_k(k, 1)[0]
     ctx = make_context(p)
-    log = _CountingLog(ctx._log)
+    log = ctx._log = _CountingLog(ctx._log)
     calls = []
-    zn_pow = ctx.zn_pow
-    object.__setattr__(ctx, "_log", log)
-    object.__setattr__(ctx, "zn_pow", lambda j: calls.append(j) or zn_pow(j))
+    zn_pow = PrimeContext.zn_pow
+    monkeypatch.setattr(PrimeContext, "zn_pow", lambda self, j: calls.append(j) or zn_pow(self, j))
     windows = -(-k // 8)
     rng = random.Random(k)
     for _ in range(20):

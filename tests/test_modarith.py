@@ -336,12 +336,6 @@ def test_z_power_engine_identities():
         assert pow(ctx.z, (1 << ctx.k) * ctx.n, p) == 1
 
 
-def test_half_pow():
-    ctx = make_context(41)
-    assert ctx.half_pow(0) == 1
-    assert ctx.half_pow(2) * 4 % 41 == 1
-
-
 def test_primes_in_range():
     assert primes_in_range(3, 20) == [3, 5, 7, 11, 13, 17, 19]
     assert primes_in_range(10, 10) == []

@@ -28,7 +28,7 @@ def test_brute_examples():
 
 
 def test_brute_guards():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rf"p<={BRUTE_LIMIT} \(BRUTE_LIMIT\)"):
         brute_force_sqrt(BRUTE_LIMIT + 1, 2)
     with pytest.raises(ValueError):
         brute_force_sqrt(7, 7)

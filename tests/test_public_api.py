@@ -1,11 +1,15 @@
 """Every exported name resolves, so `from ... import *` and tools that walk
-__all__ never meet a stale entry; the exported record types stay cheap to
-define at import; the arithmetic takes no counter, and the scripts use only
-public names."""
+__all__ never meet a stale entry; no exported type is a dataclass, and
+importing the command line loads neither dataclasses nor inspect, so the
+package stays cheap to import; the arithmetic takes no counter, and the
+scripts use only public names."""
 
 import ast
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,17 +32,35 @@ def test_package_all_resolves_and_is_sorted():
     assert names == sorted(set(names))
 
 
-def test_only_prime_context_is_a_dataclass():
+def test_no_exported_name_is_a_dataclass():
     # A dataclass execs its generated methods when its module is imported, a
-    # NamedTuple does not; the records are NamedTuples.  PrimeContext needs
-    # what a tuple cannot give: fields derived once and left out of equality.
+    # NamedTuple does not; the records are NamedTuples and PrimeContext is a
+    # plain class with __slots__.
     found = {
         name
         for mod in MODULES
         for name in mod.__all__
         if dataclasses.is_dataclass(getattr(mod, name))
     }
-    assert found == {"PrimeContext"}
+    assert found == set()
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter, since this one has loaded both for the tests
+    src = str(Path(sqrtmodp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    code = "import sys, sqrtmodp.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_prime_context_takes_p_k_n_z():
+    # the rows and the log table are derived, so they cannot disagree with z
+    params = list(inspect.signature(modarith.PrimeContext).parameters)
+    assert params == ["p", "k", "n", "z"]
+    assert repr(modarith.make_context(41)) == "PrimeContext(p=41, k=3, n=5, z=3)"
 
 
 @pytest.mark.parametrize(

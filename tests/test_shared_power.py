@@ -14,7 +14,6 @@ import pytest
 from sqrtmodp.formulas import NotAResidue, sqrt_auto, sqrt_f1, sqrt_f2, sqrt_f3, sqrt_f4
 from sqrtmodp.modarith import (
     PrimeContext,
-    _zn_rows,
     decompose,
     is_prime,
     legendre,
@@ -76,7 +75,7 @@ def test_context_prices_the_lift_once(k):
     p = smallest_prime_with_k(k)
     ctx = make_context(p)
     n, z = ctx.n, ctx.z
-    by_hand = PrimeContext(p, k, n, z, _zn_rows(pow(z, n, p), k, p))
+    by_hand = PrimeContext(p, k, n, z)
     assert ctx._cost == by_hand._cost == expected_count(p, k)
     assert sqrt_auto(by_hand, 1).mul_count == expected_count(p, k)
 

@@ -198,7 +198,7 @@ def _expand_reference(ctx):
             poly.update({i + step: v * w % p for i, v in poly.items()})
         for i, v in poly.items():
             acc[i] = (acc[i] + v) % p
-    scale = ctx.half_pow(f.k - 1)
+    scale = pow(2, 1 - f.k, p)
     off = (n + 1) // 2
     terms = tuple(
         (i * n + off, acc[i] * scale % p)
