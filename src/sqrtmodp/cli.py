@@ -386,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     sy.add_argument("--out", default=None)
     sy.set_defaults(func=_cmd_synthesize)
 
-    ve = sub.add_parser("verify", help="sweep a prime range against brute force")
+    ve = sub.add_parser("verify", help="check method(r^2) = (r, p - r) over a prime range")
     ve.add_argument("--pmin", type=int, required=True)
     ve.add_argument("--pmax", type=int, required=True)
     ve.add_argument("--k", type=int, default=None, help="only primes with this k")

@@ -72,8 +72,7 @@ def _class_root(ctx: PrimeContext, a: int, method: str) -> SqrtOutcome:
     s = 2t for the class index t, and the root is the paper's value at a,
     a^((n+1)/2) z^(en) with e = -t mod 2^(k-1), up to sign: root times
     zn_pow(-s/2).  At k = 1 the bracket is empty and the root is the bare
-    power.  A context whose z is a residue has an empty log table, so its
-    first lookup fails and ArithmeticError is raised.
+    power.
 
     mul_count is ctx._cost, modarith._class_cost(n, k): the same for every
     nonzero residue of the prime, priced once per context, and 0 at a = 0.
@@ -87,23 +86,20 @@ def _class_root(ctx: PrimeContext, a: int, method: str) -> SqrtOutcome:
     root = a * u % p
     x = root * u % p  # a^n = g^s
     log = ctx._log
-    try:
-        if k <= _W:
-            s = log[x]
-        else:
-            squares = [x]  # squares[m] = a^(2^m n)
-            for _ in range(k - _W):
-                x = x * x % p
-                squares.append(x)
-            s = log[x]
-            if not s & 1:
-                zn_pow = ctx.zn_pow
-                for m in range(k - 2 * _W, -_W, -_W):
-                    m = max(m, 0)  # the last window may overlap the one before
-                    d = log[squares[m] * zn_pow(-s << m) % p]
-                    s += d << (k - _W - m)
-    except KeyError:
-        raise ArithmeticError(f"no class index matches for p={p}; context invalid") from None
+    if k <= _W:
+        s = log[x]
+    else:
+        squares = [x]  # squares[m] = a^(2^m n)
+        for _ in range(k - _W):
+            x = x * x % p
+            squares.append(x)
+        s = log[x]
+        if not s & 1:
+            zn_pow = ctx.zn_pow
+            for m in range(k - 2 * _W, -_W, -_W):
+                m = max(m, 0)  # the last window may overlap the one before
+                d = log[squares[m] * zn_pow(-s << m) % p]
+                s += d << (k - _W - m)
     if s & 1:  # s mod 2 is Euler's symbol: a^((p-1)/2) = g^(2^(k-1) s)
         raise NotAResidue(f"{a} is not a quadratic residue mod {p}")
     if k > 1:

@@ -193,7 +193,11 @@ def _smallest_nonresidue(p: int) -> int:
 
 
 class PrimeContext:
-    """A validated odd prime p = 2^k * n + 1 (n odd) with nonresidue z.
+    """An odd prime p = 2^k * n + 1 (n odd) with nonresidue z.
+
+    The constructor checks k >= 1, n odd and p - 1 = n 2^k (ValueError) and
+    z^(2^(k-1) n) = -1, so that g = z^n has order 2^k (ArithmeticError).
+    p's primality is the caller's promise, which make_context proves.
 
     zn_rows holds the powers of g = z^n in windows of 8 bits: row i is
     g^(d 2^(8i)) for d < 2^min(8, k - 8i), so there are ceil(k/8) rows and at
@@ -205,8 +209,7 @@ class PrimeContext:
     h = g^(2^(k-w)), w = min(8, k) and d < 2^w: it reads w bits of a
     discrete log in one lookup.  When k <= 8 or 8 divides k it is the
     inverse of the last row; otherwise its 2^8 entries cost 2^8 products.
-    h has order 2^w exactly when z is a nonresidue; otherwise the table has
-    collisions and is left empty, so the first lookup fails.
+    h has order 2^w, since g has order 2^k, so the table has no collisions.
 
     The class lift's count, _cost, is derived in the same pass: it depends
     on (n, k) alone (_class_cost), so each call reads it, not prices it.
@@ -217,11 +220,15 @@ class PrimeContext:
     __slots__ = ("p", "k", "n", "z", "zn_rows", "_mask", "_head", "_rest", "_log", "_cost")
 
     def __init__(self, p: int, k: int, n: int, z: int) -> None:
+        if k < 1 or n % 2 == 0 or p - 1 != n << k:
+            raise ValueError(f"p={p}, k={k}, n={n}: need k >= 1, n odd and p - 1 = n 2^k")
         self.p, self.k, self.n, self.z = p, k, n, z
         self.zn_rows = _zn_rows(pow(z, n, p), k, p)
         # zn_pow's view of zn_rows: the mask 2^k - 1, the first row and the others
         head, *rest = self.zn_rows
         self._mask, self._head, self._rest = (1 << k) - 1, head, tuple(rest)
+        if self.zn_pow(1 << (k - 1)) != p - 1:
+            raise ArithmeticError(f"z={z} is not a nonresidue mod p={p}: z^(2^(k-1) n) != -1")
         self._log = self._log_table()
         self._cost = _class_cost(n, k)
 
@@ -229,16 +236,11 @@ class PrimeContext:
         return f"PrimeContext(p={self.p}, k={self.k}, n={self.n}, z={self.z})"
 
     def _log_table(self) -> dict[int, int]:
-        """h^d -> d for h = g^(2^(k-w)), d < 2^w; empty if h's order is short."""
-        w = min(_W, self.k)
+        """h^d -> d for h = g^(2^(k-w)), w = min(8, k) and d < 2^w."""
         powers = self.zn_rows[-1]  # the powers of h when k <= 8 or 8 divides k
-        if self.k % _W and self.k > _W and powers:
-            h, p = self.zn_pow(1 << (self.k - _W)), self.p
-            powers = [1] * (1 << _W)
-            for d in range(1, 1 << _W):
-                powers[d] = powers[d - 1] * h % p
-        log = dict(zip(powers, range(1 << w)))
-        return log if len(log) == 1 << w else {}
+        if self.k % _W and self.k > _W:
+            powers = _powers(self.zn_pow(1 << (self.k - _W)), 1 << _W, self.p)
+        return dict(zip(powers, range(len(powers))))
 
     def zn_pow(self, j: int) -> int:
         """z^(j*n) mod p; j is reduced mod 2^k, the order of z^n.
@@ -258,31 +260,29 @@ class PrimeContext:
         return v
 
 
+def _powers(base: int, count: int, p: int) -> list[int]:
+    """[base^0, ..., base^(count-1)] mod p: count - 1 products."""
+    powers = [1] * count
+    for d in range(1, count):
+        powers[d] = powers[d - 1] * base % p
+    return powers
+
+
 def _zn_rows(g: int, k: int, p: int) -> tuple[tuple[int, ...], ...]:
     """The rows of PrimeContext.zn_rows for g = z^n: about ceil(k/8)*256 products."""
     rows = []
     for shift in range(0, k, _W):
-        row = [1] * (1 << min(_W, k - shift))
-        for d in range(1, len(row)):
-            row[d] = row[d - 1] * g % p
+        row = _powers(g, 1 << min(_W, k - shift), p)
         rows.append(tuple(row))
         g = row[-1] * g % p  # g^(2^8): the next row's step
     return tuple(rows)
 
 
 def make_context(p: int) -> PrimeContext:
-    """Validate p, decompose p - 1, pick z, and build the rows of z^(j*n).
-
-    decompose runs the one primality test; the nonresidue search relies on
-    it.  The rows are checked for every k: z^(2^(k-1) n) must be -1, or z
-    was not a nonresidue and ArithmeticError is raised here.
-    """
+    """Decompose p - 1, which runs the one primality test, and build the
+    PrimeContext with the smallest nonresidue z; both rely on that test."""
     k, n = decompose(p)
-    z = _smallest_nonresidue(p)
-    ctx = PrimeContext(p, k, n, z)
-    if ctx.zn_pow(1 << (k - 1)) != p - 1:
-        raise ArithmeticError(f"nonresidue powers inconsistent for p={p}")
-    return ctx
+    return PrimeContext(p, k, n, _smallest_nonresidue(p))
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:

@@ -387,7 +387,9 @@ def test_bench_deterministic_with_seed(capsys):
 
 
 def test_bench_method_class_mismatch(capsys):
-    assert run_cli(capsys, "bench", "--p", "17", "--methods", "f3")[0] == 1
+    code, _, err = run_cli(capsys, "bench", "--p", "17", "--methods", "f3")
+    assert code == 1
+    assert err.endswith("error: method f3 needs k=3, p=17 has k=4\n")
 
 
 def test_bench_brute_guard(capsys):

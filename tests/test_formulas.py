@@ -180,28 +180,25 @@ def test_synth_k1_count_is_f1s(p, count):
     assert sqrt_synth(ctx, 4).mul_count == sqrt_f1(ctx, 4).mul_count == count
 
 
-def test_invalid_context_is_reported():
-    # z = 2 is a residue mod 41, 97, 7681, 65537 and BabyBear, so z^n has
-    # order below 2^k and the log table would have collisions; the lift must
-    # say so, never KeyError or NotAResidue, with one row of powers, also
-    # when sqrt_auto reaches it at k = 5 through sqrt_synth, with two
-    # windows at k = 9 and k = 16 and with four rows, for a residue and a
-    # nonresidue alike
-    def bad(p, z):
-        k, n = decompose(p)
-        return PrimeContext(p, k, n, z)
+@pytest.mark.parametrize("p", [41, 97, 7681, 65537, 2013265921])
+def test_residue_z_is_rejected_when_the_context_is_built(p):
+    # z = 2 is a residue mod each p, so z^n has order below 2^k and its log
+    # table would have collisions: the constructor refuses the context, with
+    # one row of powers (41, 97), two (7681, 65537) and four (BabyBear)
+    k, n = decompose(p)
+    with pytest.raises(ArithmeticError, match=rf"z=2 is not a nonresidue mod p={p}:"):
+        PrimeContext(p, k, n, 2)
 
-    cases = [
-        (sqrt_f3, bad(41, 2)),
-        (sqrt_auto, bad(97, 2)),
-        (sqrt_auto, bad(7681, 2)),
-        (sqrt_auto, bad(65537, 2)),
-        (sqrt_auto, bad(2013265921, 2)),
-    ]
-    for fn, ctx in cases:
-        for a in (2, 9, make_context(ctx.p).z):
-            with pytest.raises(ArithmeticError, match="context invalid"):
-                fn(ctx, a)
+
+@pytest.mark.parametrize(
+    "p,k,n,z", [(41, 2, 10, 3), (41, 4, 5, 3), (41, 3, 3, 3), (2, 0, 1, 1)]
+)
+def test_bad_decomposition_is_rejected_when_the_context_is_built(p, k, n, z):
+    # n even; n odd but p - 1 != n 2^k, with k too large and with n too
+    # small; k = 0
+    want = rf"^p={p}, k={k}, n={n}: need k >= 1, n odd and p - 1 = n 2\^k$"
+    with pytest.raises(ValueError, match=want):
+        PrimeContext(p, k, n, z)
 
 
 def test_auto_reaches_sqrt_synth_through_its_module(monkeypatch):

@@ -322,7 +322,8 @@ def test_zn_pow_matches_pow(p, j):
 @pytest.mark.parametrize("p", [7, 786433, 2013265921, GOLDILOCKS])
 def test_make_context_rejects_a_residue_as_z(monkeypatch, p):
     # 4 is a residue mod every odd prime: the rows' z^(2^(k-1) n) is then
-    # 1, not -1, and make_context must say so itself, for every k
+    # 1, not -1, and the PrimeContext that make_context builds must refuse
+    # it, for every k
     monkeypatch.setattr(modarith, "_smallest_nonresidue", lambda p: 4)
     with pytest.raises(ArithmeticError, match=f"p={p}"):
         make_context(p)
