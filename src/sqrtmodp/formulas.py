@@ -11,16 +11,19 @@ of the class index t = s/2; the evaluator reads those bits 8 at a time
 instead, by one log-table lookup per window of s after k - min(8, k)
 squarings (the windowed discrete log of Bernstein 2001 and Sarkar, IACR
 ePrint 2020/1407), and the low bit of s is Euler's symbol, so the screen
-costs nothing more.  The root is the bracket's one live term, a^((n+1)/2)
-z^(en).  At k = 1 the bracket is empty and the root is the bare power
-a^((n+1)/2).  The count is the lift's cost, priced once per context.
+costs nothing more.  The digits already read leave each later window, and
+the multiplier z^(en) is built, by reads from the context's rows of inverse
+powers, one product each: the walk calls no zn_pow.  The root is the
+bracket's one live term, a^((n+1)/2) z^(en).  At k = 1 the bracket is empty
+and the root is the bare power a^((n+1)/2).  The count is the lift's cost,
+priced once per context.
 sqrt_auto hands k > 4 to sqrt_synth, read from the synthesis module at each
 call.
 """
 
 from typing import NamedTuple
 
-from .modarith import _W, PrimeContext
+from .modarith import _DIGIT, _W, PrimeContext
 
 __all__ = [
     "NotAResidue",
@@ -62,48 +65,54 @@ def _class_root(ctx: PrimeContext, a: int, method: str) -> SqrtOutcome:
 
     One power u = a^((n-1)/2) gives root = a^((n+1)/2) = a u and a^n =
     root u = g^s, g = z^n.  Windows of w = min(8, k) bits go from the low end
-    of s: a^n squared k - w times is h^d, h = g^(2^(k-w)), and ctx._log gives
-    the low digit d.  Each later window takes the saved square a^(2^m n) for
-    its shift m, divides out the bits already known with one zn_pow and one
-    product, and looks the next digit up; the last window may overlap the
-    one before it.  The first digit's low bit is s mod 2, Euler's symbol, so
-    it is the screen.  At k <= 8 s is one lookup of a^n, with no squarings.
+    of s.  The squares a^(2^m n) at the windows' shifts m come first, by the
+    powers ctx._steps, k - w squarings in all; the last, a^(2^(k-w) n), is
+    h^d for h = g^(2^(k-w)), and ctx._log gives the low digit d.  Each later
+    window takes its saved square, divides each digit already known out of
+    it with one row read and one product, and looks the next digit up; the
+    last window may overlap the one before it.  The first digit's low bit is
+    s mod 2, Euler's symbol, so it is the screen.  At k <= 8 s is one lookup
+    of a^n, with no squarings.
 
     s = 2t for the class index t, and the root is the paper's value at a,
     a^((n+1)/2) z^(en) with e = -t mod 2^(k-1), up to sign: root times
-    zn_pow(-s/2).  At k = 1 the bracket is empty and the root is the bare
-    power.
+    g^(-s/2), one row read and one product per 8 bits of s/2, so at k <= 8
+    root times inv[s >> 1].  At k = 1 s/2 has no bits, the bracket is empty
+    and the root is the bare power.  No zn_pow is called.
 
     mul_count is ctx._cost, modarith._class_cost(n, k): the same for every
     nonzero residue of the prime, priced once per context, and 0 at a = 0.
     """
-    p, k = ctx.p, ctx.k
+    p = ctx.p
     if not 0 <= a < p:
         raise ValueError(f"residue {a} out of range for p={p}")
     if a == 0:  # every factor is 1 at x = 0, so no class is singled out
         return SqrtOutcome(0, 0, method, 0)
-    u = pow(a, (ctx.n - 1) // 2, p)
+    u = pow(a, ctx._u_exp, p)
     root = a * u % p
     x = root * u % p  # a^n = g^s
     log = ctx._log
-    if k <= _W:
+    if not ctx._steps:  # k <= 8: s is one lookup of a^n
         s = log[x]
     else:
-        squares = [x]  # squares[m] = a^(2^m n)
-        for _ in range(k - _W):
-            x = x * x % p
+        squares = []  # a^(2^m n) for the windows after the first, the last on top
+        for e in ctx._steps:
             squares.append(x)
+            x = pow(x, e, p)
         s = log[x]
         if not s & 1:
-            zn_pow = ctx.zn_pow
-            for m in range(k - 2 * _W, -_W, -_W):
-                m = max(m, 0)  # the last window may overlap the one before
-                d = log[squares[m] * zn_pow(-s << m) % p]
-                s += d << (k - _W - m)
+            for rows, shift in ctx._windows:
+                x = squares.pop()
+                t = s  # the known digits, 8 bits each from the low end
+                for row in rows:
+                    x = x * row[t & _DIGIT] % p
+                    t >>= _W
+                s += log[x] << shift
     if s & 1:  # s mod 2 is Euler's symbol: a^((p-1)/2) = g^(2^(k-1) s)
         raise NotAResidue(f"{a} is not a quadratic residue mod {p}")
-    if k > 1:
-        root = root * ctx.zn_pow(-(s >> 1)) % p
+    for row in ctx._half:
+        root = root * row[s >> 1 & _DIGIT] % p
+        s >>= _W
     if root > p - root:  # root != 0, since a != 0
         root = p - root
     return _new_tuple(SqrtOutcome, (root, p - root, method, ctx._cost))

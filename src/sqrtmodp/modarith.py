@@ -9,7 +9,10 @@ rows and at most ceil(k/8)*256 entries for any k, so no table of all 2^k
 powers is kept.  A lookup multiplies one entry from each row, ceil(k/8) - 1
 products, and a log table of 2^min(8, k) entries reads 8 bits of a discrete
 log in g at once (Bernstein, "Faster square roots in annoying finite
-fields", 2001; Sarkar, IACR ePrint 2020/1407).
+fields", 2001; Sarkar, IACR ePrint 2020/1407).  The class lift reads rows of
+inverse powers g^(-d 2^t) instead, one row per shift t it needs, fewer than
+2 ceil(k/8) rows of at most 256 entries, so it makes one product per row
+read and no lookup.
 """
 
 __all__ = [
@@ -59,17 +62,17 @@ def _lookup_cost(k: int) -> int:
 
 def _class_cost(n: int, k: int) -> int:
     """The class lift's cost: the power a^((n-1)/2), two products and k - w
-    squarings, w = min(8, k); for each window after the first a zn_pow
-    lookup (ceil(k/8) - 1 products) and one product; then, for k > 1, the
-    multiplier's lookup and its product.
+    squarings, w = min(8, k); for each window after the first, one product
+    per digit already known, so L(L - 1)/2 in all for L = ceil(k/8) windows;
+    then one product per 8 bits of s/2 for the multiplier, ceil((k - 1)/8),
+    none at k = 1.  Each product multiplies in one row entry.
 
     Every window is charged, also while the bits already known are 0, so the
     count depends on (n, k) alone; PrimeContext prices it once, as _cost."""
-    w = min(_W, k)
-    step = _lookup_cost(k) + 1
-    windows = -(-k // w)
-    lift = (windows - 1) * step + (step if k > 1 else 0)
-    return _pow_cost((n - 1) // 2) + 2 + (k - w) + lift
+    windows = -(-k // _W)
+    divide_out = windows * (windows - 1) // 2
+    multiplier = -(-(k - 1) // _W)
+    return _pow_cost((n - 1) // 2) + 2 + (k - min(_W, k)) + divide_out + multiplier
 
 
 class MulCounter:
@@ -211,13 +214,32 @@ class PrimeContext:
     inverse of the last row; otherwise its 2^8 entries cost 2^8 products.
     h has order 2^w, since g has order 2^k, so the table has no collisions.
 
-    The class lift's count, _cost, is derived in the same pass: it depends
-    on (n, k) alone (_class_cost), so each call reads it, not prices it.
+    The class lift (formulas._class_root) reads s, the log of a^n in g, one
+    window of 8 bits at a time from the low end, and its plan is derived
+    here as well.  With L = ceil(k/8) windows, window l reads the square
+    a^(2^m n) for m = max(k - 8 - 8l, 0), so the last window may overlap the
+    one before it.  _steps are the powers 2^(m' - m) that lead from each
+    saved square to the next, k - 8 squarings from a^n in all, none at
+    k <= 8.  _windows holds, for each window after the first, the rows
+    g^(-d 2^(8i + m)) that divide each known digit i out of its square, and
+    the shift of its own digit in s.  _half holds the multiplier's rows
+    g^(-d 2^(8j)) for the 8-bit digits of s/2, none at k = 1.  These rows of
+    inverse powers are keyed by shift and shared where two uses meet: fewer
+    than 2L rows of at most 256 entries.  The row at the last shift of
+    zn_rows is that row reversed, so at k <= 8 no product is made; each
+    other row is built by _powers, one product per entry.
+
+    The class lift's exponent (n - 1)/2, _u_exp, and its count, _cost, are
+    derived in the same pass: the count depends on (n, k) alone
+    (_class_cost), so each call reads it, not prices it.
     Everything is derived from (p, k, n, z) when the context is built and
     never reassigned, so one context is safe to share across workers.
     """
 
-    __slots__ = ("p", "k", "n", "z", "zn_rows", "_mask", "_head", "_rest", "_log", "_cost")
+    __slots__ = (
+        "p", "k", "n", "z", "zn_rows", "_mask", "_head", "_rest",
+        "_u_exp", "_log", "_steps", "_windows", "_half", "_cost",
+    )
 
     def __init__(self, p: int, k: int, n: int, z: int) -> None:
         if k < 1 or n % 2 == 0 or p - 1 != n << k:
@@ -229,7 +251,9 @@ class PrimeContext:
         self._mask, self._head, self._rest = (1 << k) - 1, head, tuple(rest)
         if self.zn_pow(1 << (k - 1)) != p - 1:
             raise ArithmeticError(f"z={z} is not a nonresidue mod p={p}: z^(2^(k-1) n) != -1")
+        self._u_exp = (n - 1) // 2  # the one power per call is a^((n-1)/2)
         self._log = self._log_table()
+        self._lift_plan()
         self._cost = _class_cost(n, k)
 
     def __repr__(self) -> str:
@@ -241,6 +265,30 @@ class PrimeContext:
         if self.k % _W and self.k > _W:
             powers = _powers(self.zn_pow(1 << (self.k - _W)), 1 << _W, self.p)
         return dict(zip(powers, range(len(powers))))
+
+    def _lift_plan(self) -> None:
+        """_steps, _windows and _half: see the class docstring."""
+        k = self.k
+        last = self.zn_rows[-1]
+        windows = len(self.zn_rows)
+        # g^(-d 2^t) by shift t: the last row of zn_rows, reversed, is the row
+        # at its own shift, and every other row the lift reads is full
+        rows = {_W * (windows - 1): last[:1] + last[:0:-1]}
+        self._half = tuple([self._inverse_row(t, rows) for t in range(0, k - 1, _W)])
+        # the saved squares' shifts: 0, then k - 8(L - 1) up to k - 8 in steps of 8
+        first = k - _W * (windows - 1)
+        self._steps = (1 << first,) + (1 << _W,) * (windows - 2) if windows > 1 else ()
+        plan = []
+        for l in range(1, windows):
+            m = max(k - _W - _W * l, 0)
+            plan.append((tuple([self._inverse_row(_W * i + m, rows) for i in range(l)]), k - _W - m))
+        self._windows = tuple(plan)
+
+    def _inverse_row(self, t: int, rows: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
+        """g^(-d 2^t) for d < 2^8, kept in rows by t: 2^8 - 1 products once."""
+        if t not in rows:
+            rows[t] = tuple(_powers(self.zn_pow(-(1 << t)), 1 << _W, self.p))
+        return rows[t]
 
     def zn_pow(self, j: int) -> int:
         """z^(j*n) mod p; j is reduced mod 2^k, the order of z^n.

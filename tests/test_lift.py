@@ -2,7 +2,8 @@
 
 _class_root reads the class index 8 bits per log-table lookup, from the low
 end; above k = 8 the last window may overlap the one before it or line up
-with a row boundary of zn_rows.  direct_sqrt keeps the one-bit-per-level
+with a row boundary of zn_rows, and each window divides the digits already
+known out of its square by reading the context's rows of inverse powers.  direct_sqrt keeps the one-bit-per-level
 lift (oracles._lift_class), so it is the independent reference, and
 legendre decides which inputs must raise NotAResidue.
 """
@@ -46,10 +47,21 @@ def test_every_input_at_one_and_two_windows(p):
         agrees(ctx, a)
 
 
-@pytest.mark.parametrize("k", [15, 16, 17, 24, 32])
-def test_seeded_inputs_at_window_seams(k):
-    # 16, 24 and 32 line up with the rows; 15 and 17 overlap the last window
-    p = primes_with_k(k, 1)[0]
+# 786433 (k = 18), KoalaBear (k = 24) and three primes with k = 56, 64, 72
+LARGE_K_PRIMES = (
+    786433, 2130706433, 1945555039024054273,
+    461168601842738790401, 599740543324444942139393,
+)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [pytest.param(primes_with_k(k, 1)[0], id=str(k)) for k in (15, 16, 17, 24, 32)]
+    + [pytest.param(p, id=f"p{p}") for p in LARGE_K_PRIMES],
+)
+def test_seeded_inputs_at_window_seams(p):
+    # 16, 24, 32, 56, 64 and 72 line up with the rows; 15, 17 and 18 overlap
+    # the last window
     ctx = make_context(p)
     rng = random.Random(p)
     residues = nonresidues = 0
@@ -69,24 +81,75 @@ class _CountingLog(dict):
         return super().__getitem__(key)
 
 
+class _CountingRow(tuple):
+    """A row that tallies its reads under a key: a window's number or "half"."""
+
+    def __new__(cls, row, reads, key):
+        self = super().__new__(cls, row)
+        self.reads, self.key = reads, key
+        return self
+
+    def __getitem__(self, d):
+        self.reads[self.key] = self.reads.get(self.key, 0) + 1
+        return super().__getitem__(d)
+
+
 @pytest.mark.parametrize("k", [1, 2, 5, 8, 9, 15, 16, 17, 24, 25, 32])
 def test_one_table_read_per_window(k, monkeypatch):
-    # ceil(k/8) log-table reads at a residue, one at a nonresidue; a zn_pow
-    # per window after the first and one for the multiplier (none at k = 1)
+    # ceil(k/8) log-table reads at a residue, one at a nonresidue; window i
+    # reads one row per digit known before it, and the multiplier one row
+    # per 8 bits of s/2 (none at k = 1); zn_pow is never called
     p = primes_with_k(k, 1)[0]
     ctx = make_context(p)
     log = ctx._log = _CountingLog(ctx._log)
+    reads = {}
+    ctx._windows = tuple(
+        (tuple(_CountingRow(row, reads, i) for row in rows), shift)
+        for i, (rows, shift) in enumerate(ctx._windows, 1)
+    )
+    ctx._half = tuple(_CountingRow(row, reads, "half") for row in ctx._half)
     calls = []
-    zn_pow = PrimeContext.zn_pow
-    monkeypatch.setattr(PrimeContext, "zn_pow", lambda self, j: calls.append(j) or zn_pow(self, j))
+    monkeypatch.setattr(PrimeContext, "zn_pow", lambda self, j: calls.append(j))
     windows = -(-k // 8)
+    want = {i: i for i in range(1, windows)}
+    if k > 1:
+        want["half"] = -(-(k - 1) // 8)
     rng = random.Random(k)
     for _ in range(20):
         r = rng.randrange(1, p)
-        log.reads, calls[:] = 0, []
-        assert sqrt_auto(ctx, r * r % p).root in (r, p - r)
-        assert (log.reads, len(calls)) == (windows, windows - (k == 1))
         log.reads = 0
+        reads.clear()
+        assert sqrt_auto(ctx, r * r % p).root in (r, p - r)
+        assert (log.reads, reads) == (windows, want)
+        log.reads = 0
+        reads.clear()
         with pytest.raises(NotAResidue):
             sqrt_auto(ctx, ctx.z * r * r % p)
-        assert log.reads == 1
+        assert (log.reads, reads) == (1, {})
+    assert calls == []
+
+
+def _entries(value, tables):
+    """Record each distinct table in value, by identity: a dict, or a tuple
+    or list of ints, with its number of entries."""
+    if isinstance(value, dict):
+        tables[id(value)] = len(value)
+    elif isinstance(value, (tuple, list)):
+        if all(isinstance(v, int) for v in value):
+            tables[id(value)] = len(value)
+        else:
+            for v in value:
+                _entries(v, tables)
+
+
+@pytest.mark.parametrize("k", [8, 9, 16, 17, 32, 72])
+def test_rows_stay_linear_in_k(k):
+    # every table a context keeps, zn_rows, the log table and the lift's rows
+    # together, holds at most 3 ceil(k/8) 256 entries: no 2^k table
+    p = primes_with_k(k, 1)[0] if k < 72 else LARGE_K_PRIMES[-1]
+    ctx = make_context(p)
+    assert ctx.k == k
+    tables = {}
+    for name in PrimeContext.__slots__:
+        _entries(getattr(ctx, name), tables)
+    assert sum(tables.values()) <= 3 * -(-k // 8) * 256

@@ -45,12 +45,12 @@ def expected_count(p, k):
     n = (p - 1) >> k
     w = min(8, k)  # bits of the class index read per table lookup
     front = pow_cost((n - 1) // 2) + 2 + (k - w)  # u, a u, a^((n+1)/2) u, squarings
-    if k == 1:
-        return front  # the bare power: no multiplier
-    lookup = (k + 7) // 8 - 1  # one zn_pow, combining ceil(k/8) rows
-    windows = -(-k // w)
-    # a lookup and a product per window after the first, then the multiplier's
-    return front + (windows - 1) * (lookup + 1) + lookup + 1
+    windows = (k + 7) // 8
+    # window i divides out each of the i digits read before it, a product each
+    divide_out = sum(range(windows))
+    # the multiplier g^(-s/2): a product per 8-bit digit of s/2, which has k - 1 bits
+    multiplier = (k - 1 + 7) // 8
+    return front + divide_out + multiplier
 
 
 def smallest_prime_with_k(k):
