@@ -5,15 +5,16 @@ nonresidue-power terms that collapses, at any quadratic residue, to the
 single selector for the residue's class.  One private evaluator computes it
 for every k: sqrt_f1..sqrt_f4, sqrt_auto and synthesis.sqrt_synth differ
 only in the class they accept and the method tag they report.  It takes
-one shared power per call, a^((n-1)/2); a^((n+1)/2) and a^n = z^(sn) follow
+one shared power per call, a^((n-1)/2); a^((n+1)/2) and a^n follow
 from it by two products.  The bracket's k-1 level factors each fix one bit
-of the class index t = s/2; the evaluator reads those bits 8 at a time
-instead, by one log-table lookup per window of s after k - min(8, k)
+of the class index t; the evaluator reads e = -t mod 2^(k-1), the exponent
+of the multiplier z^(en), 8 bits at a time instead, from s = 2e, the log
+of a^n in z^(-n): one log-table lookup per window of s after k - min(8, k)
 squarings (the windowed discrete log of Bernstein 2001 and Sarkar, IACR
-ePrint 2020/1407), and the low bit of s is Euler's symbol, so the screen
-costs nothing more.  The digits already read leave each later window, and
-the multiplier z^(en) is built, by reads from the context's rows of inverse
-powers, one product each: the walk calls no zn_pow.  The root is the
+ePrint 2020/1407).  The low bit of s is Euler's symbol, so the screen costs
+nothing more.  Each later window multiplies the digits already read back
+in, and the multiplier is built, by reads of the context's rows of z^(jn),
+one product each: the walk calls no zn_pow.  The root is the
 bracket's one live term, a^((n+1)/2) z^(en).  At k = 1 the bracket is empty
 and the root is the bare power a^((n+1)/2).  The count is the lift's cost,
 priced once per context.
@@ -64,21 +65,22 @@ def _class_root(ctx: PrimeContext, a: int, method: str) -> SqrtOutcome:
     per table lookup.
 
     One power u = a^((n-1)/2) gives root = a^((n+1)/2) = a u and a^n =
-    root u = g^s, g = z^n.  Windows of w = min(8, k) bits go from the low end
-    of s.  The squares a^(2^m n) at the windows' shifts m come first, by the
-    powers ctx._steps, k - w squarings in all; the last, a^(2^(k-w) n), is
-    h^d for h = g^(2^(k-w)), and ctx._log gives the low digit d.  Each later
-    window takes its saved square, divides each digit already known out of
-    it with one row read and one product, and looks the next digit up; the
-    last window may overlap the one before it.  The first digit's low bit is
-    s mod 2, Euler's symbol, so it is the screen.  At k <= 8 s is one lookup
-    of a^n, with no squarings.
+    root u = g^(-s), g = z^n, s < 2^k.  Windows of w = min(8, k) bits go
+    from the low end of s.  The squares a^(2^m n) at the windows' shifts m
+    come first, by the powers ctx._steps, k - w squarings in all; the last,
+    a^(2^(k-w) n), is h^(-d) for h = g^(2^(k-w)), and ctx._log gives the low
+    digit d.  Each later window takes its saved square, multiplies the
+    digits already known back in, g^(2^m s), with one product per row of
+    ctx.zn_rows, and looks the next digit up; the last window may overlap
+    the one before it.  The first digit's low bit is s mod 2, Euler's
+    symbol, so it is the screen.  At k <= 8 s is one lookup of a^n, with no
+    squarings.
 
-    s = 2t for the class index t, and the root is the paper's value at a,
-    a^((n+1)/2) z^(en) with e = -t mod 2^(k-1), up to sign: root times
-    g^(-s/2), one row read and one product per 8 bits of s/2, so at k <= 8
-    root times inv[s >> 1].  At k = 1 s/2 has no bits, the bracket is empty
-    and the root is the bare power.  No zn_pow is called.
+    s = 2e for the paper's e = -t mod 2^(k-1), t the class index, so the
+    root is the paper's value at a, a^((n+1)/2) z^(en): root times g^e, one
+    row read and one product per 8 bits of e, so at k <= 8 root times
+    zn_rows[0][e].  At k = 1 e has no bits, the bracket is empty and the
+    root is the bare power.  No zn_pow is called.
 
     mul_count is ctx._cost, modarith._class_cost(n, k): the same for every
     nonzero residue of the prime, priced once per context, and 0 at a = 0.
@@ -88,31 +90,34 @@ def _class_root(ctx: PrimeContext, a: int, method: str) -> SqrtOutcome:
         raise ValueError(f"residue {a} out of range for p={p}")
     if a == 0:  # every factor is 1 at x = 0, so no class is singled out
         return SqrtOutcome(0, 0, method, 0)
-    u = pow(a, ctx._u_exp, p)
+    u = pow(a, ctx.n >> 1, p)  # (n - 1)/2, n odd
     root = a * u % p
-    x = root * u % p  # a^n = g^s
+    x = root * u % p  # a^n = g^(-s)
+    # a^(2^m n) for each window after the first, with its m and its digit's
+    # shift, on a stack of tuples (square, m, shift, rest): empty at k <= 8
+    squares = ()
+    plan = ctx._steps
+    while plan:
+        (step, m, shift), plan = plan
+        squares = x, m, shift, squares
+        x = pow(x, step, p)
     log = ctx._log
-    if not ctx._steps:  # k <= 8: s is one lookup of a^n
-        s = log[x]
-    else:
-        squares = []  # a^(2^m n) for the windows after the first, the last on top
-        for e in ctx._steps:
-            squares.append(x)
-            x = pow(x, e, p)
-        s = log[x]
-        if not s & 1:
-            for rows, shift in ctx._windows:
-                x = squares.pop()
-                t = s  # the known digits, 8 bits each from the low end
-                for row in rows:
-                    x = x * row[t & _DIGIT] % p
-                    t >>= _W
-                s += log[x] << shift
-    if s & 1:  # s mod 2 is Euler's symbol: a^((p-1)/2) = g^(2^(k-1) s)
+    s = log[x]
+    if s & 1:  # s mod 2 is Euler's symbol: a^((p-1)/2) = g^(-2^(k-1) s)
         raise NotAResidue(f"{a} is not a quadratic residue mod {p}")
-    for row in ctx._half:
-        root = root * row[s >> 1 & _DIGIT] % p
-        s >>= _W
+    while squares:  # the top square first
+        x, m, shift, squares = squares
+        e = s << m  # multiplies the digits already known back in: g^(2^m s)
+        for row in ctx.zn_rows:
+            x = x * row[e & _DIGIT] % p
+            e >>= _W
+        s += log[x] << shift
+    e = s >> 1  # the paper's e: the root is a^((n+1)/2) g^e
+    rows = ctx._t_rows
+    while rows:
+        row, rows = rows
+        root = root * row[e & _DIGIT] % p
+        e >>= _W
     if root > p - root:  # root != 0, since a != 0
         root = p - root
     return _new_tuple(SqrtOutcome, (root, p - root, method, ctx._cost))

@@ -8,11 +8,9 @@ With g = z^n, row i holds g^(d 2^(8i)) for d < 2^min(8, k - 8i): ceil(k/8)
 rows and at most ceil(k/8)*256 entries for any k, so no table of all 2^k
 powers is kept.  A lookup multiplies one entry from each row, ceil(k/8) - 1
 products, and a log table of 2^min(8, k) entries reads 8 bits of a discrete
-log in g at once (Bernstein, "Faster square roots in annoying finite
-fields", 2001; Sarkar, IACR ePrint 2020/1407).  The class lift reads rows of
-inverse powers g^(-d 2^t) instead, one row per shift t it needs, fewer than
-2 ceil(k/8) rows of at most 256 entries, so it makes one product per row
-read and no lookup.
+log in g^-1 at once (Bernstein, "Faster square roots in annoying finite
+fields", 2001; Sarkar, IACR ePrint 2020/1407).  The class lift reads the
+same rows inline, one product per row read, and keeps no table of its own.
 """
 
 __all__ = [
@@ -63,16 +61,15 @@ def _lookup_cost(k: int) -> int:
 def _class_cost(n: int, k: int) -> int:
     """The class lift's cost: the power a^((n-1)/2), two products and k - w
     squarings, w = min(8, k); for each window after the first, one product
-    per digit already known, so L(L - 1)/2 in all for L = ceil(k/8) windows;
-    then one product per 8 bits of s/2 for the multiplier, ceil((k - 1)/8),
-    none at k = 1.  Each product multiplies in one row entry.
+    per row of zn_rows, ceil(k/8), to multiply the digits already known
+    back in; then, for the multiplier, one product per row that covers the
+    k - 1 bits of s/2, ceil((k - 1)/8), none at k = 1.
 
     Every window is charged, also while the bits already known are 0, so the
     count depends on (n, k) alone; PrimeContext prices it once, as _cost."""
     windows = -(-k // _W)
-    divide_out = windows * (windows - 1) // 2
     multiplier = -(-(k - 1) // _W)
-    return _pow_cost((n - 1) // 2) + 2 + (k - min(_W, k)) + divide_out + multiplier
+    return _pow_cost((n - 1) // 2) + 2 + (k - min(_W, k)) + (windows - 1) * windows + multiplier
 
 
 class MulCounter:
@@ -208,37 +205,34 @@ class PrimeContext:
     g generates the 2-part of the multiplicative group: period 2^k,
     g^(2^(k-1)) = -1.
 
-    A private log table, derived with the rest, maps h^d -> d for
+    A private log table, derived with the rest, maps h^(-d) -> d for
     h = g^(2^(k-w)), w = min(8, k) and d < 2^w: it reads w bits of a
-    discrete log in one lookup.  When k <= 8 or 8 divides k it is the
-    inverse of the last row; otherwise its 2^8 entries cost 2^8 products.
+    discrete log in one lookup.  When k <= 8 or 8 divides k it is read off
+    the last row, the powers of h; otherwise its 2^8 entries cost 2^8
+    products.
     h has order 2^w, since g has order 2^k, so the table has no collisions.
 
-    The class lift (formulas._class_root) reads s, the log of a^n in g, one
-    window of 8 bits at a time from the low end, and its plan is derived
+    The class lift (formulas._class_root) reads s, the log of a^n in g^-1,
+    one window of 8 bits at a time from the low end, and its plan is derived
     here as well.  With L = ceil(k/8) windows, window l reads the square
     a^(2^m n) for m = max(k - 8 - 8l, 0), so the last window may overlap the
-    one before it.  _steps are the powers 2^(m' - m) that lead from each
-    saved square to the next, k - 8 squarings from a^n in all, none at
-    k <= 8.  _windows holds, for each window after the first, the rows
-    g^(-d 2^(8i + m)) that divide each known digit i out of its square, and
-    the shift of its own digit in s.  _half holds the multiplier's rows
-    g^(-d 2^(8j)) for the 8-bit digits of s/2, none at k = 1.  These rows of
-    inverse powers are keyed by shift and shared where two uses meet: fewer
-    than 2L rows of at most 256 entries.  The row at the last shift of
-    zn_rows is that row reversed, so at k <= 8 no product is made; each
-    other row is built by _powers, one product per entry.
+    one before it.  _steps has, for each window after the first, from the
+    last window up, the power 2^(m' - m) that leads from its square to the
+    next one saved, its m, and the shift of its digit in s: k - 8 squarings
+    from a^n to the top square in all, none at k <= 8.  _t_rows are the rows
+    of zn_rows that cover the k - 1 bits of s/2, none at k = 1: the same
+    tuples, not copies.  Both are linked pairs (_linked).  The lift keeps no
+    table of its own.
 
-    The class lift's exponent (n - 1)/2, _u_exp, and its count, _cost, are
-    derived in the same pass: the count depends on (n, k) alone
-    (_class_cost), so each call reads it, not prices it.
+    The class lift's count, _cost, is derived in the same pass: it depends
+    on (n, k) alone (_class_cost), so each call reads it, not prices it.
     Everything is derived from (p, k, n, z) when the context is built and
     never reassigned, so one context is safe to share across workers.
     """
 
     __slots__ = (
         "p", "k", "n", "z", "zn_rows", "_mask", "_head", "_rest",
-        "_u_exp", "_log", "_steps", "_windows", "_half", "_cost",
+        "_log", "_steps", "_t_rows", "_cost",
     )
 
     def __init__(self, p: int, k: int, n: int, z: int) -> None:
@@ -251,7 +245,6 @@ class PrimeContext:
         self._mask, self._head, self._rest = (1 << k) - 1, head, tuple(rest)
         if self.zn_pow(1 << (k - 1)) != p - 1:
             raise ArithmeticError(f"z={z} is not a nonresidue mod p={p}: z^(2^(k-1) n) != -1")
-        self._u_exp = (n - 1) // 2  # the one power per call is a^((n-1)/2)
         self._log = self._log_table()
         self._lift_plan()
         self._cost = _class_cost(n, k)
@@ -260,35 +253,22 @@ class PrimeContext:
         return f"PrimeContext(p={self.p}, k={self.k}, n={self.n}, z={self.z})"
 
     def _log_table(self) -> dict[int, int]:
-        """h^d -> d for h = g^(2^(k-w)), w = min(8, k) and d < 2^w."""
+        """h^(-d) -> d for h = g^(2^(k-w)), w = min(8, k) and d < 2^w."""
         powers = self.zn_rows[-1]  # the powers of h when k <= 8 or 8 divides k
         if self.k % _W and self.k > _W:
             powers = _powers(self.zn_pow(1 << (self.k - _W)), 1 << _W, self.p)
-        return dict(zip(powers, range(len(powers))))
+        return dict(zip(powers[:1] + powers[:0:-1], range(len(powers))))
 
     def _lift_plan(self) -> None:
-        """_steps, _windows and _half: see the class docstring."""
+        """_steps and _t_rows: see the class docstring."""
         k = self.k
-        last = self.zn_rows[-1]
-        windows = len(self.zn_rows)
-        # g^(-d 2^t) by shift t: the last row of zn_rows, reversed, is the row
-        # at its own shift, and every other row the lift reads is full
-        rows = {_W * (windows - 1): last[:1] + last[:0:-1]}
-        self._half = tuple([self._inverse_row(t, rows) for t in range(0, k - 1, _W)])
-        # the saved squares' shifts: 0, then k - 8(L - 1) up to k - 8 in steps of 8
-        first = k - _W * (windows - 1)
-        self._steps = (1 << first,) + (1 << _W,) * (windows - 2) if windows > 1 else ()
-        plan = []
-        for l in range(1, windows):
-            m = max(k - _W - _W * l, 0)
-            plan.append((tuple([self._inverse_row(_W * i + m, rows) for i in range(l)]), k - _W - m))
-        self._windows = tuple(plan)
-
-    def _inverse_row(self, t: int, rows: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
-        """g^(-d 2^t) for d < 2^8, kept in rows by t: 2^8 - 1 products once."""
-        if t not in rows:
-            rows[t] = tuple(_powers(self.zn_pow(-(1 << t)), 1 << _W, self.p))
-        return rows[t]
+        steps, m = [], 0
+        # the next square's m: k - 8(L - 1) up to k - 8, the top, in steps of 8
+        for top in range(k - _W * (len(self.zn_rows) - 1), k - _W + 1, _W):
+            steps.append((1 << (top - m), m, k - _W - m))
+            m = top
+        self._steps = _linked(steps)
+        self._t_rows = _linked(self.zn_rows[: (k + _W - 2) // _W])
 
     def zn_pow(self, j: int) -> int:
         """z^(j*n) mod p; j is reduced mod 2^k, the order of z^n.
@@ -306,6 +286,18 @@ class PrimeContext:
             j >>= _W
             v = v * row[j & _DIGIT] % p
         return v
+
+
+def _linked(items: list | tuple) -> tuple:
+    """items as nested pairs (item, rest), () at the end.
+
+    The class lift walks them by `while rest: item, rest = rest`: at k <= 8
+    its plan is empty, and a truth test of () costs less than the iterator a
+    for loop would make on every call."""
+    out = ()
+    for item in reversed(items):
+        out = item, out
+    return out
 
 
 def _powers(base: int, count: int, p: int) -> list[int]:

@@ -3,9 +3,9 @@
 _class_root reads the class index 8 bits per log-table lookup, from the low
 end; above k = 8 the last window may overlap the one before it or line up
 with a row boundary of zn_rows, and each window divides the digits already
-known out of its square by reading the context's rows of inverse powers.  direct_sqrt keeps the one-bit-per-level
-lift (oracles._lift_class), so it is the independent reference, and
-legendre decides which inputs must raise NotAResidue.
+known out of its square by reading zn_rows inline.  direct_sqrt keeps the
+one-bit-per-level lift (oracles._lift_class), so it is the independent
+reference, and legendre decides which inputs must raise NotAResidue.
 """
 
 import random
@@ -13,7 +13,7 @@ import random
 import pytest
 
 from sqrtmodp.formulas import NotAResidue, sqrt_auto
-from sqrtmodp.modarith import PrimeContext, is_prime, legendre, make_context
+from sqrtmodp.modarith import PrimeContext, _linked, is_prime, legendre, make_context
 from sqrtmodp.oracles import direct_sqrt
 
 
@@ -82,7 +82,7 @@ class _CountingLog(dict):
 
 
 class _CountingRow(tuple):
-    """A row that tallies its reads under a key: a window's number or "half"."""
+    """A row that tallies its reads under a key: "windows" or "multiplier"."""
 
     def __new__(cls, row, reads, key):
         self = super().__new__(cls, row)
@@ -96,24 +96,25 @@ class _CountingRow(tuple):
 
 @pytest.mark.parametrize("k", [1, 2, 5, 8, 9, 15, 16, 17, 24, 25, 32])
 def test_one_table_read_per_window(k, monkeypatch):
-    # ceil(k/8) log-table reads at a residue, one at a nonresidue; window i
-    # reads one row per digit known before it, and the multiplier one row
-    # per 8 bits of s/2 (none at k = 1); zn_pow is never called
+    # ceil(k/8) log-table reads at a residue, one at a nonresidue; each window
+    # after the first reads every row of zn_rows once, and the multiplier one
+    # row per 8 bits of s/2 (none at k = 1); zn_pow is never called
     p = primes_with_k(k, 1)[0]
     ctx = make_context(p)
     log = ctx._log = _CountingLog(ctx._log)
     reads = {}
-    ctx._windows = tuple(
-        (tuple(_CountingRow(row, reads, i) for row in rows), shift)
-        for i, (rows, shift) in enumerate(ctx._windows, 1)
-    )
-    ctx._half = tuple(_CountingRow(row, reads, "half") for row in ctx._half)
+    ctx.zn_rows = tuple(_CountingRow(row, reads, "windows") for row in ctx.zn_rows)
+    rows, t_rows = ctx._t_rows, []
+    while rows:
+        row, rows = rows
+        t_rows.append(_CountingRow(row, reads, "multiplier"))
+    ctx._t_rows = _linked(t_rows)
     calls = []
     monkeypatch.setattr(PrimeContext, "zn_pow", lambda self, j: calls.append(j))
     windows = -(-k // 8)
-    want = {i: i for i in range(1, windows)}
+    want = {"windows": (windows - 1) * windows} if windows > 1 else {}
     if k > 1:
-        want["half"] = -(-(k - 1) // 8)
+        want["multiplier"] = -(-(k - 1) // 8)
     rng = random.Random(k)
     for _ in range(20):
         r = rng.randrange(1, p)
@@ -144,12 +145,12 @@ def _entries(value, tables):
 
 @pytest.mark.parametrize("k", [8, 9, 16, 17, 32, 72])
 def test_rows_stay_linear_in_k(k):
-    # every table a context keeps, zn_rows, the log table and the lift's rows
-    # together, holds at most 3 ceil(k/8) 256 entries: no 2^k table
+    # every table a context keeps, zn_rows and the log table together, holds
+    # at most 2 ceil(k/8) 256 entries: no 2^k table
     p = primes_with_k(k, 1)[0] if k < 72 else LARGE_K_PRIMES[-1]
     ctx = make_context(p)
     assert ctx.k == k
     tables = {}
     for name in PrimeContext.__slots__:
         _entries(getattr(ctx, name), tables)
-    assert sum(tables.values()) <= 3 * -(-k // 8) * 256
+    assert sum(tables.values()) <= 2 * -(-k // 8) * 256

@@ -297,9 +297,9 @@ def test_zn_pow_contract(k):
     assert c.lookup(ctx, 0) == ctx.zn_pow(0) == 1
     assert c.lookup(ctx, -1) == ctx.zn_pow(-1)
     assert c.count == 2 * (rows - 1)
-    w = min(8, k)  # the log table reads w bits: h^d -> d, h = z^(2^(k-w) n)
+    w = min(8, k)  # the log table reads w bits: h^(-d) -> d, h = z^(2^(k-w) n)
     h = pow(ctx.z, ctx.n << (k - w), p)
-    assert ctx._log == {pow(h, d, p): d for d in range(1 << w)}
+    assert ctx._log == {pow(h, -d, p): d for d in range(1 << w)}
 
 
 @st.composite

@@ -45,9 +45,10 @@ def expected_count(p, k):
     n = (p - 1) >> k
     w = min(8, k)  # bits of the class index read per table lookup
     front = pow_cost((n - 1) // 2) + 2 + (k - w)  # u, a u, a^((n+1)/2) u, squarings
-    windows = (k + 7) // 8
-    # window i divides out each of the i digits read before it, a product each
-    divide_out = sum(range(windows))
+    rows = (k + 7) // 8  # rows of zn_rows, one per 8 bits of an exponent of g
+    windows = -(-k // w)
+    # each window after the first divides the known digits out: a product per row
+    divide_out = (windows - 1) * rows
     # the multiplier g^(-s/2): a product per 8-bit digit of s/2, which has k - 1 bits
     multiplier = (k - 1 + 7) // 8
     return front + divide_out + multiplier
