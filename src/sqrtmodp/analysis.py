@@ -1,8 +1,13 @@
 """Exact order-class statistics over the quadratic residues of one prime.
 
-All fractions are exact rationals so the counting laws can be asserted as
-equalities: the odd-order share is 1/2^(k-1) and, for k >= 2, the share of
-residues of order exactly 2^(k-1) is 1/(2n).
+Every count is derived from (k, n), not enumerated.  The residues form a
+cyclic group of order 2^(k-1) n, and a -> a^n maps it onto the subgroup of
+order 2^(k-1) that class indices t label, with a kernel of n elements: each
+class holds exactly n residues, class 0 is the odd-order residues, and
+phi(2^(k-1)) = 2^(k-2) residues have order exactly 2^(k-1) (one, the
+residue 1, at k = 1).  So the odd-order share is 1/2^(k-1) and, for k >= 2,
+the share of residues of order exactly 2^(k-1) is 1/(2n); the fractions are
+exact rationals.  The tests enumerate the residues and check these counts.
 """
 
 from fractions import Fraction
@@ -11,14 +16,15 @@ from typing import NamedTuple
 from .modarith import PrimeContext
 
 __all__ = [
-    "CENSUS_LIMIT",
+    "DENSITY_MAX_K",
     "DensityReport",
     "multiplier_coverage",
     "multiplier_histogram",
     "order_census",
 ]
 
-CENSUS_LIMIT = 1 << 22
+# The histograms hold 2^(k-1) entries each; 18 admits every prime below 2^22.
+DENSITY_MAX_K = 18
 
 
 class DensityReport(NamedTuple):
@@ -35,77 +41,22 @@ class DensityReport(NamedTuple):
     exact_2k1_fraction: Fraction
 
 
-def _odd_prime_factors(n: int) -> list[int]:
-    """The distinct prime factors of odd n, by trial division."""
-    out, q = [], 3
-    while q * q <= n:
-        if n % q == 0:
-            out.append(q)
-            while n % q == 0:
-                n //= q
-        q += 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _residue_generator(ctx: PrimeContext) -> int:
-    """gamma = c^2 for the smallest c >= 2 whose square has order (p-1)/2.
-
-    The order is tested against the prime factors q of 2^(k-1) n: gamma
-    generates the residues iff gamma^((p-1)/(2q)) != 1 for each of them.
-    """
-    p, k, n = ctx.p, ctx.k, ctx.n
-    m = (p - 1) // 2
-    primes = ([2] if k >= 2 else []) + _odd_prime_factors(n)
-    for c in range(2, p):
-        gamma = c * c % p
-        if all(pow(gamma, m // q, p) != 1 for q in primes):
-            return gamma
-    raise ArithmeticError(f"no generator of the residues mod p={p}")  # p prime: unreachable
-
-
 def order_census(ctx: PrimeContext) -> DensityReport:
-    """Exact per-class counts over all residues, by full enumeration.
+    """Exact per-class counts over all residues, derived from (k, n).
 
-    Residues are enumerated as the powers gamma^i, i < (p-1)/2, of one
-    generator gamma of the residue group, hitting each exactly once; finding
-    gamma takes the odd prime factors of n, by trial division (n < 2^21
-    under CENSUS_LIMIT).  A residue has odd order iff a^n = 1 (class 0), and
-    order exactly 2^(k-1) iff a^(2^(k-2)) = -1 (k >= 2) or a = 1 (k = 1).
-    Both powers advance by one product per step, as powers of gamma^n and
-    gamma^(2^(k-2)), and both walks must end back at 1.
+    Each of the 2^(k-1) classes holds n residues, n have odd order and
+    2^(k-2) (1 at k = 1) have order exactly 2^(k-1); see the module
+    docstring.  Refuses k > DENSITY_MAX_K, where the histograms grow too
+    large to print.
     """
     p, k, n = ctx.p, ctx.k, ctx.n
-    if p > CENSUS_LIMIT:
-        raise ValueError(f"order_census supports p<={CENSUS_LIMIT} (CENSUS_LIMIT), got p={p}")
+    if k > DENSITY_MAX_K:
+        raise ValueError(f"density supports k<={DENSITY_MAX_K} (DENSITY_MAX_K); p={p} has k={k}")
     half = 1 << (k - 1)
-    class_of = {ctx.zn_pow(2 * t): t for t in range(half)}
-    hist = [0] * half
-    gamma = _residue_generator(ctx)
-    step_n = pow(gamma, n, p)
-    step_e, target = (pow(gamma, 1 << (k - 2), p), p - 1) if k >= 2 else (gamma, 1)
-    an = ae = 1
-    exact = 0
     qr = (p - 1) // 2
-    for _ in range(qr):
-        hist[class_of[an]] += 1
-        if ae == target:
-            exact += 1
-        an = an * step_n % p
-        ae = ae * step_e % p
-    if an != 1 or ae != 1:
-        raise ArithmeticError(f"residue walk did not close for p={p}")
+    exact = half // 2 or 1  # 2^(k-2); at k = 1, the residue 1 alone
     return DensityReport(
-        p,
-        k,
-        n,
-        qr,
-        hist[0],
-        exact,
-        tuple(hist),
-        Fraction(hist[0], qr),
-        Fraction(exact, qr),
+        p, k, n, qr, n, exact, (n,) * half, Fraction(n, qr), Fraction(exact, qr)
     )
 
 

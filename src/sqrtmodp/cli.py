@@ -399,7 +399,13 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--out", default=None)
     ex.set_defaults(func=_cmd_expand)
 
-    de = sub.add_parser("density", help="exact order-class census for one prime")
+    de = sub.add_parser(
+        "density",
+        help=f"exact order-class counts for one prime, k<={analysis.DENSITY_MAX_K}",
+        description="Exact order-class counts for one prime p = 2^k*n + 1, derived "
+        "from (k, n): n residues per class; the tests check them against an "
+        "enumeration of every residue.",
+    )
     de.add_argument("--p", type=int, required=True)
     de.add_argument("--out", default=None)
     de.set_defaults(func=_cmd_density)

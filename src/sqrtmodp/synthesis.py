@@ -29,7 +29,8 @@ is g^(e_t) = -g^(-t) for t >= 1 (1 for t = 0): e_t = -t mod 2^(k-1) is
 y^i is a geometric series in w = g^-(2i+1), equal to 2w/(w - 1); w has
 order 2^k, so it is never 1 and the coefficient is never 0.  expand
 computes the polynomial from this closed form, without the symbolic object.
-MAX_K limits synthesize and expand; sqrt, verify and bench work for any k.
+MAX_K limits synthesize and expand, and analysis.DENSITY_MAX_K = 18 limits
+density; sqrt, verify and bench work for any k.
 """
 
 from typing import NamedTuple

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from sqrtmodp.analysis import (
-    CENSUS_LIMIT,
+    DENSITY_MAX_K,
     DensityReport,
     multiplier_coverage,
     multiplier_histogram,
@@ -24,8 +24,8 @@ def naive_order(a, p):
 
 
 def _census_reference(ctx):
-    """order_census as it was before the generator walk: residues as v^2,
-    two full-size powers each.  The reference of the walked census."""
+    """Every residue enumerated as v^2, with two full-size powers each: the
+    reference of the census that order_census derives from (k, n)."""
     p, k, n = ctx.p, ctx.k, ctx.n
     half = 1 << (k - 1)
     class_of = {ctx.zn_pow(2 * t): t for t in range(half)}
@@ -176,8 +176,26 @@ def test_small_share_for_k_at_least_8():
     assert rep.odd_order_fraction < Fraction(1, 100)
 
 
+@pytest.mark.parametrize("p,k", [(786433, 18), (1179649, 17), (2752513, 17)])
+def test_census_accepts_every_k_up_to_the_bound(p, k):
+    # the three primes below 2^22 with k > 16 keep their census
+    ctx = make_context(p)
+    assert ctx.k == k <= DENSITY_MAX_K
+    rep = order_census(ctx)
+    assert rep.qr_count == (p - 1) // 2
+    assert rep.class_histogram == (ctx.n,) * (1 << (k - 1))
+    assert rep.odd_order_count == ctx.n
+    assert rep.exact_2k1_order_count == 1 << (k - 2)
+    assert rep.odd_order_fraction == Fraction(1, 1 << (k - 1))
+    assert rep.exact_2k1_fraction == Fraction(1, 2 * ctx.n)
+
+
 def test_census_bound():
-    ctx = make_context(4194319)  # the smallest prime above CENSUS_LIMIT; k = 1
-    assert ctx.p > CENSUS_LIMIT and ctx.k == 1
-    with pytest.raises(ValueError, match=rf"p<={CENSUS_LIMIT} \(CENSUS_LIMIT\)"):
-        order_census(ctx)
+    # 11 2^19 + 1 is the smallest prime with k = 19; Goldilocks has k = 32
+    for p, k in [(5767169, 19), (18446744069414584321, 32)]:
+        ctx = make_context(p)
+        assert ctx.k == k > DENSITY_MAX_K
+        with pytest.raises(
+            ValueError, match=rf"^density supports k<=18 \(DENSITY_MAX_K\); p={p} has k={k}$"
+        ):
+            order_census(ctx)

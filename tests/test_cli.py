@@ -352,6 +352,13 @@ def test_density_k1_has_no_exact_prediction(capsys):
     assert doc["predicted_exact_2k1_fraction"] is None
 
 
+def test_density_beyond_bound_names_p_and_k(capsys):
+    code, out, err = run_cli(capsys, "density", "--p", "18446744069414584321")
+    assert (code, out) == (1, "")
+    assert "p=18446744069414584321 has k=32" in err
+    assert "DENSITY_MAX_K" in err and "k<=18" in err
+
+
 # ---------------------------------------------------------------------------
 # bench
 

@@ -13,7 +13,7 @@ import random
 import pytest
 
 from sqrtmodp.formulas import NotAResidue, sqrt_auto
-from sqrtmodp.modarith import PrimeContext, _linked, is_prime, legendre, make_context
+from sqrtmodp.modarith import _MR_BOUND, PrimeContext, _linked, is_prime, legendre, make_context
 from sqrtmodp.oracles import direct_sqrt
 
 
@@ -71,6 +71,33 @@ def test_seeded_inputs_at_window_seams(p):
         residues += legendre(a, p) == 1
         nonresidues += legendre(a, p) == -1
         agrees(ctx, a)
+
+
+# every k that make_context accepts: the primality bound leaves no prime
+# 2^k n + 1 for k = 76..81
+EVERY_K = range(1, 76)
+
+
+def test_no_prime_below_the_bound_past_every_k():
+    for k in range(EVERY_K.stop, _MR_BOUND.bit_length()):
+        assert not any(is_prime(m) for m in range((1 << k) + 1, _MR_BOUND, 2 << k)), k
+
+
+@pytest.mark.parametrize("k", EVERY_K)
+def test_seeded_inputs_at_every_k(k):
+    # the smallest prime at each k: its window plan differs with k mod 8 and
+    # with the number of windows
+    p = primes_with_k(k, 1)[0]
+    ctx = make_context(p)
+    rng = random.Random(k)
+    for _ in range(50):
+        r = rng.randrange(1, p)
+        got, root = sqrt_auto(ctx, r * r % p), min(r, p - r)
+        assert (got.root, got.coroot) == (root, p - root), (p, r)
+    for _ in range(50):
+        r = rng.randrange(1, p)
+        with pytest.raises(NotAResidue):
+            sqrt_auto(ctx, ctx.z * r * r % p)
 
 
 class _CountingLog(dict):
