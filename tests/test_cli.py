@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -461,10 +462,12 @@ def test_shared_parser_keeps_each_call_independent(capsys):
 
 
 def test_module_entry_point():
+    # run from the package's parent directory, so -m finds it uninstalled
     proc = subprocess.run(
         [sys.executable, "-m", "sqrtmodp", "sqrt", "--p", "7", "--a", "2"],
         capture_output=True,
         text=True,
+        cwd=Path(cli.__file__).resolve().parents[1],
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["root"] == 3
