@@ -31,7 +31,6 @@ from .modarith import (
 from .oracles import (
     brute_force_sqrt,
     direct_sqrt,
-    residue_class,
     tonelli_shanks,
 )
 from .synthesis import (
@@ -80,7 +79,6 @@ __all__ = [
     "primes_in_range",
     "render_math",
     "render_text",
-    "residue_class",
     "sqrt_auto",
     "sqrt_f1",
     "sqrt_f2",

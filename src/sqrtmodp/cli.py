@@ -4,14 +4,18 @@ Every method is named once, in _METHODS: the module and function that
 compute it and the k it needs, if any.  Commands look the function up when
 they start, so a patched module attribute is the one that runs.
 
-Structured JSON reports go to stdout and are byte-stable for fixed
-arguments.  Reports are write-only: no command reads one back.  The
-records are NamedTuples and carry no wall time: the verify and bench
-commands time the call whose time they print to stderr.  The verify and
-bench documents take their entries from the PrimeCheck, Failure and
-BenchRecord fields, in field order, written as objects through _asdict
-(json would write a bare tuple as a list).  Exit codes: 0 success/pass,
-1 usage or internal failure, 2 not a quadratic residue.
+Each handler, _cmd_<command>, returns its report and exit code and writes
+nothing to stdout: a dict for a JSON document, a str for synthesize's text
+and math.  main is the one place a report leaves the process: it
+serializes a dict, writes --out, which every command takes, then stdout, so
+a failed write leaves stdout empty; a handler's stderr lines come first.
+JSON reports are byte-stable for fixed arguments and write-only: no command
+reads one back.  The records are NamedTuples and carry no wall time: the
+verify and bench commands time the call whose time they print to stderr.
+The verify and bench documents take their entries from the PrimeCheck,
+Failure and BenchRecord fields, in field order, written as objects through
+_asdict (json would write a bare tuple as a list).  Exit codes: 0
+success/pass, 1 usage or internal failure, 2 not a quadratic residue.
 """
 
 import argparse
@@ -205,8 +209,11 @@ def run_bench(
     """Per-method multiplication counts over a deterministic residue sample."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    # an unknown name is a usage error, reported before any context is built
+    # an unknown name and brute above its limit, which depends on p alone,
+    # are usage errors, reported before any context is built
     fns = None if methods is None else [_method(m) for m in methods]
+    if p > oracles.BRUTE_LIMIT and "brute" in (methods or ()):
+        raise ValueError(f"brute supports p<={oracles.BRUTE_LIMIT} (BRUTE_LIMIT), got p={p}")
     c0 = time.perf_counter()
     ctx = modarith.make_context(p)
     print(f"bench context on p={p}: {time.perf_counter() - c0:.3f}s", file=sys.stderr)
@@ -216,8 +223,6 @@ def run_bench(
     for m, (_, need_k) in zip(methods, fns):
         if need_k not in (None, ctx.k):
             raise ValueError(f"method {m} needs k={need_k}, p={p} has k={ctx.k}")
-        if m == "brute" and p > oracles.BRUTE_LIMIT:
-            raise ValueError(f"brute supports p<={oracles.BRUTE_LIMIT} (BRUTE_LIMIT), got p={p}")
     sample = _sample_residues(ctx, trials, seed)
     records = []
     for m, (fn, _) in zip(methods, fns):
@@ -272,50 +277,36 @@ def density_to_doc(rep: analysis.DensityReport) -> dict:
     }
 
 
-def _emit(text: str, out: str | None) -> None:
-    # The file first: a failed write must not leave a report on stdout.
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
-
-
-def _cmd_sqrt(args) -> int:
+def _cmd_sqrt(args) -> tuple[dict, int]:
     ctx = modarith.make_context(args.p)
     fn, _ = _method(args.method)
     out = fn(ctx, args.a)
-    doc = {"kind": "sqrt_outcome", "p": args.p, "a": args.a, **out._asdict()}
-    _emit(json.dumps(doc, indent=2), args.out)
-    return 0
+    return {"kind": "sqrt_outcome", "p": args.p, "a": args.a, **out._asdict()}, 0
 
 
-def _cmd_synthesize(args) -> int:
-    f = synthesis.synthesize(args.k)
-    if args.format == "text":
-        text = synthesis.render_text(f)
-    elif args.format == "math":
-        text = synthesis.render_math(f)
-    else:
-        text = json.dumps(synthesis.formula_to_doc(f), indent=2)
-    _emit(text, args.out)
-    return 0
+# --format -> the synthesis function that renders the formula, named so that
+# a patched module attribute is the one that runs; the keys are the choices
+_FORMATS = {"text": "render_text", "structured": "formula_to_doc", "math": "render_math"}
 
 
-def _cmd_verify(args) -> int:
+def _cmd_synthesize(args) -> tuple[dict | str, int]:
+    return getattr(synthesis, _FORMATS[args.format])(synthesis.synthesize(args.k)), 0
+
+
+def _cmd_verify(args) -> tuple[dict, int]:
     t0 = time.perf_counter()
     rep = run_verification(args.pmin, args.pmax, args.method, args.k)
     dt = time.perf_counter() - t0
-    _emit(json.dumps(verification_to_doc(rep), indent=2), args.out)
     print(
         f"verify: {len(rep.primes)} primes, {rep.total_residues} residues, "
         f"{'pass' if rep.passed else 'FAIL'} in {dt:.2f}s "
         f"({rep.total_residues / dt if dt else 0.0:,.0f} residues/s)",
         file=sys.stderr,
     )
-    return 0 if rep.passed else 1
+    return verification_to_doc(rep), 0 if rep.passed else 1
 
 
-def _cmd_expand(args) -> int:
+def _cmd_expand(args) -> tuple[dict, int]:
     ctx = modarith.make_context(args.p)
     poly = synthesis.expand(ctx)
     ok = synthesis.degree_check(poly, ctx)
@@ -333,25 +324,19 @@ def _cmd_expand(args) -> int:
         "max_terms": 1 << (ctx.k - 1),
         "degree_check": "PASS" if ok else "FAIL",
     }
-    _emit(json.dumps(doc, indent=2), args.out)
-    return 0 if ok else 1
+    return doc, 0 if ok else 1
 
 
-def _cmd_density(args) -> int:
-    ctx = modarith.make_context(args.p)
-    rep = analysis.order_census(ctx)
-    _emit(json.dumps(density_to_doc(rep), indent=2), args.out)
-    return 0
+def _cmd_density(args) -> tuple[dict, int]:
+    return density_to_doc(analysis.order_census(modarith.make_context(args.p))), 0
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> tuple[dict, int]:
     methods = args.methods.split(",") if args.methods else None
     t0 = time.perf_counter()
     rep = run_bench(args.p, args.trials, methods, args.seed)
-    dt = time.perf_counter() - t0
-    _emit(json.dumps(bench_to_doc(rep), indent=2), args.out)
-    print(f"bench: total {dt:.2f}s", file=sys.stderr)
-    return 0
+    print(f"bench: total {time.perf_counter() - t0:.2f}s", file=sys.stderr)
+    return bench_to_doc(rep), 0
 
 
 class _UsageError(Exception):
@@ -372,50 +357,50 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluators, general-k synthesis, oracles, statistics, benchmarks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every command writes one report, to stdout and to --out
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--out", default=None, help="also write the report here")
 
-    sq = sub.add_parser("sqrt", help="compute one square root")
+    sq = sub.add_parser("sqrt", parents=[report], help="compute one square root")
     sq.add_argument("--p", type=int, required=True, help="odd prime modulus")
     sq.add_argument("--a", type=int, required=True, help="residue in [0, p)")
     sq.add_argument("--method", choices=METHODS, default="auto")
-    sq.add_argument("--out", default=None, help="also write the report here")
     sq.set_defaults(func=_cmd_sqrt)
 
-    sy = sub.add_parser("synthesize", help="print the general-k formula")
+    sy = sub.add_parser("synthesize", parents=[report], help="print the general-k formula")
     sy.add_argument("--k", type=int, required=True)
-    sy.add_argument("--format", choices=("text", "structured", "math"), default="text")
-    sy.add_argument("--out", default=None)
+    sy.add_argument("--format", choices=tuple(_FORMATS), default="text")
     sy.set_defaults(func=_cmd_synthesize)
 
-    ve = sub.add_parser("verify", help="check method(r^2) = (r, p - r) over a prime range")
+    ve = sub.add_parser(
+        "verify", parents=[report], help="check method(r^2) = (r, p - r) over a prime range"
+    )
     ve.add_argument("--pmin", type=int, required=True)
     ve.add_argument("--pmax", type=int, required=True)
     ve.add_argument("--k", type=int, default=None, help="only primes with this k")
     ve.add_argument("--method", choices=METHODS, default="auto")
-    ve.add_argument("--out", default=None)
     ve.set_defaults(func=_cmd_verify)
 
-    ex = sub.add_parser("expand", help="expand the formula for one prime")
+    ex = sub.add_parser("expand", parents=[report], help="expand the formula for one prime")
     ex.add_argument("--p", type=int, required=True)
-    ex.add_argument("--out", default=None)
     ex.set_defaults(func=_cmd_expand)
 
     de = sub.add_parser(
         "density",
+        parents=[report],
         help=f"exact order-class counts for one prime, k<={analysis.DENSITY_MAX_K}",
         description="Exact order-class counts for one prime p = 2^k*n + 1, derived "
         "from (k, n): n residues per class; the tests check them against an "
         "enumeration of every residue.",
     )
     de.add_argument("--p", type=int, required=True)
-    de.add_argument("--out", default=None)
     de.set_defaults(func=_cmd_density)
 
-    be = sub.add_parser("bench", help="multiplication-count benchmark")
+    be = sub.add_parser("bench", parents=[report], help="multiplication-count benchmark")
     be.add_argument("--p", type=int, required=True)
     be.add_argument("--trials", type=int, default=100)
     be.add_argument("--methods", default=None, help="comma-separated method list")
     be.add_argument("--seed", type=int, default=1)
-    be.add_argument("--out", default=None)
     be.set_defaults(func=_cmd_bench)
 
     return parser
@@ -435,7 +420,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        report, code = args.func(args)
+        text = report if isinstance(report, str) else json.dumps(report, indent=2)
+        # The file first: a failed write must not leave a report on stdout.
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        print(text)
+        return code
     except formulas.NotAResidue as exc:
         print(f"not a quadratic residue: {exc}", file=sys.stderr)
         return 2

@@ -6,11 +6,12 @@ quadratic nonresidue z, and derives from them windowed rows of the powers
 z^(j*n), which drive all the square-root machinery in the other modules.
 With g = z^n, row i holds g^(d 2^(8i)) for d < 2^min(8, k - 8i): ceil(k/8)
 rows and at most ceil(k/8)*256 entries for any k, so no table of all 2^k
-powers is kept.  A lookup multiplies one entry from each row, ceil(k/8) - 1
-products, and a log table of 2^min(8, k) entries reads 8 bits of a discrete
-log in g^-1 at once (Bernstein, "Faster square roots in annoying finite
-fields", 2001; Sarkar, IACR ePrint 2020/1407).  The class lift reads the
-same rows inline, one product per row read, and keeps no table of its own.
+powers is kept.  A lookup, zn_pow, is one loop that multiplies one entry
+from each row into 1, ceil(k/8) - 1 products, and a log table of
+2^min(8, k) entries reads 8 bits of a discrete log in g^-1 at once
+(Bernstein, "Faster square roots in annoying finite fields", 2001; Sarkar,
+IACR ePrint 2020/1407).  The class lift reads the same rows inline, one
+product per row read, and keeps no table of its own.
 """
 
 __all__ = [
@@ -202,6 +203,8 @@ class PrimeContext:
     zn_rows holds the powers of g = z^n in windows of 8 bits: row i is
     g^(d 2^(8i)) for d < 2^min(8, k - 8i), so there are ceil(k/8) rows and at
     most ceil(k/8)*256 entries.  At k <= 8 the one row is every power.
+    zn_pow reads one entry from each row in one loop, with no case for
+    small k: the class lift reads the rows inline and calls no zn_pow.
     g generates the 2-part of the multiplicative group: period 2^k,
     g^(2^(k-1)) = -1.
 
@@ -231,8 +234,7 @@ class PrimeContext:
     """
 
     __slots__ = (
-        "p", "k", "n", "z", "zn_rows", "_mask", "_head", "_rest",
-        "_log", "_steps", "_t_rows", "_cost",
+        "p", "k", "n", "z", "zn_rows", "_mask", "_log", "_steps", "_t_rows", "_cost",
     )
 
     def __init__(self, p: int, k: int, n: int, z: int) -> None:
@@ -240,9 +242,7 @@ class PrimeContext:
             raise ValueError(f"p={p}, k={k}, n={n}: need k >= 1, n odd and p - 1 = n 2^k")
         self.p, self.k, self.n, self.z = p, k, n, z
         self.zn_rows = _zn_rows(pow(z, n, p), k, p)
-        # zn_pow's view of zn_rows: the mask 2^k - 1, the first row and the others
-        head, *rest = self.zn_rows
-        self._mask, self._head, self._rest = (1 << k) - 1, head, tuple(rest)
+        self._mask = (1 << k) - 1  # the order of z^n, less one
         if self.zn_pow(1 << (k - 1)) != p - 1:
             raise ArithmeticError(f"z={z} is not a nonresidue mod p={p}: z^(2^(k-1) n) != -1")
         self._log = self._log_table()
@@ -273,18 +273,17 @@ class PrimeContext:
     def zn_pow(self, j: int) -> int:
         """z^(j*n) mod p; j is reduced mod 2^k, the order of z^n.
 
-        One entry from each row, so ceil(k/8) - 1 products, none at k <= 8;
-        MulCounter.lookup charges them.  A zero digit is not skipped, so the
-        cost of a lookup depends on k alone.
+        One loop over the rows, one entry from each: the product starts at
+        1, so the first row's is a product by 1 and not a multiplication,
+        and a lookup costs ceil(k/8) - 1 products, none at k <= 8, which
+        MulCounter.lookup charges.  A zero digit is not skipped, so the cost
+        of a lookup depends on k alone.
         """
         j &= self._mask
-        if self.k <= _W:
-            return self._head[j]
-        p = self.p
-        v = self._head[j & _DIGIT]
-        for row in self._rest:
-            j >>= _W
+        p, v = self.p, 1
+        for row in self.zn_rows:
             v = v * row[j & _DIGIT] % p
+            j >>= _W
         return v
 
 

@@ -1,13 +1,12 @@
 """Independent square-root algorithms: ground truth and classical baselines."""
 
 from .formulas import NotAResidue, SqrtOutcome
-from .modarith import MulCounter, PrimeContext, legendre
+from .modarith import MulCounter, PrimeContext
 
 __all__ = [
     "BRUTE_LIMIT",
     "brute_force_sqrt",
     "direct_sqrt",
-    "residue_class",
     "tonelli_shanks",
 ]
 
@@ -74,15 +73,6 @@ def _lift_class(ctx: PrimeContext, an: int, counter: MulCounter) -> int:
     if cur != 1:
         raise ArithmeticError(f"no class index matches for p={p}; context invalid")
     return t
-
-
-def residue_class(ctx: PrimeContext, a: int) -> int:
-    """The unique t in [0, 2^(k-1)) with a^n = z^(2tn) mod p."""
-    if not 0 <= a < ctx.p:
-        raise ValueError(f"residue {a} out of range for p={ctx.p}")
-    if legendre(a, ctx.p) != 1:
-        raise NotAResidue(f"{a} is not a nonzero quadratic residue mod {ctx.p}")
-    return _lift_class(ctx, pow(a, ctx.n, ctx.p), MulCounter())
 
 
 def direct_sqrt(ctx: PrimeContext, a: int) -> SqrtOutcome:

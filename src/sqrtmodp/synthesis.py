@@ -217,23 +217,6 @@ class ExpandedPolynomial(NamedTuple):
     def degree(self) -> int:
         return self.terms[0][0] if self.terms else -1
 
-    def evaluate_at(self, x: int) -> int:
-        """The value at x: Horner over the gaps between exponents, from the
-        first term down, with a new power of x only where the gap changes;
-        expand's exponents i n + (n+1)/2 have the one gap n."""
-        p, terms = self.p, self.terms
-        if not terms:
-            return 0
-        last, acc = terms[0]
-        gap, y = 0, 1
-        for ex, co in terms[1:]:
-            if last - ex != gap:
-                gap = last - ex
-                y = pow(x, gap, p)
-            acc = (acc * y + co) % p
-            last = ex
-        return acc * pow(x, last, p) % p
-
     def text(self) -> str:
         if not self.terms:
             return "0"

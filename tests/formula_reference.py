@@ -3,8 +3,14 @@
 The package computes every root by the class lift, which takes only the one
 live term of the bracket.  These helpers evaluate every term of
 synthesize(k) at x from its Term and Factor fields instead, so the
-differential tests compare the lift with the paper's polynomial itself.
+differential tests compare the lift with the paper's polynomial itself;
+expanded_at evaluates expand's multiplied-out form, and residue_class names
+the live term by the direct method's bit-by-bit lift.
 """
+
+from sqrtmodp.formulas import NotAResidue
+from sqrtmodp.modarith import MulCounter, legendre
+from sqrtmodp.oracles import _lift_class
 
 
 def _x_levels(ctx, x):
@@ -72,3 +78,30 @@ def evaluate(f, ctx, a):
     raw = evaluate_at(f, ctx, a)
     root = min(raw, p - raw) if raw else 0
     return root, p - root if root else 0
+
+
+def expanded_at(poly, x):
+    """An ExpandedPolynomial's value at x: Horner over the gaps between
+    exponents, from the first term down, with a new power of x only where
+    the gap changes; expand's exponents i n + (n+1)/2 have the one gap n."""
+    p, terms = poly.p, poly.terms
+    if not terms:
+        return 0
+    last, acc = terms[0]
+    gap, y = 0, 1
+    for ex, co in terms[1:]:
+        if last - ex != gap:
+            gap = last - ex
+            y = pow(x, gap, p)
+        acc = (acc * y + co) % p
+        last = ex
+    return acc * pow(x, last, p) % p
+
+
+def residue_class(ctx, a):
+    """The unique t in [0, 2^(k-1)) with a^n = z^(2tn) mod p."""
+    if not 0 <= a < ctx.p:
+        raise ValueError(f"residue {a} out of range for p={ctx.p}")
+    if legendre(a, ctx.p) != 1:
+        raise NotAResidue(f"{a} is not a nonzero quadratic residue mod {ctx.p}")
+    return _lift_class(ctx, pow(a, ctx.n, ctx.p), MulCounter())

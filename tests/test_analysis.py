@@ -10,8 +10,8 @@ from sqrtmodp.analysis import (
     order_census,
 )
 from sqrtmodp.modarith import make_context, primes_in_range
-from sqrtmodp.oracles import residue_class
 
+from formula_reference import residue_class
 from root_table import brute_root_table
 
 

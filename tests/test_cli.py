@@ -77,23 +77,6 @@ def test_sqrt_beyond_primality_bound_names_p_and_bound(capsys):
     assert "3317044064679887385961981" in err
 
 
-def test_sqrt_out_file(tmp_path, capsys):
-    path = tmp_path / "report.json"
-    code, out, _ = run_cli(
-        capsys, "sqrt", "--p", "41", "--a", "2", "--out", str(path)
-    )
-    assert code == 0
-    assert json.loads(path.read_text())["root"] == 17
-
-
-def test_sqrt_unwritable_out_prints_no_report(tmp_path, capsys):
-    path = tmp_path / "missing" / "x.json"
-    code, out, err = run_cli(capsys, "sqrt", "--p", "7", "--a", "2", "--out", str(path))
-    assert code == 1
-    assert out == ""
-    assert "error:" in err
-
-
 # ---------------------------------------------------------------------------
 # synthesize
 
@@ -401,10 +384,10 @@ def test_bench_method_class_mismatch(capsys):
 
 
 def test_bench_brute_guard(capsys):
-    code, _, err = run_cli(capsys, "bench", "--p", "2097169", "--methods", "brute")
-    assert code == 1
-    assert err.endswith(
-        f"error: brute supports p<={oracles.BRUTE_LIMIT} (BRUTE_LIMIT), got p=2097169\n"
+    # the limit depends on p alone, so it is checked before the context is
+    # built, and no timing line is printed
+    assert run_cli(capsys, "bench", "--p", "2097169", "--trials", "1", "--methods", "brute") == (
+        1, "", f"error: brute supports p<={oracles.BRUTE_LIMIT} (BRUTE_LIMIT), got p=2097169\n"
     )
 
 
@@ -426,6 +409,48 @@ def test_bench_tonelli_constant_for_k1(capsys):
     doc = json.loads(out)
     by_method = {r["method"]: r for r in doc["records"]}
     assert by_method["tonelli"]["constant_across_inputs"] is True
+
+
+# ---------------------------------------------------------------------------
+# --out: main writes every command's report, to the file first
+
+
+CHEAP = {
+    "sqrt": ("--p", "41", "--a", "2"),
+    "synthesize": ("--k", "3"),
+    "verify": ("--pmin", "3", "--pmax", "50"),
+    "expand": ("--p", "13"),
+    "density": ("--p", "41"),
+    "bench": ("--p", "17", "--trials", "4"),
+}
+
+
+@pytest.mark.parametrize("cmd", CHEAP)
+def test_out_file_equals_stdout(tmp_path, capsys, cmd):
+    path = tmp_path / "report"
+    code, out, _ = run_cli(capsys, cmd, *CHEAP[cmd], "--out", str(path))
+    assert code == 0
+    assert out and path.read_bytes() == out.encode()
+    if cmd == "sqrt":
+        assert json.loads(out)["root"] == 17
+
+
+@pytest.mark.parametrize("cmd", CHEAP)
+def test_unwritable_out_prints_no_report(tmp_path, capsys, cmd):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, cmd, *CHEAP[cmd], "--out", str(path))
+    assert (code, out) == (1, "")
+    # verify's and bench's summaries come first: the handler returns before
+    # main writes
+    assert err.splitlines()[-1].startswith("error: [Errno 2] No such file or directory")
+    assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("cmd", CHEAP)
+def test_every_command_takes_out(capsys, cmd):
+    code, out, _ = run_cli(capsys, cmd, "--help")
+    assert code == 0
+    assert "--out OUT" in out
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@ from sqrtmodp.oracles import (
     BRUTE_LIMIT,
     brute_force_sqrt,
     direct_sqrt,
-    residue_class,
     tonelli_shanks,
 )
 
+from formula_reference import residue_class
 from root_table import brute_root_table
 
 

@@ -64,8 +64,7 @@ def test_prime_context_takes_p_k_n_z():
 
 
 @pytest.mark.parametrize(
-    "fn", [modarith.mod_pow, modarith.PrimeContext.zn_pow, oracles.residue_class],
-    ids=lambda f: f.__qualname__,
+    "fn", [modarith.mod_pow, modarith.PrimeContext.zn_pow], ids=lambda f: f.__qualname__
 )
 def test_arithmetic_takes_no_counter(fn):
     # only MulCounter tallies: a counted method calls its mul, pow and lookup
