@@ -20,6 +20,8 @@ bit per level, with the same count for every nonzero residue, for any k.
 The symbolic object, built by synthesize for k <= MAX_K, supports sign
 normalization (folding z-exponents at or above 2^(k-1) into minus signs via
 z^(2^(k-1) n) = -1) and rendering to text, LaTeX, and a structured document.
+The terms share their factors, so the text and LaTeX renderers fold and
+format each distinct factor once per call.
 
 Expanded over F_p, the polynomial has exactly 2^(k-1) nonzero terms and
 degree 2^(k-1) n - (n-1)/2.  With g = z^n and y = x^n, term t's factors
@@ -28,7 +30,9 @@ is g^(e_t) = -g^(-t) for t >= 1 (1 for t = 0): e_t = -t mod 2^(k-1) is
 2^(k-1) - t there, and g^(2^(k-1)) = -1.  Summed over t, the coefficient of
 y^i is a geometric series in w = g^-(2i+1), equal to 2w/(w - 1); w has
 order 2^k, so it is never 1 and the coefficient is never 0.  expand
-computes the polynomial from this closed form, without the symbolic object.
+computes the polynomial from this closed form, without the symbolic object,
+and inverts the 2^(k-1) denominators 1 - g^(2i+1) together: one modular
+inverse for the whole polynomial.
 MAX_K limits synthesize and expand, and analysis.DENSITY_MAX_K = 18 limits
 density; sqrt, verify and bench work for any k.
 """
@@ -140,18 +144,22 @@ class RenderedTerm(NamedTuple):
     factors: tuple[SignedFactor, ...]
 
 
+def _fold(c: int, half: int) -> tuple[int, int]:
+    """(sign, c') with z^(cn) = sign z^(c'n) and c' < half = 2^(k-1), by
+    z^(half n) = -1: the one place the sign fold is made."""
+    return (-1, c - half) if c >= half else (1, c)
+
+
 def normalize_signs(f: SymbolicFormula) -> tuple[RenderedTerm, ...]:
     """Fold z-exponents >= 2^(k-1) into minus signs via z^(2^(k-1) n) = -1."""
     half = 1 << (f.k - 1)
     out = []
     for term in f.terms:
-        folded = tuple(
-            SignedFactor(-1, fc.j, fc.c - half)
-            if fc.c >= half
-            else SignedFactor(1, fc.j, fc.c)
-            for fc in term.factors
-        )
-        out.append(RenderedTerm(term.e, folded))
+        folded = []
+        for fc in term.factors:
+            sign, c = _fold(fc.c, half)
+            folded.append(SignedFactor(sign, fc.j, c))
+        out.append(RenderedTerm(term.e, tuple(folded)))
     return tuple(out)
 
 
@@ -159,33 +167,41 @@ def _exp_n(m: int) -> str:
     return "n" if m == 1 else f"{m}n"
 
 
-def _term(rt: RenderedTerm, braces: str, joiner: str) -> str:
-    """One sign-normalized term, exponents wrapped in braces "()" or "{}"."""
+def _body(f: SymbolicFormula, braces: str, joiner: str) -> str:
+    """The bracket's sign-normalized terms joined by " + ", exponents
+    wrapped in braces "()" or "{}", each term's parts joined by joiner.
+
+    Each distinct Factor is folded and formatted once: the terms share
+    2^k - 2 factors among their (k-1) 2^(k-1) uses.
+    """
     lb, rb = braces
-    parts = []
-    if rt.e:
-        parts.append(f"z^{lb}{_exp_n(rt.e)}{rb}")
-    for sf in rt.factors:
-        sign = "+" if sf.sign > 0 else "-"
-        zpart = f" z^{lb}{_exp_n(sf.c)}{rb}" if sf.c else ""
-        parts.append(f"(1 {sign} x^{lb}{_exp_n(1 << sf.j)}{rb}{zpart})")
-    return joiner.join(parts)
+    half = 1 << (f.k - 1)
+    shown = {}
+    for fc in set().union(*[term.factors for term in f.terms]):
+        sign, c = _fold(fc.c, half)
+        zpart = f" z^{lb}{_exp_n(c)}{rb}" if c else ""
+        shown[fc] = f"(1 {'+' if sign > 0 else '-'} x^{lb}{_exp_n(1 << fc.j)}{rb}{zpart})"
+    terms = []
+    for term in f.terms:
+        parts = map(shown.__getitem__, term.factors)
+        if term.e:
+            parts = [f"z^{lb}{_exp_n(term.e)}{rb}", *parts]
+        terms.append(joiner.join(parts))
+    return " + ".join(terms)
 
 
 def render_text(f: SymbolicFormula) -> str:
     """Plain-text rendering; byte-stable, suitable for golden comparisons."""
     if f.k == 1:
         return "x^((n+1)/2)"
-    body = " + ".join(_term(rt, "()", "*") for rt in normalize_signs(f))
-    return f"2^-{f.k - 1} * x^((n+1)/2) * [ {body} ]"
+    return f"2^-{f.k - 1} * x^((n+1)/2) * [ {_body(f, '()', '*')} ]"
 
 
 def render_math(f: SymbolicFormula) -> str:
     """LaTeX rendering of the sign-normalized formula."""
     if f.k == 1:
         return "x^{(n+1)/2}"
-    body = " + ".join(_term(rt, "{}", " ") for rt in normalize_signs(f))
-    return f"2^{{-{f.k - 1}}} x^{{(n+1)/2}} \\left[ {body} \\right]"
+    return f"2^{{-{f.k - 1}}} x^{{(n+1)/2}} \\left[ {_body(f, '{}', ' ')} \\right]"
 
 
 def formula_to_doc(f: SymbolicFormula) -> dict:
@@ -234,25 +250,40 @@ def expand(ctx: PrimeContext) -> ExpandedPolynomial:
     """The formula for ctx's prime multiplied out over F_p, prefactor included.
 
     The coefficient of x^(i n + (n+1)/2), for each i < 2^(k-1), is
-    2^-(k-1) * 2w/(w - 1) with w = g^-(2i+1) and g = z^n, computed as
-    2^-(k-1) * 2/(1 - g^(2i+1)): one zn_pow lookup and one inverse.  The
-    sum over classes behind it is geometric because e_t = -t mod 2^(k-1)
-    (sign -1 for t >= 1); w has order 2^k, so no coefficient is 0 and there
-    are exactly 2^(k-1) terms.  Exponents are plain integers, never reduced
-    mod x^p - x.
+    2^-(k-1) * 2w/(w - 1) with w = g^-(2i+1) and g = z^n, that is
+    2 / (2^(k-1) d_i) with d_i = 1 - g^(2i+1).  The g^(2i+1) are running
+    products of g^2, and the d_i are inverted together (Montgomery's
+    batch inversion): prefix products, one inverse of the last, and a
+    backward pass that peels one d_i per term, so about 4 products a term
+    and one inverse in all, with no zn_pow.  The sum over classes behind the
+    closed form is geometric because e_t = -t mod 2^(k-1) (sign -1 for
+    t >= 1); w has order 2^k, so no d_i is 0 and there are exactly 2^(k-1)
+    terms.  Exponents are plain integers, never reduced mod x^p - x.
     """
     if ctx.k > MAX_K:
         raise ValueError(
             f"expand supports k<={MAX_K} (MAX_K); p={ctx.p} has k={ctx.k}"
         )
     p, n = ctx.p, ctx.n
-    scale = pow(2, 2 - ctx.k, p)
+    g = ctx.zn_rows[0][1]  # z^n: the first row holds its powers g^d
+    g2 = g * g % p
+    ds, prefix = [], []  # d_i, and d_0 ... d_(i-1)
+    gi = g
+    acc = 1
+    for _ in range(1 << (ctx.k - 1)):
+        d = (1 - gi) % p
+        ds.append(d)
+        prefix.append(acc)
+        acc = acc * d % p
+        gi = gi * g2 % p
+    # 2 / (2^(k-1) d_0 ... d_i), for i from the top down
+    inv = 2 * pow((acc << (ctx.k - 1)) % p, -1, p) % p
     off = (n + 1) // 2
-    terms = tuple(
-        (i * n + off, scale * pow(1 - ctx.zn_pow(2 * i + 1), -1, p) % p)
-        for i in range((1 << (ctx.k - 1)) - 1, -1, -1)
-    )
-    return ExpandedPolynomial(p, terms)
+    terms = []
+    for i in range(len(ds) - 1, -1, -1):
+        terms.append((i * n + off, inv * prefix[i] % p))
+        inv = inv * ds[i] % p
+    return ExpandedPolynomial(p, tuple(terms))
 
 
 def degree_check(poly: ExpandedPolynomial, ctx: PrimeContext) -> bool:

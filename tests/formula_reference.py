@@ -5,12 +5,16 @@ live term of the bracket.  These helpers evaluate every term of
 synthesize(k) at x from its Term and Factor fields instead, so the
 differential tests compare the lift with the paper's polynomial itself;
 expanded_at evaluates expand's multiplied-out form, and residue_class names
-the live term by the direct method's bit-by-bit lift.
+the live term by the direct method's bit-by-bit lift.  expand_per_term and
+render_per_term are the straightforward forms of expand and the renderers,
+which the package computes with one shared inverse and one string per
+distinct factor.
 """
 
 from sqrtmodp.formulas import NotAResidue
 from sqrtmodp.modarith import MulCounter, legendre
 from sqrtmodp.oracles import _lift_class
+from sqrtmodp.synthesis import ExpandedPolynomial, normalize_signs
 
 
 def _x_levels(ctx, x):
@@ -105,3 +109,47 @@ def residue_class(ctx, a):
     if legendre(a, ctx.p) != 1:
         raise NotAResidue(f"{a} is not a nonzero quadratic residue mod {ctx.p}")
     return _lift_class(ctx, pow(a, ctx.n, ctx.p), MulCounter())
+
+
+def expand_per_term(ctx):
+    """expand's closed form taken one term at a time: the coefficient of
+    x^(i n + (n+1)/2) is 2^-(k-1) * 2/(1 - g^(2i+1)), g = z^n, from one
+    zn_pow lookup and one inverse per term."""
+    p, n = ctx.p, ctx.n
+    scale = pow(2, 2 - ctx.k, p)
+    off = (n + 1) // 2
+    terms = tuple(
+        (i * n + off, scale * pow(1 - ctx.zn_pow(2 * i + 1), -1, p) % p)
+        for i in range((1 << (ctx.k - 1)) - 1, -1, -1)
+    )
+    return ExpandedPolynomial(p, terms)
+
+
+def _exp_n(m):
+    return "n" if m == 1 else f"{m}n"
+
+
+def _term(rt, braces, joiner):
+    """One sign-normalized term, exponents wrapped in braces "()" or "{}"."""
+    lb, rb = braces
+    parts = []
+    if rt.e:
+        parts.append(f"z^{lb}{_exp_n(rt.e)}{rb}")
+    for sf in rt.factors:
+        sign = "+" if sf.sign > 0 else "-"
+        zpart = f" z^{lb}{_exp_n(sf.c)}{rb}" if sf.c else ""
+        parts.append(f"(1 {sign} x^{lb}{_exp_n(1 << sf.j)}{rb}{zpart})")
+    return joiner.join(parts)
+
+
+def render_per_term(f, style):
+    """render_text (style "text") or render_math ("math") of f, formatting
+    every factor of every term of normalize_signs(f) anew."""
+    text = style == "text"
+    if f.k == 1:
+        return "x^((n+1)/2)" if text else "x^{(n+1)/2}"
+    braces, joiner = ("()", "*") if text else ("{}", " ")
+    body = " + ".join(_term(rt, braces, joiner) for rt in normalize_signs(f))
+    if text:
+        return f"2^-{f.k - 1} * x^((n+1)/2) * [ {body} ]"
+    return f"2^{{-{f.k - 1}}} x^{{(n+1)/2}} \\left[ {body} \\right]"

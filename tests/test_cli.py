@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sqrtmodp import cli, formulas, oracles
 from sqrtmodp.formulas import SqrtOutcome
@@ -378,9 +380,11 @@ def test_bench_deterministic_with_seed(capsys):
 
 
 def test_bench_method_class_mismatch(capsys):
-    code, _, err = run_cli(capsys, "bench", "--p", "17", "--methods", "f3")
-    assert code == 1
-    assert err.endswith("error: method f3 needs k=3, p=17 has k=4\n")
+    # k depends on p alone, so the mismatch is refused before the context is
+    # built, and no timing line is printed
+    assert run_cli(capsys, "bench", "--p", "17", "--methods", "f3") == (
+        1, "", "error: method f3 needs k=3, p=17 has k=4\n"
+    )
 
 
 def test_bench_brute_guard(capsys):
@@ -496,3 +500,41 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["root"] == 3
+
+
+# ---------------------------------------------------------------------------
+# the report writer
+
+_scalars = st.one_of(
+    st.text(),
+    st.sampled_from(["", "\u00e9\u4e2d\U0001f600", '"q"\\b', "\x00\x1f\x7f\n\t\r\u2028"]),
+    st.integers(),
+    st.integers(min_value=-(10**80), max_value=10**80),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+)
+_docs = st.recursive(
+    _scalars,
+    lambda kids: st.one_of(
+        st.lists(kids),
+        st.lists(kids).map(tuple),
+        st.lists(st.integers()),
+        st.dictionaries(st.text(), kids),
+    ),
+    max_leaves=40,
+)
+
+
+@given(_docs)
+@example({"a": [], "b": {}, "c": (), "d": [[]], "e": [{}]})
+@example([1, True, 0, False, -(10**50)])
+@example([float("nan"), float("inf"), float("-inf"), -0.0, 1e300, 5e-324])
+def test_json_writer_matches_json_dumps(doc):
+    assert cli._json(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [{1, 2}, {"a": [{1: "x"}]}], ids=["set", "int_key"])
+def test_json_writer_refuses_what_it_cannot_write(doc):
+    with pytest.raises(TypeError):
+        cli._json(doc)

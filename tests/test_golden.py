@@ -61,6 +61,16 @@ def test_golden(case):
     assert out == (GOLDEN / f"{case['name']}.out").read_text()
 
 
+JSON_CASES = [c["name"] for c in CASES if (GOLDEN / f"{c['name']}.out").read_text()[:1] == "{"]
+
+
+@pytest.mark.parametrize("name", JSON_CASES)
+def test_golden_json_round_trips_through_the_writer(name):
+    # the writer alone reproduces every JSON golden from its parsed document
+    out = (GOLDEN / f"{name}.out").read_text()
+    assert cli._json(json.loads(out)) + "\n" == out
+
+
 def _regenerate():
     for case in CASES:
         rc, out = _run(case)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqrtmodp import synthesis
 from sqrtmodp.formulas import sqrt_auto
-from sqrtmodp.modarith import make_context, primes_in_range
+from sqrtmodp.modarith import PrimeContext, is_prime, make_context, primes_in_range
 from sqrtmodp.synthesis import (
     MAX_K,
     ExpandedPolynomial,
@@ -21,7 +22,14 @@ from sqrtmodp.synthesis import (
     synthesize,
 )
 
-from formula_reference import evaluate, evaluate_at, expanded_at, term_values
+from formula_reference import (
+    evaluate,
+    evaluate_at,
+    expand_per_term,
+    expanded_at,
+    render_per_term,
+    term_values,
+)
 from root_table import brute_root_table
 
 
@@ -223,6 +231,42 @@ def test_expand_matches_reference_below_6000():
     assert checked == 782
 
 
+def _smallest_prime_with_k(k):
+    """The smallest prime n 2^k + 1 with n odd."""
+    n = 1
+    while not is_prime((n << k) + 1):
+        n += 2
+    return (n << k) + 1
+
+
+@pytest.mark.parametrize(
+    "p", sorted({*(_smallest_prime_with_k(k) for k in range(1, MAX_K + 1)), 3329, 7681, 40961, 65537})
+)
+def test_expand_matches_per_term_closed_form(p):
+    # batch inversion against one lookup and one inverse per term
+    ctx = make_context(p)
+    assert expand(ctx) == expand_per_term(ctx)
+
+
+def test_expand_takes_one_inverse_and_no_lookup(monkeypatch):
+    ctx = make_context(40961)
+    want = expand(ctx)
+    inverses = []
+
+    def counted_pow(base, exp, mod=None):
+        if exp < 0:
+            inverses.append(exp)
+        return pow(base, exp, mod)
+
+    def no_lookup(self, j):
+        raise AssertionError("expand called zn_pow")
+
+    monkeypatch.setattr(synthesis, "pow", counted_pow, raising=False)
+    monkeypatch.setattr(PrimeContext, "zn_pow", no_lookup)
+    assert expand(ctx) == want
+    assert inverses == [-1]
+
+
 @pytest.mark.parametrize("p,k", [(40961, 13), (65537, 16)])
 def test_expand_large_k_exact_terms_and_roots(p, k):
     ctx = make_context(p)
@@ -350,6 +394,14 @@ def test_render_text_golden():
         " + z^(2n)*(1 + x^(2n))*(1 - x^(n))"
         " + z^(n)*(1 - x^(2n))*(1 + x^(n) z^(2n)) ]"
     )
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_renderers_match_per_term_reference(k):
+    # one string per distinct factor against every factor formatted anew
+    f = _formula(k)
+    assert render_text(f) == render_per_term(f, "text")
+    assert render_math(f) == render_per_term(f, "math")
 
 
 def test_render_text_stable():
