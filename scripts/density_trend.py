@@ -19,10 +19,9 @@ def main() -> None:
 
     rows = []
     for p in primes_in_range(3, args.pmax):
-        if ((p - 1) & (1 - p)).bit_length() - 1 != args.k:  # 2-adic valuation of p - 1
-            continue
         ctx = make_context(p)
-        rows.append((ctx.n, p, order_census(ctx)))
+        if ctx.k == args.k:
+            rows.append((ctx.n, p, order_census(ctx)))
     rows.sort()
 
     print(f"primes with k = {args.k}, p <= {args.pmax}")

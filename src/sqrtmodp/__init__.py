@@ -40,7 +40,6 @@ from .synthesis import (
     SignedFactor,
     SymbolicFormula,
     Term,
-    degree_check,
     expand,
     normalize_signs,
     render_math,
@@ -66,7 +65,6 @@ __all__ = [
     "WrongClass",
     "brute_force_sqrt",
     "decompose",
-    "degree_check",
     "direct_sqrt",
     "expand",
     "is_prime",

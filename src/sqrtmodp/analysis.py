@@ -8,6 +8,10 @@ phi(2^(k-1)) = 2^(k-2) residues have order exactly 2^(k-1) (one, the
 residue 1, at k = 1).  So the odd-order share is 1/2^(k-1) and, for k >= 2,
 the share of residues of order exactly 2^(k-1) is 1/(2n); the fractions are
 exact rationals.  The tests enumerate the residues and check these counts.
+Since every class holds n residues, the histogram over multiplier exponents
+e = -t mod 2^(k-1) equals the class histogram, and the census's fractions
+are the predicted laws themselves: the density document writes each under
+its measured and its predicted key.
 """
 
 from fractions import Fraction
@@ -19,7 +23,6 @@ __all__ = [
     "DENSITY_MAX_K",
     "DensityReport",
     "multiplier_coverage",
-    "multiplier_histogram",
     "order_census",
 ]
 
@@ -58,15 +61,6 @@ def order_census(ctx: PrimeContext) -> DensityReport:
     return DensityReport(
         p, k, n, qr, n, exact, (n,) * half, Fraction(n, qr), Fraction(exact, qr)
     )
-
-
-def multiplier_histogram(report: DensityReport) -> tuple[int, ...]:
-    """Histogram over multiplier exponents e = -t mod 2^(k-1), one bucket per e:
-    how many residues take z^(en) in their root a^((n+1)/2) z^(en).  Bucket
-    e = 0 is exactly the odd-order class."""
-    hist = report.class_histogram
-    half = len(hist)
-    return tuple(hist[(-e) % half] for e in range(half))
 
 
 def multiplier_coverage(report: DensityReport) -> Fraction:

@@ -18,7 +18,8 @@ stderr.  The verify and bench documents take their entries from the
 PrimeCheck, Failure and BenchRecord fields, in field order, written as
 objects through _asdict (_json refuses a NamedTuple).  Usage errors that
 depend on p alone, in bench as in verify, are refused before a context is
-built.  Exit codes: 0 success/pass, 1 usage or internal failure, 2 not a
+built; sqrt refuses a method with bench's check, _method, right after its
+context.  Exit codes: 0 success/pass, 1 usage or internal failure, 2 not a
 quadratic residue.
 """
 
@@ -27,7 +28,6 @@ import functools
 import json
 import sys
 import time
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import analysis, formulas, modarith, oracles, synthesis
@@ -69,17 +69,20 @@ _METHODS = {
 METHODS = tuple(_METHODS)
 
 
-def _method(name: str):
-    """The method's function, read from its module now, and the k it needs."""
+def _method(name: str, p: int | None = None):
+    """The method's function, read from its module now, and the k it needs.
+    Refuses an unknown name and, given an odd p, an f1..f4 for another k or
+    brute above BRUTE_LIMIT; a composite p is left to make_context."""
     if name not in _METHODS:
         raise ValueError(f"unknown method {name!r}")
-    mod, fn_name, k = _METHODS[name]
-    return getattr(mod, fn_name), k
-
-
-def _two_adic(m: int) -> int:
-    """The 2-adic valuation of m > 0: k of p = 2^k n + 1 for m = p - 1."""
-    return (m & -m).bit_length() - 1
+    mod, fn_name, need_k = _METHODS[name]
+    if p is not None and p >= 3 and p & 1:
+        k = modarith._two_adic(p - 1)
+        if need_k not in (None, k):
+            raise ValueError(f"method {name} needs k={need_k}, p={p} has k={k}")
+        if name == "brute" and p > oracles.BRUTE_LIMIT:
+            raise ValueError(f"brute supports p<={oracles.BRUTE_LIMIT} (BRUTE_LIMIT), got p={p}")
+    return getattr(mod, fn_name), need_k
 
 
 class Failure(NamedTuple):
@@ -137,7 +140,7 @@ def run_verification(
     checks = []
     total = 0
     for p in modarith.primes_in_range(max(pmin, 3), pmax):
-        k = _two_adic(p - 1)
+        k = modarith._two_adic(p - 1)
         if k_filter not in (None, k) or method_k not in (None, k):
             continue
         ctx = modarith.make_context(p)
@@ -207,8 +210,8 @@ def _sample_residues(ctx: modarith.PrimeContext, trials: int, seed: int) -> list
     return out
 
 
-def _default_methods(ctx: modarith.PrimeContext) -> list[str]:
-    fk = [f"f{ctx.k}"] if ctx.k <= 4 else []
+def _default_methods(k: int) -> list[str]:
+    fk = [f"f{k}"] if 1 <= k <= 4 else []
     return ["auto", *fk, "synth", "direct", "tonelli"]
 
 
@@ -218,22 +221,14 @@ def run_bench(
     """Per-method multiplication counts over a deterministic residue sample."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    # an unknown name, brute above its limit and a method for another k all
-    # depend on p alone: usage errors, reported before any context is built
-    fns = None if methods is None else [_method(m) for m in methods]
-    if p > oracles.BRUTE_LIMIT and "brute" in (methods or ()):
-        raise ValueError(f"brute supports p<={oracles.BRUTE_LIMIT} (BRUTE_LIMIT), got p={p}")
-    if fns is not None and p >= 3 and p % 2:
-        k = _two_adic(p - 1)
-        for m, (_, need_k) in zip(methods, fns):
-            if need_k not in (None, k):
-                raise ValueError(f"method {m} needs k={need_k}, p={p} has k={k}")
+    # the methods depend on p alone: usage errors, refused before any
+    # context is built
+    if methods is None:
+        methods = _default_methods(modarith._two_adic(p - 1))
+    fns = [_method(m, p) for m in methods]
     c0 = time.perf_counter()
     ctx = modarith.make_context(p)
     print(f"bench context on p={p}: {time.perf_counter() - c0:.3f}s", file=sys.stderr)
-    if methods is None:
-        methods = _default_methods(ctx)
-        fns = [_method(m) for m in methods]
     sample = _sample_residues(ctx, trials, seed)
     records = []
     for m, (fn, _) in zip(methods, fns):
@@ -270,7 +265,10 @@ def bench_to_doc(rep: BenchReport) -> dict:
 
 
 def density_to_doc(rep: analysis.DensityReport) -> dict:
-    predicted_exact = str(Fraction(1, 2 * rep.n)) if rep.k >= 2 else None
+    # the census's fractions are the laws, and every bucket of either
+    # histogram holds n residues (see analysis)
+    odd, exact = str(rep.odd_order_fraction), str(rep.exact_2k1_fraction)
+    hist = list(rep.class_histogram)
     return {
         "kind": "density_report",
         "p": rep.p,
@@ -278,19 +276,19 @@ def density_to_doc(rep: analysis.DensityReport) -> dict:
         "n": rep.n,
         "qr_count": rep.qr_count,
         "odd_order_count": rep.odd_order_count,
-        "odd_order_fraction": str(rep.odd_order_fraction),
-        "predicted_odd_order_fraction": str(Fraction(1, 1 << (rep.k - 1))),
+        "odd_order_fraction": odd,
+        "predicted_odd_order_fraction": odd,
         "exact_2k1_order_count": rep.exact_2k1_order_count,
-        "exact_2k1_fraction": str(rep.exact_2k1_fraction),
-        "predicted_exact_2k1_fraction": predicted_exact,
-        "class_histogram": list(rep.class_histogram),
-        "multiplier_histogram": list(analysis.multiplier_histogram(rep)),
+        "exact_2k1_fraction": exact,
+        "predicted_exact_2k1_fraction": exact if rep.k >= 2 else None,
+        "class_histogram": hist,
+        "multiplier_histogram": hist,
     }
 
 
 def _cmd_sqrt(args) -> tuple[dict, int]:
     ctx = modarith.make_context(args.p)
-    fn, _ = _method(args.method)
+    fn, _ = _method(args.method, args.p)
     out = fn(ctx, args.a)
     return {"kind": "sqrt_outcome", "p": args.p, "a": args.a, **out._asdict()}, 0
 
@@ -320,7 +318,9 @@ def _cmd_verify(args) -> tuple[dict, int]:
 def _cmd_expand(args) -> tuple[dict, int]:
     ctx = modarith.make_context(args.p)
     poly = synthesis.expand(ctx)
-    ok = synthesis.degree_check(poly, ctx)
+    half = 1 << (ctx.k - 1)
+    want = half * ctx.n - (ctx.n - 1) // 2
+    ok = poly.degree == want and len(poly.terms) == half
     doc = {
         "kind": "expanded_polynomial",
         "p": ctx.p,
@@ -328,11 +328,11 @@ def _cmd_expand(args) -> tuple[dict, int]:
         "n": ctx.n,
         "z": ctx.z,
         "polynomial": poly.text(),
-        "terms": [[ex, co] for ex, co in poly.terms],
+        "terms": poly.terms,
         "degree": poly.degree,
         "term_count": len(poly.terms),
-        "expected_degree": (1 << (ctx.k - 1)) * ctx.n - (ctx.n - 1) // 2,
-        "max_terms": 1 << (ctx.k - 1),
+        "expected_degree": want,
+        "max_terms": half,
         "degree_check": "PASS" if ok else "FAIL",
     }
     return doc, 0 if ok else 1

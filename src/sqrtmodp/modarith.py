@@ -105,6 +105,11 @@ def mod_pow(base: int, exp: int, p: int) -> int:
     return pow(base, exp, p)
 
 
+def _two_adic(m: int) -> int:
+    """The 2-adic valuation of m > 0: k of p = 2^k n + 1 for m = p - 1."""
+    return (m & -m).bit_length() - 1
+
+
 def is_prime(m: int) -> bool:
     """Deterministic primality test, exact for all m below _MR_BOUND (~3.3e24).
 
@@ -122,10 +127,8 @@ def is_prime(m: int) -> bool:
             return True
         if m % q == 0:
             return False
-    d, r = m - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    r = _two_adic(m - 1)
+    d = (m - 1) >> r
     t = next(t for bound, t in _MR_TIERS if m < bound)
     for a in _MR_WITNESSES[:t]:
         x = pow(a, d, m)
@@ -144,11 +147,8 @@ def decompose(p: int) -> tuple[int, int]:
     """Split p - 1 = 2^k * n with n odd; p must be an odd prime >= 3."""
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
-    n, k = p - 1, 0
-    while n % 2 == 0:
-        n //= 2
-        k += 1
-    return k, n
+    k = _two_adic(p - 1)
+    return k, (p - 1) >> k
 
 
 def legendre(a: int, p: int) -> int:

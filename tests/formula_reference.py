@@ -4,8 +4,9 @@ The package computes every root by the class lift, which takes only the one
 live term of the bracket.  These helpers evaluate every term of
 synthesize(k) at x from its Term and Factor fields instead, so the
 differential tests compare the lift with the paper's polynomial itself;
-expanded_at evaluates expand's multiplied-out form, and residue_class names
-the live term by the direct method's bit-by-bit lift.  expand_per_term and
+expanded_at evaluates expand's multiplied-out form, degree_check holds it to
+the closed form's shape, and residue_class names the live term by the
+direct method's bit-by-bit lift.  expand_per_term and
 render_per_term are the straightforward forms of expand and the renderers,
 which the package computes with one shared inverse and one string per
 distinct factor.
@@ -100,6 +101,12 @@ def expanded_at(poly, x):
         acc = (acc * y + co) % p
         last = ex
     return acc * pow(x, last, p) % p
+
+
+def degree_check(poly, ctx):
+    """True iff the degree is 2^(k-1) n - (n-1)/2 and there are 2^(k-1) terms."""
+    want = (1 << (ctx.k - 1)) * ctx.n - (ctx.n - 1) // 2
+    return poly.degree == want and len(poly.terms) == 1 << (ctx.k - 1)
 
 
 def residue_class(ctx, a):

@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from sqrtmodp import cli
 from sqrtmodp.analysis import (
     DENSITY_MAX_K,
     DensityReport,
     multiplier_coverage,
-    multiplier_histogram,
     order_census,
 )
 from sqrtmodp.modarith import make_context, primes_in_range
@@ -122,26 +122,40 @@ def test_exact_laws_sweep():
             assert rep.exact_2k1_fraction == Fraction(1, 2 * ctx.n)
 
 
+def _multiplier_histogram(ctx):
+    """The density document's histogram over multiplier exponents
+    e = -t mod 2^(k-1): how many residues take z^(en) in their root
+    a^((n+1)/2) z^(en)."""
+    return cli.density_to_doc(order_census(ctx))["multiplier_histogram"]
+
+
+def _multiplier_buckets(ctx):
+    """The same histogram, one residue at a time from its class."""
+    half = 1 << (ctx.k - 1)
+    hist = [0] * half
+    for a in brute_root_table(ctx.p):
+        hist[(-residue_class(ctx, a)) % half] += 1
+    return hist
+
+
 def test_multiplier_census_examples():
     # p = 17 has n = 1: one residue per bucket; p = 7 has k = 1: one bucket
-    for p, want in [(17, (1,) * 8), (13, (3, 3)), (7, (3,))]:
-        assert multiplier_histogram(order_census(make_context(p))) == want
+    for p, want in [(17, [1] * 8), (13, [3, 3]), (7, [3])]:
+        ctx = make_context(p)
+        assert _multiplier_histogram(ctx) == _multiplier_buckets(ctx) == want
 
 
 def test_multiplier_census_matches_per_element():
     for p in [13, 17, 41, 97]:
         ctx = make_context(p)
-        half = 1 << (ctx.k - 1)
-        hist = [0] * half
-        for a in brute_root_table(p):
-            hist[(-residue_class(ctx, a)) % half] += 1
-        assert tuple(hist) == multiplier_histogram(order_census(ctx))
+        assert _multiplier_histogram(ctx) == _multiplier_buckets(ctx)
 
 
 def test_bucket_zero_is_odd_order_class():
     for p in [13, 41, 17, 97]:
         ctx = make_context(p)
-        assert multiplier_histogram(order_census(ctx))[0] == ctx.n
+        odd = sum(1 for a in brute_root_table(p) if naive_order(a, p) % 2)
+        assert _multiplier_histogram(ctx)[0] == _multiplier_buckets(ctx)[0] == odd == ctx.n
 
 
 def test_fractions_are_exact_rationals():

@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sqrtmodp import cli, formulas, oracles
+from sqrtmodp.analysis import order_census
 from sqrtmodp.formulas import SqrtOutcome
+from sqrtmodp.modarith import is_prime, make_context
 
 from root_table import brute_root_table
 
@@ -345,6 +348,22 @@ def test_density_beyond_bound_names_p_and_k(capsys):
     assert "DENSITY_MAX_K" in err and "k<=18" in err
 
 
+@pytest.mark.parametrize("k", range(1, 19))
+def test_density_doc_laws_at_every_k(k):
+    # the smallest prime n 2^k + 1 at each k the command accepts; the laws
+    # are computed here, not read from the census
+    n = 1
+    while not is_prime((n << k) + 1):
+        n += 2
+    doc = cli.density_to_doc(order_census(make_context((n << k) + 1)))
+    assert (doc["k"], doc["n"]) == (k, n)
+    assert doc["predicted_odd_order_fraction"] == str(Fraction(1, 2 ** (k - 1)))
+    assert doc["odd_order_fraction"] == doc["predicted_odd_order_fraction"]
+    want_exact = str(Fraction(1, 2 * n)) if k >= 2 else None
+    assert doc["predicted_exact_2k1_fraction"] == want_exact
+    assert doc["class_histogram"] == doc["multiplier_histogram"] == [n] * 2 ** (k - 1)
+
+
 # ---------------------------------------------------------------------------
 # bench
 
@@ -380,19 +399,24 @@ def test_bench_deterministic_with_seed(capsys):
 
 
 def test_bench_method_class_mismatch(capsys):
-    # k depends on p alone, so the mismatch is refused before the context is
-    # built, and no timing line is printed
-    assert run_cli(capsys, "bench", "--p", "17", "--methods", "f3") == (
-        1, "", "error: method f3 needs k=3, p=17 has k=4\n"
+    # k depends on p alone, so bench refuses the mismatch before the context
+    # is built, and no timing line is printed; sqrt refuses it with the same
+    # line, after make_context has refused a p that is not an odd prime
+    want = (1, "", "error: method f3 needs k=3, p=17 has k=4\n")
+    assert run_cli(capsys, "bench", "--p", "17", "--methods", "f3") == want
+    assert run_cli(capsys, "sqrt", "--p", "17", "--a", "2", "--method", "f3") == want
+    assert run_cli(capsys, "sqrt", "--p", "15", "--a", "4", "--method", "f3") == (
+        1, "", "error: 15 is not an odd prime\n"
     )
 
 
 def test_bench_brute_guard(capsys):
-    # the limit depends on p alone, so it is checked before the context is
-    # built, and no timing line is printed
-    assert run_cli(capsys, "bench", "--p", "2097169", "--trials", "1", "--methods", "brute") == (
-        1, "", f"error: brute supports p<={oracles.BRUTE_LIMIT} (BRUTE_LIMIT), got p=2097169\n"
-    )
+    # the limit depends on p alone, so bench checks it before the context is
+    # built, and no timing line is printed; sqrt refuses with the same line
+    # (2097169 is prime, with k = 4)
+    want = (1, "", f"error: brute supports p<={oracles.BRUTE_LIMIT} (BRUTE_LIMIT), got p=2097169\n")
+    assert run_cli(capsys, "bench", "--p", "2097169", "--trials", "1", "--methods", "brute") == want
+    assert run_cli(capsys, "sqrt", "--p", "2097169", "--a", "4", "--method", "brute") == want
 
 
 def test_bench_bad_trials(capsys):

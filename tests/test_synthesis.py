@@ -12,7 +12,6 @@ from sqrtmodp.modarith import PrimeContext, is_prime, make_context, primes_in_ra
 from sqrtmodp.synthesis import (
     MAX_K,
     ExpandedPolynomial,
-    degree_check,
     expand,
     formula_to_doc,
     normalize_signs,
@@ -23,6 +22,7 @@ from sqrtmodp.synthesis import (
 )
 
 from formula_reference import (
+    degree_check,
     evaluate,
     evaluate_at,
     expand_per_term,
