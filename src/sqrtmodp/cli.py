@@ -16,11 +16,10 @@ command reads one back.  The records are NamedTuples and carry no wall
 time: the verify and bench commands time the call whose time they print to
 stderr.  The verify and bench documents take their entries from the
 PrimeCheck, Failure and BenchRecord fields, in field order, written as
-objects through _asdict (_json refuses a NamedTuple).  Usage errors that
-depend on p alone, in bench as in verify, are refused before a context is
-built; sqrt refuses a method with bench's check, _method, right after its
-context.  Exit codes: 0 success/pass, 1 usage or internal failure, 2 not a
-quadratic residue.
+objects through _asdict (_json refuses a NamedTuple).  bench and sqrt build
+the context first, so a p that is not an odd prime is refused as such, then
+check each method against it with one check, _method.  Exit codes: 0
+success/pass, 1 usage or internal failure, 2 not a quadratic residue.
 """
 
 import argparse
@@ -47,13 +46,6 @@ __all__ = [
     "verification_to_doc",
 ]
 
-def _brute_outcome(ctx: modarith.PrimeContext, a: int) -> formulas.SqrtOutcome:
-    roots = oracles.brute_force_sqrt(ctx.p, a)
-    if not roots:
-        raise formulas.NotAResidue(f"{a} is not a quadratic residue mod {ctx.p}")
-    return formulas.SqrtOutcome(min(roots), max(roots), "brute", ctx.p)
-
-
 # name -> (module, function name, the k it needs or None)
 _METHODS = {
     "auto": (formulas, "sqrt_auto", None),
@@ -64,24 +56,25 @@ _METHODS = {
     "synth": (synthesis, "sqrt_synth", None),
     "tonelli": (oracles, "tonelli_shanks", None),
     "direct": (oracles, "direct_sqrt", None),
-    "brute": (sys.modules[__name__], "_brute_outcome", None),
+    "brute": (oracles, "_brute_sqrt", None),
 }
 METHODS = tuple(_METHODS)
 
 
-def _method(name: str, p: int | None = None):
+def _method(name: str, ctx: modarith.PrimeContext | None = None):
     """The method's function, read from its module now, and the k it needs.
-    Refuses an unknown name and, given an odd p, an f1..f4 for another k or
-    brute above BRUTE_LIMIT; a composite p is left to make_context."""
+    Refuses an unknown name and, given a context, an f1..f4 for another k or
+    brute above BRUTE_LIMIT."""
     if name not in _METHODS:
         raise ValueError(f"unknown method {name!r}")
     mod, fn_name, need_k = _METHODS[name]
-    if p is not None and p >= 3 and p & 1:
-        k = modarith._two_adic(p - 1)
-        if need_k not in (None, k):
-            raise ValueError(f"method {name} needs k={need_k}, p={p} has k={k}")
-        if name == "brute" and p > oracles.BRUTE_LIMIT:
-            raise ValueError(f"brute supports p<={oracles.BRUTE_LIMIT} (BRUTE_LIMIT), got p={p}")
+    if ctx is not None:
+        if need_k not in (None, ctx.k):
+            raise ValueError(f"method {name} needs k={need_k}, p={ctx.p} has k={ctx.k}")
+        if name == "brute" and ctx.p > oracles.BRUTE_LIMIT:
+            raise ValueError(
+                f"brute supports p<={oracles.BRUTE_LIMIT} (BRUTE_LIMIT), got p={ctx.p}"
+            )
     return getattr(mod, fn_name), need_k
 
 
@@ -221,14 +214,15 @@ def run_bench(
     """Per-method multiplication counts over a deterministic residue sample."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    # the methods depend on p alone: usage errors, refused before any
-    # context is built
-    if methods is None:
-        methods = _default_methods(modarith._two_adic(p - 1))
-    fns = [_method(m, p) for m in methods]
     c0 = time.perf_counter()
     ctx = modarith.make_context(p)
-    print(f"bench context on p={p}: {time.perf_counter() - c0:.3f}s", file=sys.stderr)
+    dt = time.perf_counter() - c0
+    # checked against the context, as sqrt checks its method, so a p that is
+    # not an odd prime reads as such; a refusal prints no timing line
+    if methods is None:
+        methods = _default_methods(ctx.k)
+    fns = [_method(m, ctx) for m in methods]
+    print(f"bench context on p={p}: {dt:.3f}s", file=sys.stderr)
     sample = _sample_residues(ctx, trials, seed)
     records = []
     for m, (fn, _) in zip(methods, fns):
@@ -288,7 +282,7 @@ def density_to_doc(rep: analysis.DensityReport) -> dict:
 
 def _cmd_sqrt(args) -> tuple[dict, int]:
     ctx = modarith.make_context(args.p)
-    fn, _ = _method(args.method, args.p)
+    fn, _ = _method(args.method, ctx)
     out = fn(ctx, args.a)
     return {"kind": "sqrt_outcome", "p": args.p, "a": args.a, **out._asdict()}, 0
 

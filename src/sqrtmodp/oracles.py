@@ -1,4 +1,10 @@
-"""Independent square-root algorithms: ground truth and classical baselines."""
+"""Independent square-root algorithms: ground truth and classical baselines.
+
+brute_force_sqrt is the ground truth, every root found by scanning; the
+private _brute_sqrt wraps it as the CLI's brute method, an outcome like
+the others whose count is the p squarings of the scan.  tonelli_shanks and
+direct_sqrt are the classical baselines, each charged to a MulCounter.
+"""
 
 from .formulas import NotAResidue, SqrtOutcome
 from .modarith import MulCounter, PrimeContext
@@ -20,6 +26,14 @@ def brute_force_sqrt(p: int, a: int) -> set[int]:
     if not 0 <= a < p:
         raise ValueError(f"residue {a} out of range for p={p}")
     return {r for r in range(p) if r * r % p == a}
+
+
+def _brute_sqrt(ctx: PrimeContext, a: int) -> SqrtOutcome:
+    """brute_force_sqrt as a method: the smaller root and p, one squaring per r."""
+    roots = brute_force_sqrt(ctx.p, a)
+    if not roots:
+        raise NotAResidue(f"{a} is not a quadratic residue mod {ctx.p}")
+    return _canonical(min(roots), ctx.p, "brute", ctx.p)
 
 
 def _screen(ctx: PrimeContext, a: int, counter: MulCounter) -> None:

@@ -399,24 +399,27 @@ def test_bench_deterministic_with_seed(capsys):
 
 
 def test_bench_method_class_mismatch(capsys):
-    # k depends on p alone, so bench refuses the mismatch before the context
-    # is built, and no timing line is printed; sqrt refuses it with the same
-    # line, after make_context has refused a p that is not an odd prime
+    # bench and sqrt check the method against the built context, so both
+    # refuse the mismatch with one line, and bench prints no timing line; a
+    # p that is not an odd prime is refused by make_context first, by both
     want = (1, "", "error: method f3 needs k=3, p=17 has k=4\n")
     assert run_cli(capsys, "bench", "--p", "17", "--methods", "f3") == want
     assert run_cli(capsys, "sqrt", "--p", "17", "--a", "2", "--method", "f3") == want
-    assert run_cli(capsys, "sqrt", "--p", "15", "--a", "4", "--method", "f3") == (
-        1, "", "error: 15 is not an odd prime\n"
-    )
+    not_prime = (1, "", "error: 15 is not an odd prime\n")
+    assert run_cli(capsys, "sqrt", "--p", "15", "--a", "4", "--method", "f3") == not_prime
+    assert run_cli(capsys, "bench", "--p", "15", "--methods", "f3") == not_prime
 
 
 def test_bench_brute_guard(capsys):
-    # the limit depends on p alone, so bench checks it before the context is
-    # built, and no timing line is printed; sqrt refuses with the same line
-    # (2097169 is prime, with k = 4)
+    # bench checks the limit against the built context, as sqrt does, and a
+    # refusal prints no timing line (2097169 is prime, with k = 4; 2097171 =
+    # 3 * 699057 is refused as not prime, not as too large)
     want = (1, "", f"error: brute supports p<={oracles.BRUTE_LIMIT} (BRUTE_LIMIT), got p=2097169\n")
     assert run_cli(capsys, "bench", "--p", "2097169", "--trials", "1", "--methods", "brute") == want
     assert run_cli(capsys, "sqrt", "--p", "2097169", "--a", "4", "--method", "brute") == want
+    assert run_cli(capsys, "bench", "--p", "2097171", "--trials", "1", "--methods", "brute") == (
+        1, "", "error: 2097171 is not an odd prime\n"
+    )
 
 
 def test_bench_bad_trials(capsys):
@@ -424,7 +427,8 @@ def test_bench_bad_trials(capsys):
 
 
 def test_bench_unknown_method(capsys):
-    # the name is checked before the context is built, so no timing line
+    # the names are checked once the context is built, and a refusal
+    # prints no timing line
     assert run_cli(capsys, "bench", "--p", "13", "--methods", "auto,nope") == (
         1, "", "error: unknown method 'nope'\n"
     )

@@ -1,10 +1,13 @@
 """Every exported name resolves, so `from ... import *` and tools that walk
-__all__ never meet a stale entry; no exported type is a dataclass, and
-importing the command line loads neither dataclasses nor inspect, so the
-package stays cheap to import; the arithmetic takes no counter, and the
-scripts use only public names."""
+__all__ never meet a stale entry; the package exports each library module's
+names as the module's own objects, and no two modules export one name; no
+exported type is a dataclass, importing the command line loads neither
+dataclasses nor inspect, and importing the package loads no argparse, so
+both stay cheap to import; the arithmetic takes no counter, and the scripts
+use only public names."""
 
 import ast
+import collections
 import dataclasses
 import inspect
 import os
@@ -32,6 +35,27 @@ def test_package_all_resolves_and_is_sorted():
     assert names == sorted(set(names))
 
 
+LIBRARY = [mod for mod in MODULES if mod is not cli]
+
+
+def test_package_reexports_each_module_name_as_the_same_object():
+    assert sqrtmodp.__all__ == sorted(name for mod in LIBRARY for name in mod.__all__)
+    stale = [
+        (mod.__name__, name)
+        for mod in LIBRARY
+        for name in mod.__all__
+        if getattr(sqrtmodp, name) is not getattr(mod, name)
+    ]
+    assert stale == []
+
+
+def test_module_all_lists_are_disjoint():
+    # the package star-imports every library module, so a name exported by
+    # two of them would be shadowed silently by the later import
+    counts = collections.Counter(name for mod in LIBRARY for name in mod.__all__)
+    assert [name for name, count in counts.items() if count > 1] == []
+
+
 def test_no_exported_name_is_a_dataclass():
     # A dataclass execs its generated methods when its module is imported, a
     # NamedTuple does not; the records are NamedTuples and PrimeContext is a
@@ -45,15 +69,25 @@ def test_no_exported_name_is_a_dataclass():
     assert found == set()
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # a fresh interpreter, since this one has loaded both for the tests
+def _fresh_modules(code: str) -> str:
+    # a fresh interpreter, since this one has loaded them all for the tests
     src = str(Path(sqrtmodp.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    code = "import sys, sqrtmodp.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    code = "import sys, sqrtmodp.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    assert _fresh_modules(code) == "[]\n"
+
+
+def test_package_import_loads_no_cli():
+    # the command line stays out of the package's star imports
+    code = "import sys, sqrtmodp; print(sorted({'argparse', 'sqrtmodp.cli'} & set(sys.modules)))"
+    assert _fresh_modules(code) == "[]\n"
 
 
 def test_prime_context_takes_p_k_n_z():
