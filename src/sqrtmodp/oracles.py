@@ -4,6 +4,10 @@ brute_force_sqrt is the ground truth, every root found by scanning; the
 private _brute_sqrt wraps it as the CLI's brute method, an outcome like
 the others whose count is the p squarings of the scan.  tonelli_shanks and
 direct_sqrt are the classical baselines, each charged to a MulCounter.
+Each takes one full-size power, a^((n-1)/2), and gets a^((n+1)/2) and a^n
+from it by two products, as Tonelli-Shanks does in Cohen, A Course in
+Computational Algebraic Number Theory (1993), Alg. 1.5.1; each finds a
+nonresidue in its own loop on a^n, with no Euler power first.
 """
 
 from .formulas import NotAResidue, SqrtOutcome
@@ -36,30 +40,29 @@ def _brute_sqrt(ctx: PrimeContext, a: int) -> SqrtOutcome:
     return _canonical(min(roots), ctx.p, "brute", ctx.p)
 
 
-def _screen(ctx: PrimeContext, a: int, counter: MulCounter) -> None:
-    """Reject out-of-range and nonresidue inputs; one Euler-criterion power."""
-    # Not modarith.legendre: this power is part of the cost model, so it is
-    # charged to counter and shows in the tonelli and direct counts.
-    if not 0 <= a < ctx.p:
-        raise ValueError(f"residue {a} out of range for p={ctx.p}")
-    if a and counter.pow(a, (ctx.p - 1) // 2, ctx.p) == ctx.p - 1:
-        raise NotAResidue(f"{a} is not a quadratic residue mod {ctx.p}")
-
-
 def _canonical(raw: int, p: int, method: str, count: int) -> SqrtOutcome:
     root = min(raw, p - raw) if raw else 0
     return SqrtOutcome(root, p - root if root else 0, method, count)
 
 
-def tonelli_shanks(ctx: PrimeContext, a: int) -> SqrtOutcome:
-    """Classical iterative refinement, seeded with the context's nonresidue."""
+def _powers(ctx: PrimeContext, a: int, c: MulCounter) -> tuple[int, int]:
+    """a^((n+1)/2) = a u and a^n = a u^2 from one counted power u = a^((n-1)/2)."""
     p = ctx.p
-    c = MulCounter()
-    _screen(ctx, a, c)
+    u = c.pow(a, ctx.n >> 1, p)  # (n - 1)/2, n odd
+    x = c.mul(a, u, p)
+    return x, c.mul(x, u, p)
+
+
+def tonelli_shanks(ctx: PrimeContext, a: int) -> SqrtOutcome:
+    """Cohen, Alg. 1.5.1, on x = a^((n+1)/2), t = a^n and w = z^n; a is a
+    nonresidue when the least i with t^(2^i) = 1 is m (Cohen, step 3)."""
+    p = ctx.p
+    if not 0 <= a < p:
+        raise ValueError(f"residue {a} out of range for p={p}")
     if a == 0:
-        return _canonical(0, p, "tonelli", c.count)
-    x = c.pow(a, (ctx.n + 1) // 2, p)
-    t = c.pow(a, ctx.n, p)
+        return _canonical(0, p, "tonelli", 0)
+    c = MulCounter()
+    x, t = _powers(ctx, a, c)
     w = c.lookup(ctx, 1)  # z^n, a generator of the 2-part
     m = ctx.k
     while t != 1:
@@ -67,6 +70,8 @@ def tonelli_shanks(ctx: PrimeContext, a: int) -> SqrtOutcome:
         while t2 != 1:
             t2 = c.mul(t2, t2, p)
             i += 1
+        if i == m:  # t has order 2^k: a^((p-1)/2) = -1
+            raise NotAResidue(f"{a} is not a quadratic residue mod {p}")
         b = c.pow(w, 1 << (m - i - 1), p)
         x = c.mul(x, b, p)
         w = c.mul(b, b, p)
@@ -75,8 +80,10 @@ def tonelli_shanks(ctx: PrimeContext, a: int) -> SqrtOutcome:
     return _canonical(x, p, "tonelli", c.count)
 
 
-def _lift_class(ctx: PrimeContext, an: int, counter: MulCounter) -> int:
-    """Bit-by-bit discrete log of an = a^n in the group generated by z^(2n)."""
+def _lift_class(ctx: PrimeContext, a: int, an: int, counter: MulCounter) -> int:
+    """Bit-by-bit discrete log of an = a^n in the group generated by z^(2n);
+    a is a nonresidue exactly when an is outside it and the lift ends on
+    cur != 1."""
     p = ctx.p
     cur, t = an, 0
     for i in range(ctx.k - 1):
@@ -85,20 +92,19 @@ def _lift_class(ctx: PrimeContext, an: int, counter: MulCounter) -> int:
             w = counter.lookup(ctx, (1 << ctx.k) - (1 << (i + 1)))  # z^(-2^(i+1) n)
             cur = counter.mul(cur, w, p)
     if cur != 1:
-        raise ArithmeticError(f"no class index matches for p={p}; context invalid")
+        raise NotAResidue(f"{a} is not a quadratic residue mod {p}")
     return t
 
 
 def direct_sqrt(ctx: PrimeContext, a: int) -> SqrtOutcome:
-    """Root a^((n+1)/2) * z^(en) with e = -class(a) mod 2^(k-1)."""
+    """Root a^((n+1)/2) * z^(en) with e = -class(a) mod 2^(k-1), the class
+    read by _lift_class from a^n; its powers as in Cohen, Alg. 1.5.1."""
     p = ctx.p
-    c = MulCounter()
-    _screen(ctx, a, c)
+    if not 0 <= a < p:
+        raise ValueError(f"residue {a} out of range for p={p}")
     if a == 0:
-        return _canonical(0, p, "direct", c.count)
-    an = c.pow(a, ctx.n, p)
-    t = _lift_class(ctx, an, c)
-    e = (-t) % (1 << (ctx.k - 1))
-    ah = c.pow(a, (ctx.n + 1) // 2, p)
-    raw = c.mul(ah, c.lookup(ctx, e), p)
-    return _canonical(raw, p, "direct", c.count)
+        return _canonical(0, p, "direct", 0)
+    c = MulCounter()
+    x, an = _powers(ctx, a, c)
+    e = (-_lift_class(ctx, a, an, c)) % (1 << (ctx.k - 1))
+    return _canonical(c.mul(x, c.lookup(ctx, e), p), p, "direct", c.count)

@@ -17,11 +17,11 @@ like sqrt_f1..sqrt_f4, computes only that term from the prime context (the
 evaluator lives in formulas): it reads t 8 bits per table lookup, not one
 bit per level, with the same count for every nonzero residue, for any k.
 
-The symbolic object, built by synthesize for k <= MAX_K, supports sign
-normalization (folding z-exponents at or above 2^(k-1) into minus signs via
-z^(2^(k-1) n) = -1) and rendering to text, LaTeX, and a structured document.
-The terms share their factors, so the text and LaTeX renderers fold and
-format each distinct factor once per call.
+The symbolic object, built by synthesize for k <= MAX_K, renders to text,
+LaTeX, and a structured document.  The text and LaTeX renderers fold
+z-exponents at or above 2^(k-1) into minus signs via z^(2^(k-1) n) = -1;
+the terms share their factors, so they fold and format each distinct
+factor once per call.
 
 Expanded over F_p, the polynomial has exactly 2^(k-1) nonzero terms and
 degree 2^(k-1) n - (n-1)/2.  With g = z^n and y = x^n, term t's factors
@@ -48,13 +48,10 @@ __all__ = [
     "ExpandedPolynomial",
     "Factor",
     "MAX_K",
-    "RenderedTerm",
-    "SignedFactor",
     "SymbolicFormula",
     "Term",
     "expand",
     "formula_to_doc",
-    "normalize_signs",
     "render_math",
     "render_text",
     "sqrt_synth",
@@ -132,36 +129,10 @@ def sqrt_synth(ctx: PrimeContext, a: int) -> SqrtOutcome:
     return _class_root(ctx, a, "synth")
 
 
-class SignedFactor(NamedTuple):
-    """A factor after sign folding: (1 sign x^(2^j n) z^(cn)) with c < 2^(k-1)."""
-
-    sign: int  # +1 or -1
-    j: int
-    c: int
-
-
-class RenderedTerm(NamedTuple):
-    e: int
-    factors: tuple[SignedFactor, ...]
-
-
 def _fold(c: int, half: int) -> tuple[int, int]:
     """(sign, c') with z^(cn) = sign z^(c'n) and c' < half = 2^(k-1), by
     z^(half n) = -1: the one place the sign fold is made."""
     return (-1, c - half) if c >= half else (1, c)
-
-
-def normalize_signs(f: SymbolicFormula) -> tuple[RenderedTerm, ...]:
-    """Fold z-exponents >= 2^(k-1) into minus signs via z^(2^(k-1) n) = -1."""
-    half = 1 << (f.k - 1)
-    out = []
-    for term in f.terms:
-        folded = []
-        for fc in term.factors:
-            sign, c = _fold(fc.c, half)
-            folded.append(SignedFactor(sign, fc.j, c))
-        out.append(RenderedTerm(term.e, tuple(folded)))
-    return tuple(out)
 
 
 def _exp_n(m: int) -> str:

@@ -9,13 +9,45 @@ the closed form's shape, and residue_class names the live term by the
 direct method's bit-by-bit lift.  expand_per_term and
 render_per_term are the straightforward forms of expand and the renderers,
 which the package computes with one shared inverse and one string per
-distinct factor.
+distinct factor; render_per_term renders normalize_signs(f), the formula
+with its signs folded into SignedFactor and RenderedTerm records.
 """
+
+from typing import NamedTuple
 
 from sqrtmodp.formulas import NotAResidue
 from sqrtmodp.modarith import MulCounter, legendre
 from sqrtmodp.oracles import _lift_class
-from sqrtmodp.synthesis import ExpandedPolynomial, normalize_signs
+from sqrtmodp.synthesis import ExpandedPolynomial
+
+
+class SignedFactor(NamedTuple):
+    """A factor after sign folding: (1 sign x^(2^j n) z^(cn)) with c < 2^(k-1)."""
+
+    sign: int  # +1 or -1
+    j: int
+    c: int
+
+
+class RenderedTerm(NamedTuple):
+    e: int
+    factors: tuple[SignedFactor, ...]
+
+
+def normalize_signs(f):
+    """Fold z-exponents >= 2^(k-1) into minus signs via z^(2^(k-1) n) = -1,
+    every factor of every term anew."""
+    half = 1 << (f.k - 1)
+    return tuple(
+        RenderedTerm(
+            term.e,
+            tuple(
+                SignedFactor(-1, fc.j, fc.c - half) if fc.c >= half else SignedFactor(1, fc.j, fc.c)
+                for fc in term.factors
+            ),
+        )
+        for term in f.terms
+    )
 
 
 def _x_levels(ctx, x):
@@ -115,7 +147,7 @@ def residue_class(ctx, a):
         raise ValueError(f"residue {a} out of range for p={ctx.p}")
     if legendre(a, ctx.p) != 1:
         raise NotAResidue(f"{a} is not a nonzero quadratic residue mod {ctx.p}")
-    return _lift_class(ctx, pow(a, ctx.n, ctx.p), MulCounter())
+    return _lift_class(ctx, a, pow(a, ctx.n, ctx.p), MulCounter())
 
 
 def expand_per_term(ctx):

@@ -15,9 +15,9 @@ from sqrtmodp.analysis import order_census
 from sqrtmodp.formulas import sqrt_auto
 from sqrtmodp.modarith import decompose, is_prime, make_context, primes_in_range
 from sqrtmodp.oracles import direct_sqrt, tonelli_shanks
-from sqrtmodp.synthesis import expand, normalize_signs, synthesize
+from sqrtmodp.synthesis import expand, synthesize
 
-from formula_reference import degree_check, evaluate
+from formula_reference import degree_check, evaluate, normalize_signs
 from root_table import brute_root_table
 
 

@@ -1,10 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqrtmodp.formulas import NotAResidue
+from sqrtmodp import cli
+from sqrtmodp.formulas import NotAResidue, sqrt_auto
 from sqrtmodp.modarith import (
     PrimeContext,
+    _pow_cost,
     legendre,
     make_context,
     primes_in_range,
@@ -18,6 +22,17 @@ from sqrtmodp.oracles import (
 
 from formula_reference import residue_class
 from root_table import brute_root_table
+
+ORACLES = (tonelli_shanks, direct_sqrt)
+GOLDILOCKS = (1 << 64) - (1 << 32) + 1
+HIGH_K_PRIMES = (786433, 2130706433, 2013265921, GOLDILOCKS)  # k = 18, 24, 27, 32
+# perfbench's large_p grid: 31-, 61- and 80-bit primes with k = 1..4
+LARGE_P_GRID = (
+    2147483647, 2147483629, 2147483497, 2147483249,
+    2305843009213693951, 2305843009213693693, 2305843009213693561, 2305843009213691569,
+    1208925819614629174706111, 1208925819614629174704869,
+    1208925819614629174704889, 1208925819614629174706033,
+)
 
 
 def test_brute_examples():
@@ -164,3 +179,74 @@ def test_oracle_agreement_sweep():
         for a, pair in brute_root_table(p).items():
             assert (direct_sqrt(ctx, a).root, direct_sqrt(ctx, a).coroot) == pair
             assert (tonelli_shanks(ctx, a).root, tonelli_shanks(ctx, a).coroot) == pair
+
+
+@pytest.mark.parametrize("oracle", ORACLES, ids=lambda f: f.__name__)
+def test_oracle_rejects_every_nonresidue_below_500(oracle):
+    for p in primes_in_range(3, 500):
+        ctx = make_context(p)
+        table = brute_root_table(p)
+        for a in range(1, p):
+            if a not in table:
+                with pytest.raises(NotAResidue, match=rf"^{a} is not a quadratic residue mod {p}$"):
+                    oracle(ctx, a)
+        with pytest.raises(ValueError):
+            oracle(ctx, p)
+
+
+@pytest.mark.parametrize("oracle", ORACLES, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("p", HIGH_K_PRIMES)
+def test_oracle_rejects_nonresidues_at_high_k(oracle, p):
+    ctx = make_context(p)
+    rng = random.Random(p)
+    for _ in range(20):
+        r = rng.randrange(1, p)
+        with pytest.raises(NotAResidue):
+            oracle(ctx, ctx.z * r * r % p)
+        out = oracle(ctx, r * r % p)
+        assert out.root in (r, p - r)
+
+
+@pytest.mark.parametrize("method", ["tonelli", "direct"])
+@pytest.mark.parametrize("p", [41, 786433, GOLDILOCKS])
+def test_sqrt_nonresidue_line_is_auto_s(capsys, method, p):
+    a = str(make_context(p).z)
+    assert cli.main(["sqrt", "--p", str(p), "--a", a]) == 2
+    want = capsys.readouterr()
+    assert cli.main(["sqrt", "--p", str(p), "--a", a, "--method", method]) == 2
+    got = capsys.readouterr()
+    assert (got.out, got.err) == ("", want.err)
+    assert want.err == f"not a quadratic residue: {a} is not a quadratic residue mod {p}\n"
+
+
+def test_tonelli_takes_one_power_at_k1():
+    # k = 1: the loop is never entered, so tonelli costs what the class
+    # formula does, one power a^((n-1)/2) and the two products after it
+    for p in [7, 83, *(q for q in LARGE_P_GRID if make_context(q).k == 1)]:
+        ctx = make_context(p)
+        want = _pow_cost((ctx.n - 1) // 2) + 2
+        for r in random.Random(p).sample(range(1, min(p, 1 << 20)), 5):
+            a = r * r % p
+            assert tonelli_shanks(ctx, a).mul_count == sqrt_auto(ctx, a).mul_count == want
+
+
+def _loop_bound(k):
+    """The most either oracle charges after its shared power at k <= 8,
+    where a lookup is free: two products, then tonelli's loop at m = k, ..,
+    2, each pass i squarings, m - i - 1 for b and three products, or
+    direct's lift, k - 1 - i for bit i and one product, and its product by
+    z^(en)."""
+    return 3 + sum(m + 2 for m in range(2, k + 1))
+
+
+@pytest.mark.parametrize("p", LARGE_P_GRID)
+def test_oracles_take_one_full_power_on_the_large_p_grid(p):
+    ctx = make_context(p)
+    power = _pow_cost((ctx.n - 1) // 2)
+    # a second full-size power, such as a^n, would not fit under the bound
+    assert _loop_bound(ctx.k) < _pow_cost(ctx.n)
+    rng = random.Random(p)
+    for _ in range(30):
+        a = pow(rng.randrange(1, p), 2, p)
+        for oracle in ORACLES:
+            assert 0 <= oracle(ctx, a).mul_count - power <= _loop_bound(ctx.k)

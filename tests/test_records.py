@@ -14,12 +14,14 @@ import pytest
 from sqrtmodp import analysis, cli, formulas, synthesis
 from sqrtmodp.modarith import make_context
 
+import formula_reference
+
 FIELDS = {
     synthesis.Factor: ("j", "c"),
     synthesis.Term: ("e", "factors"),
     synthesis.SymbolicFormula: ("k", "terms"),
-    synthesis.SignedFactor: ("sign", "j", "c"),
-    synthesis.RenderedTerm: ("e", "factors"),
+    formula_reference.SignedFactor: ("sign", "j", "c"),
+    formula_reference.RenderedTerm: ("e", "factors"),
     synthesis.ExpandedPolynomial: ("p", "terms"),
     analysis.DensityReport: (
         "p",
@@ -68,7 +70,7 @@ def _wrong_coroot(ctx, a):
 def _samples(monkeypatch):
     """One instance of each record type, as the package builds it."""
     f = synthesis.synthesize(3)
-    rendered = synthesis.normalize_signs(f)[1]
+    rendered = formula_reference.normalize_signs(f)[1]
     ctx = make_context(13)
     monkeypatch.setattr(formulas, "sqrt_f1", _wrong_coroot)
     verification = cli.run_verification(3, 7, "f1")
@@ -78,8 +80,8 @@ def _samples(monkeypatch):
         synthesis.Factor: f.terms[1].factors[0],
         synthesis.Term: f.terms[1],
         synthesis.SymbolicFormula: f,
-        synthesis.SignedFactor: rendered.factors[0],
-        synthesis.RenderedTerm: rendered,
+        formula_reference.SignedFactor: rendered.factors[0],
+        formula_reference.RenderedTerm: rendered,
         synthesis.ExpandedPolynomial: synthesis.expand(ctx),
         analysis.DensityReport: analysis.order_census(ctx),
         cli.Failure: check.failures[0],

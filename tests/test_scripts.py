@@ -25,6 +25,11 @@ ROOT = Path(__file__).resolve().parent.parent
             ["--k", "3", "--pmax", "300"],
             "      41      5          1/4           1/10         9/10  (~0.9000)",
         ),
+        (
+            "bench_table.py",
+            ["--primes", "17,41", "--trials", "8"],
+            "      41   tonelli      7.62      3     12  varies",
+        ),
     ],
 )
 def test_script_runs(script, args, line):

@@ -14,7 +14,6 @@ from sqrtmodp.synthesis import (
     ExpandedPolynomial,
     expand,
     formula_to_doc,
-    normalize_signs,
     render_math,
     render_text,
     sqrt_synth,
@@ -27,6 +26,7 @@ from formula_reference import (
     evaluate_at,
     expand_per_term,
     expanded_at,
+    normalize_signs,
     render_per_term,
     term_values,
 )
