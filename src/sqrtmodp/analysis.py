@@ -22,7 +22,6 @@ from .modarith import PrimeContext
 __all__ = [
     "DENSITY_MAX_K",
     "DensityReport",
-    "multiplier_coverage",
     "order_census",
 ]
 
@@ -62,11 +61,3 @@ def order_census(ctx: PrimeContext) -> DensityReport:
         p, k, n, qr, n, exact, (n,) * half, Fraction(n, qr), Fraction(exact, qr)
     )
 
-
-def multiplier_coverage(report: DensityReport) -> Fraction:
-    """Share of residues whose order is not the full 2-power 2^(k-1).
-
-    Equals 1 - 1/(2n) for k >= 2, so it climbs toward 1 as n grows with k
-    fixed; reported as a trend, never asserted as a limit.
-    """
-    return 1 - report.exact_2k1_fraction

@@ -112,9 +112,9 @@ def run_verification(
 
     The roots are walked, not tabled: each r in 1..(p-1)/2 is the canonical
     root of a distinct residue a = r^2 mod p, so the method is called once
-    per a, in ascending r, and its outcome must square to a and equal the
-    pair (r, p - r).  No table is built: failures aside, the memory is O(1)
-    per prime.
+    per a, in ascending r, and its outcome must equal the pair (r, p - r).
+    That root squares to a, so no square is taken.  No table is built:
+    failures aside, the memory is O(1) per prime.
 
     An inverted range, or a k_filter that no prime the method accepts can
     meet, is an error; an ordered range with no prime in it is an empty pass.
@@ -143,7 +143,7 @@ def run_verification(
             for r in range(1, half + 1):
                 a = r * r % p
                 root, coroot, _, _ = fn(ctx, a)
-                if root * root % p != a or root != r or coroot != p - r:
+                if root != r or coroot != p - r:
                     failures.append(Failure(a, root, coroot, (r, p - r)))
         except formulas.NotAResidue as exc:
             raise ArithmeticError(

@@ -1,11 +1,11 @@
-"""The class-formula evaluator and its named entry points for k = 1..4.
+"""The class-formula evaluator, sqrt_auto, and its entry points for k = 1..4.
 
 The square root of a residue a is 2^-(k-1) a^((n+1)/2) times a bracket of
 nonresidue-power terms that collapses, at any quadratic residue, to the
-single selector for the residue's class.  One private evaluator computes it
-for every k: sqrt_f1..sqrt_f4, sqrt_auto and synthesis.sqrt_synth differ
-only in the class they accept and the method tag they report.  It takes
-one shared power per call, a^((n-1)/2); a^((n+1)/2) and a^n follow
+single selector for the residue's class.  One evaluator, sqrt_auto,
+computes it for every k in one Python frame: sqrt_f1..sqrt_f4 check k and
+call it, and synthesis.sqrt_synth calls it and tags its outcome synth.  It
+takes one shared power per call, a^((n-1)/2); a^((n+1)/2) and a^n follow
 from it by two products.  The bracket's k-1 level factors each fix one bit
 of the class index t; the evaluator reads e = -t mod 2^(k-1), the exponent
 of the multiplier z^(en), 8 bits at a time instead, from s = 2e, the log
@@ -17,9 +17,8 @@ in, and the multiplier is built, by reads of the context's rows of z^(jn),
 one product each: the walk calls no zn_pow.  The root is the
 bracket's one live term, a^((n+1)/2) z^(en).  At k = 1 the bracket is empty
 and the root is the bare power a^((n+1)/2).  The count is the lift's cost,
-priced once per context.
-sqrt_auto hands k > 4 to sqrt_synth, read from the synthesis module at each
-call.
+and the method tag (f1..f4 at k <= 4, synth above) the context's, both
+fixed once per context.
 """
 
 from typing import NamedTuple
@@ -60,9 +59,9 @@ class SqrtOutcome(NamedTuple):
 _new_tuple = tuple.__new__
 
 
-def _class_root(ctx: PrimeContext, a: int, method: str) -> SqrtOutcome:
-    """Square root of a via the class formula, its class index read 8 bits
-    per table lookup.
+def sqrt_auto(ctx: PrimeContext, a: int) -> SqrtOutcome:
+    """Square root of a via the class formula, for any k, its class index
+    read 8 bits per table lookup.
 
     One power u = a^((n-1)/2) gives root = a^((n+1)/2) = a u and a^n =
     root u = g^(-s), g = z^n, s < 2^k.  Windows of w = min(8, k) bits go
@@ -84,12 +83,14 @@ def _class_root(ctx: PrimeContext, a: int, method: str) -> SqrtOutcome:
 
     mul_count is ctx._cost, modarith._class_cost(n, k): the same for every
     nonzero residue of the prime, priced once per context, and 0 at a = 0.
+    The method is ctx._method: f1..f4 at k <= 4 and synth above.  The body
+    calls no Python function, so a call is one frame.
     """
     p = ctx.p
     if not 0 <= a < p:
         raise ValueError(f"residue {a} out of range for p={p}")
     if a == 0:  # every factor is 1 at x = 0, so no class is singled out
-        return SqrtOutcome(0, 0, method, 0)
+        return SqrtOutcome(0, 0, ctx._method, 0)
     u = pow(a, ctx.n >> 1, p)  # (n - 1)/2, n odd
     root = a * u % p
     x = root * u % p  # a^n = g^(-s)
@@ -120,16 +121,13 @@ def _class_root(ctx: PrimeContext, a: int, method: str) -> SqrtOutcome:
         e >>= _W
     if root > p - root:  # root != 0, since a != 0
         root = p - root
-    return _new_tuple(SqrtOutcome, (root, p - root, method, ctx._cost))
-
-
-_TAGS = ("f1", "f2", "f3", "f4")
+    return _new_tuple(SqrtOutcome, (root, p - root, ctx._method, ctx._cost))
 
 
 def _sqrt_fk(k: int, ctx: PrimeContext, a: int) -> SqrtOutcome:
     if ctx.k != k:
         raise WrongClass(f"f{k} needs k={k}, context has k={ctx.k}")
-    return _class_root(ctx, a, _TAGS[k - 1])
+    return sqrt_auto(ctx, a)
 
 
 def sqrt_f1(ctx: PrimeContext, a: int) -> SqrtOutcome:
@@ -150,16 +148,3 @@ def sqrt_f3(ctx: PrimeContext, a: int) -> SqrtOutcome:
 def sqrt_f4(ctx: PrimeContext, a: int) -> SqrtOutcome:
     """Eight-term bracket for k = 4 (p = 2^4 n + 1)."""
     return _sqrt_fk(4, ctx, a)
-
-
-def sqrt_auto(ctx: PrimeContext, a: int) -> SqrtOutcome:
-    """The class formula, tagged f1..f4 for k <= 4 and handed to
-    synthesis.sqrt_synth, looked up at each call, for larger k."""
-    k = ctx.k
-    if k <= 4:
-        return _class_root(ctx, a, _TAGS[k - 1])
-    return _synthesis.sqrt_synth(ctx, a)
-
-
-# Last, because synthesis imports names from this module.
-from . import synthesis as _synthesis  # noqa: E402

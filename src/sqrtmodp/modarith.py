@@ -215,7 +215,7 @@ class PrimeContext:
     products.
     h has order 2^w, since g has order 2^k, so the table has no collisions.
 
-    The class lift (formulas._class_root) reads s, the log of a^n in g^-1,
+    The class lift (formulas.sqrt_auto) reads s, the log of a^n in g^-1,
     one window of 8 bits at a time from the low end, and its plan is derived
     here as well.  With L = ceil(k/8) windows, window l reads the square
     a^(2^m n) for m = max(k - 8 - 8l, 0), so the last window may overlap the
@@ -229,12 +229,14 @@ class PrimeContext:
 
     The class lift's count, _cost, is derived in the same pass: it depends
     on (n, k) alone (_class_cost), so each call reads it, not prices it.
+    So is its method tag, _method: f1..f4 at k <= 4, synth above.
     Everything is derived from (p, k, n, z) when the context is built and
     never reassigned, so one context is safe to share across workers.
     """
 
     __slots__ = (
         "p", "k", "n", "z", "zn_rows", "_mask", "_log", "_steps", "_t_rows", "_cost",
+        "_method",
     )
 
     def __init__(self, p: int, k: int, n: int, z: int) -> None:
@@ -248,6 +250,7 @@ class PrimeContext:
         self._log = self._log_table()
         self._lift_plan()
         self._cost = _class_cost(n, k)
+        self._method = f"f{k}" if k <= 4 else "synth"
 
     def __repr__(self) -> str:
         return f"PrimeContext(p={self.p}, k={self.k}, n={self.n}, z={self.z})"

@@ -12,10 +12,10 @@ value at every quadratic residue is a square root of it.
 
 The level-j factor depends only on t mod 2^(k-1-j), so the terms are the
 leaves of a binary prefix tree of factors.  At a nonzero residue one child
-is 0 and the other 2 at each level, so one term is live, and sqrt_synth,
-like sqrt_f1..sqrt_f4, computes only that term from the prime context (the
-evaluator lives in formulas): it reads t 8 bits per table lookup, not one
-bit per level, with the same count for every nonzero residue, for any k.
+is 0 and the other 2 at each level, so one term is live, and sqrt_synth
+computes only that term from the prime context: it is formulas.sqrt_auto,
+which reads t 8 bits per table lookup, not one bit per level, with the same
+count for every nonzero residue, for any k, under the method tag synth.
 
 The symbolic object, built by synthesize for k <= MAX_K, renders to text,
 LaTeX, and a structured document.  The text and LaTeX renderers fold
@@ -41,7 +41,7 @@ density; sqrt, verify and bench work for any k.
 
 from typing import NamedTuple
 
-from .formulas import SqrtOutcome, _class_root
+from .formulas import SqrtOutcome, sqrt_auto
 from .modarith import PrimeContext
 
 __all__ = [
@@ -124,9 +124,13 @@ def sqrt_synth(ctx: PrimeContext, a: int) -> SqrtOutcome:
     The value is the synthesized formula's at a, up to sign, wherever
     synthesize exists (the tests check it against that formula, term by
     term), but no formula is built, and the count is the same for every
-    nonzero residue of the prime.
+    nonzero residue of the prime.  It is sqrt_auto's outcome, which is
+    tagged synth already above k = 4 and re-tagged synth at k <= 4.
     """
-    return _class_root(ctx, a, "synth")
+    out = sqrt_auto(ctx, a)
+    if ctx.k > 4:
+        return out
+    return SqrtOutcome(out.root, out.coroot, "synth", out.mul_count)
 
 
 def _fold(c: int, half: int) -> tuple[int, int]:

@@ -3,12 +3,7 @@ from fractions import Fraction
 import pytest
 
 from sqrtmodp import cli
-from sqrtmodp.analysis import (
-    DENSITY_MAX_K,
-    DensityReport,
-    multiplier_coverage,
-    order_census,
-)
+from sqrtmodp.analysis import DENSITY_MAX_K, DensityReport, order_census
 from sqrtmodp.modarith import make_context, primes_in_range
 
 from formula_reference import residue_class
@@ -172,7 +167,7 @@ def test_coverage_trend_fixed_k():
             ctx = make_context(p)
             if ctx.k != k:
                 continue
-            cov = multiplier_coverage(order_census(ctx))
+            cov = 1 - order_census(ctx).exact_2k1_fraction
             assert cov == 1 - Fraction(1, 2 * ctx.n)
             rows.append((ctx.n, cov))
         rows.sort()

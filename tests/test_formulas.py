@@ -1,4 +1,6 @@
 import inspect
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,12 +16,13 @@ from sqrtmodp.formulas import (
     sqrt_f3,
     sqrt_f4,
 )
-from sqrtmodp import synthesis
 from sqrtmodp.modarith import PrimeContext, decompose, make_context, primes_in_range
 from sqrtmodp.synthesis import sqrt_synth, synthesize
 
 from formula_reference import residue_class, term_values
 from root_table import brute_root_table
+from test_lift import EVERY_K, primes_with_k
+from test_public_api import _fresh_modules
 
 F_BY_K = {1: sqrt_f1, 2: sqrt_f2, 3: sqrt_f3, 4: sqrt_f4}
 
@@ -200,20 +203,57 @@ def test_bad_decomposition_is_rejected_when_the_context_is_built(p, k, n, z):
         PrimeContext(p, k, n, z)
 
 
-def test_auto_reaches_sqrt_synth_through_its_module(monkeypatch):
-    # sqrt_auto looks sqrt_synth up on the synthesis module at each call, so
-    # a wrapper set there (a tracer, a fault) sees every k > 4 call
+@pytest.mark.parametrize(
+    "p", [7, 41, 97, 7681, 786433, 18446744069414584321], ids=lambda p: f"k{decompose(p)[0]}"
+)
+def test_auto_is_one_python_frame(p):
+    # k = 1, 3, 5, 9, 18 and 32 (Goldilocks): the evaluator calls only
+    # builtins, so a profiler sees one Python-level call, sqrt_auto itself
+    ctx = make_context(p)
+    a = 9 % p
     calls = []
 
-    def spy(ctx, a):
-        calls.append((ctx.p, a))
-        return sqrt_synth(ctx, a)
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
 
-    monkeypatch.setattr(synthesis, "sqrt_synth", spy)
-    ctx = make_context(97)  # k = 5
-    assert sqrt_auto(ctx, 4) == sqrt_synth(ctx, 4)
-    assert sqrt_auto(make_context(41), 2).method == "f3"  # k <= 4: no hand-off
-    assert calls == [(97, 4)]
+    sys.setprofile(profile)
+    try:
+        out = sqrt_auto(ctx, a)
+    finally:
+        sys.setprofile(None)
+    assert calls == ["sqrt_auto"]
+    assert out.root * out.root % p == a
+
+
+def test_formulas_imports_no_synthesis():
+    # the package's __init__ imports every module, so formulas is imported
+    # under a bare package: what loads is what formulas imports itself
+    code = (
+        "import importlib.util, sys, types\n"
+        "pkg = types.ModuleType('sqrtmodp')\n"
+        "pkg.__path__ = importlib.util.find_spec('sqrtmodp').submodule_search_locations\n"
+        "sys.modules['sqrtmodp'] = pkg\n"
+        "import sqrtmodp.formulas\n"
+        "print(sorted(m for m in sys.modules if m.startswith('sqrtmodp.')))"
+    )
+    assert _fresh_modules(code) == "['sqrtmodp.formulas', 'sqrtmodp.modarith']\n"
+
+
+@pytest.mark.parametrize("k", EVERY_K)
+def test_entries_tag_and_agree_at_every_k(k):
+    # auto is tagged fK at k <= 4 and synth above, sqrt_synth synth at every
+    # k; every entry that takes the prime gives the same root, coroot, count
+    p = primes_with_k(k, 1)[0]
+    ctx = make_context(p)
+    rng = random.Random(k)
+    tags = {sqrt_auto: f"f{k}" if k <= 4 else "synth", sqrt_synth: "synth"}
+    if k in F_BY_K:
+        tags[F_BY_K[k]] = f"f{k}"
+    for a in [0, 1, *(rng.randrange(1, p) ** 2 % p for _ in range(8))]:
+        outs = {fn: fn(ctx, a) for fn in tags}
+        assert {fn: out.method for fn, out in outs.items()} == tags
+        assert len({(o.root, o.coroot, o.mul_count) for o in outs.values()}) == 1, (p, a)
 
 
 def test_selector_property_k3_k4():

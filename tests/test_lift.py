@@ -1,6 +1,6 @@
 """The class lift at its window seams, against the bit-by-bit oracle.
 
-_class_root reads the class index 8 bits per log-table lookup, from the low
+sqrt_auto reads the class index 8 bits per log-table lookup, from the low
 end; above k = 8 the last window may overlap the one before it or line up
 with a row boundary of zn_rows, and each window divides the digits already
 known out of its square by reading zn_rows inline.  direct_sqrt keeps the

@@ -3,8 +3,9 @@ __all__ never meet a stale entry; the package exports each library module's
 names as the module's own objects, and no two modules export one name; no
 exported type is a dataclass, importing the command line loads neither
 dataclasses nor inspect, and importing the package loads no argparse, so
-both stay cheap to import; the arithmetic takes no counter, and the scripts
-use only public names."""
+both stay cheap to import; no module imports after its first definition,
+so no import cycle hides there; the arithmetic takes no counter, and the
+scripts use only public names."""
 
 import ast
 import collections
@@ -103,6 +104,21 @@ def test_prime_context_takes_p_k_n_z():
 def test_arithmetic_takes_no_counter(fn):
     # only MulCounter tallies: a counted method calls its mul, pow and lookup
     assert "counter" not in inspect.signature(fn).parameters
+
+
+def test_modules_import_nothing_after_their_first_definition():
+    # a late import is how an import cycle between modules hides
+    late = []
+    for path in sorted(Path(sqrtmodp.__file__).parent.glob("*.py")):
+        defined = False
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = True
+            elif defined and any(
+                isinstance(sub, (ast.Import, ast.ImportFrom)) for sub in ast.walk(node)
+            ):
+                late.append(f"{path.name}:{node.lineno}")
+    assert late == []
 
 
 def test_scripts_import_no_private_names():

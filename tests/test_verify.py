@@ -62,8 +62,9 @@ def test_walk_matches_the_table_walk(method, k_filter):
         lambda p, r, c: ((r + 1) % p, (c - 1) % p),  # a root off by one
         lambda p, r, c: (c, r),  # the coroot in the root's place
         lambda p, r, c: (0, 0),
+        lambda p, r, c: (2 * r % p, c),  # the coroot right, a root squaring to 4a
     ],
-    ids=["off_by_one", "swapped", "zero_pair"],
+    ids=["off_by_one", "swapped", "zero_pair", "root_not_a_square_root"],
 )
 def test_walk_reports_each_fault_as_the_table_walk_does(monkeypatch, fault):
     def faulty(ctx, a):
