@@ -5,7 +5,8 @@ nonresidue-power terms that collapses, at any quadratic residue, to the
 single selector for the residue's class.  One evaluator, sqrt_auto,
 computes it for every k in one Python frame: sqrt_f1..sqrt_f4 check k and
 call it, and synthesis.sqrt_synth calls it and tags its outcome synth.  It
-takes one shared power per call, a^((n-1)/2); a^((n+1)/2) and a^n follow
+takes one shared power per call, a^((n-1)/2), by the addition chain its
+context plans once (modarith._power_plan); a^((n+1)/2) and a^n follow
 from it by two products.  The bracket's k-1 level factors each fix one bit
 of the class index t; the evaluator reads e = -t mod 2^(k-1), the exponent
 of the multiplier z^(en), 8 bits at a time instead, from s = 2e, the log
@@ -63,17 +64,17 @@ def sqrt_auto(ctx: PrimeContext, a: int) -> SqrtOutcome:
     """Square root of a via the class formula, for any k, its class index
     read 8 bits per table lookup.
 
-    One power u = a^((n-1)/2) gives root = a^((n+1)/2) = a u and a^n =
-    root u = g^(-s), g = z^n, s < 2^k.  Windows of w = min(8, k) bits go
-    from the low end of s.  The squares a^(2^m n) at the windows' shifts m
-    come first, by the powers ctx._steps, k - w squarings in all; the last,
-    a^(2^(k-w) n), is h^(-d) for h = g^(2^(k-w)), and ctx._log gives the low
-    digit d.  Each later window takes its saved square, multiplies the
-    digits already known back in, g^(2^m s), with one product per row of
-    ctx.zn_rows, and looks the next digit up; the last window may overlap
-    the one before it.  The first digit's low bit is s mod 2, Euler's
-    symbol, so it is the screen.  At k <= 8 s is one lookup of a^n, with no
-    squarings.
+    One power u = a^((n-1)/2), by a walk of the chain ctx._power, gives
+    root = a^((n+1)/2) = a u and a^n = root u = g^(-s), g = z^n, s < 2^k.
+    Windows of w = min(8, k) bits go from the low end of s.  The squares
+    a^(2^m n) at the windows' shifts m come first, by the powers ctx._steps,
+    k - w squarings in all; the last, a^(2^(k-w) n), is h^(-d) for
+    h = g^(2^(k-w)), and ctx._log gives the low digit d.  Each later
+    window takes its saved square, multiplies the digits already known back
+    in, g^(2^m s), with one product per row of ctx.zn_rows, and looks the
+    next digit up; the last window may overlap the one before it.  The
+    first digit's low bit is s mod 2, Euler's symbol, so it is the screen.
+    At k <= 8 s is one lookup of a^n, with no squarings.
 
     s = 2e for the paper's e = -t mod 2^(k-1), t the class index, so the
     root is the paper's value at a, a^((n+1)/2) z^(en): root times g^e, one
@@ -91,7 +92,13 @@ def sqrt_auto(ctx: PrimeContext, a: int) -> SqrtOutcome:
         raise ValueError(f"residue {a} out of range for p={p}")
     if a == 0:  # every factor is 1 at x = 0, so no class is singled out
         return SqrtOutcome(0, 0, ctx._method, 0)
-    u = pow(a, ctx.n >> 1, p)  # (n - 1)/2, n odd
+    e0, chain = ctx._power  # u = a^((n-1)/2) by the context's addition chain
+    u = pow(a, e0, p)
+    while chain:
+        (f, r), chain = chain
+        u = pow(u, f, p)
+        if r:
+            u = u * pow(a, r, p) % p
     root = a * u % p
     x = root * u % p  # a^n = g^(-s)
     # a^(2^m n) for each window after the first, with its m and its digit's

@@ -4,10 +4,11 @@ brute_force_sqrt is the ground truth, every root found by scanning; the
 private _brute_sqrt wraps it as the CLI's brute method, an outcome like
 the others whose count is the p squarings of the scan.  tonelli_shanks and
 direct_sqrt are the classical baselines, each charged to a MulCounter.
-Each takes one full-size power, a^((n-1)/2), and gets a^((n+1)/2) and a^n
-from it by two products, as Tonelli-Shanks does in Cohen, A Course in
-Computational Algebraic Number Theory (1993), Alg. 1.5.1; each finds a
-nonresidue in its own loop on a^n, with no Euler power first.
+Each takes one full-size power, a^((n-1)/2), by the addition chain the
+context plans for it, and gets a^((n+1)/2) and a^n from it by two
+products, as Tonelli-Shanks does in Cohen, A Course in Computational
+Algebraic Number Theory (1993), Alg. 1.5.1; each finds a nonresidue in its
+own loop on a^n, with no Euler power first.
 """
 
 from .formulas import NotAResidue, SqrtOutcome
@@ -48,7 +49,7 @@ def _canonical(raw: int, p: int, method: str, count: int) -> SqrtOutcome:
 def _powers(ctx: PrimeContext, a: int, c: MulCounter) -> tuple[int, int]:
     """a^((n+1)/2) = a u and a^n = a u^2 from one counted power u = a^((n-1)/2)."""
     p = ctx.p
-    u = c.pow(a, ctx.n >> 1, p)  # (n - 1)/2, n odd
+    u = c.shared_power(ctx, a)
     x = c.mul(a, u, p)
     return x, c.mul(x, u, p)
 

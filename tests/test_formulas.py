@@ -204,11 +204,15 @@ def test_bad_decomposition_is_rejected_when_the_context_is_built(p, k, n, z):
 
 
 @pytest.mark.parametrize(
-    "p", [7, 41, 97, 7681, 786433, 18446744069414584321], ids=lambda p: f"k{decompose(p)[0]}"
+    "p",
+    [7, 41, 97, 7681, 786433, 18446744069414584321,
+     pytest.param(2147483647, id="m31"), pytest.param(2305843009213693561, id="p61k3")],
+    ids=lambda p: f"k{decompose(p)[0]}",
 )
 def test_auto_is_one_python_frame(p):
-    # k = 1, 3, 5, 9, 18 and 32 (Goldilocks): the evaluator calls only
-    # builtins, so a profiler sees one Python-level call, sqrt_auto itself
+    # k = 1, 3, 5, 9, 18 and 32 (Goldilocks), and two primes whose shared
+    # power walks a chain, the second with a tail step: the evaluator calls
+    # only builtins, so a profiler sees one Python-level call, sqrt_auto
     ctx = make_context(p)
     a = 9 % p
     calls = []

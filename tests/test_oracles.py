@@ -208,7 +208,7 @@ def test_oracle_rejects_nonresidues_at_high_k(oracle, p):
 
 
 @pytest.mark.parametrize("method", ["tonelli", "direct"])
-@pytest.mark.parametrize("p", [41, 786433, GOLDILOCKS])
+@pytest.mark.parametrize("p", [41, 786433, GOLDILOCKS, *LARGE_P_GRID])
 def test_sqrt_nonresidue_line_is_auto_s(capsys, method, p):
     a = str(make_context(p).z)
     assert cli.main(["sqrt", "--p", str(p), "--a", a]) == 2
@@ -217,6 +217,19 @@ def test_sqrt_nonresidue_line_is_auto_s(capsys, method, p):
     got = capsys.readouterr()
     assert (got.out, got.err) == ("", want.err)
     assert want.err == f"not a quadratic residue: {a} is not a quadratic residue mod {p}\n"
+
+
+@pytest.mark.parametrize("p", LARGE_P_GRID)
+def test_every_method_screens_z_r2_on_the_large_p_grid(p):
+    # the shared power walks a chain at each of these primes
+    ctx = make_context(p)
+    rng = random.Random(p)
+    for _ in range(8):
+        r = rng.randrange(1, p)
+        a = ctx.z * r * r % p
+        for fn in (sqrt_auto, *ORACLES):
+            with pytest.raises(NotAResidue, match=rf"^{a} is not a quadratic residue mod {p}$"):
+                fn(ctx, a)
 
 
 def test_tonelli_takes_one_power_at_k1():
