@@ -35,6 +35,7 @@ __all__ = [
     "BenchRecord",
     "BenchReport",
     "Failure",
+    "METHODS",
     "PrimeCheck",
     "VerificationReport",
     "bench_to_doc",
@@ -46,14 +47,15 @@ __all__ = [
     "verification_to_doc",
 ]
 
-# name -> (module, function name, the k it needs or None)
+# name -> (module, function name, the k it needs or None); auto, f1..f4 and
+# synth are one evaluator, the class formula, and f1..f4 take one k each
 _METHODS = {
     "auto": (formulas, "sqrt_auto", None),
-    "f1": (formulas, "sqrt_f1", 1),
-    "f2": (formulas, "sqrt_f2", 2),
-    "f3": (formulas, "sqrt_f3", 3),
-    "f4": (formulas, "sqrt_f4", 4),
-    "synth": (synthesis, "sqrt_synth", None),
+    "f1": (formulas, "sqrt_auto", 1),
+    "f2": (formulas, "sqrt_auto", 2),
+    "f3": (formulas, "sqrt_auto", 3),
+    "f4": (formulas, "sqrt_auto", 4),
+    "synth": (formulas, "sqrt_auto", None),
     "tonelli": (oracles, "tonelli_shanks", None),
     "direct": (oracles, "direct_sqrt", None),
     "brute": (oracles, "_brute_sqrt", None),
@@ -281,10 +283,14 @@ def density_to_doc(rep: analysis.DensityReport) -> dict:
 
 
 def _cmd_sqrt(args) -> tuple[dict, int]:
+    # the report names the method that ran, but auto the context's tag:
+    # f1..f4 at k <= 4, synth above
     ctx = modarith.make_context(args.p)
     fn, _ = _method(args.method, ctx)
-    out = fn(ctx, args.a)
-    return {"kind": "sqrt_outcome", "p": args.p, "a": args.a, **out._asdict()}, 0
+    doc = {"kind": "sqrt_outcome", "p": args.p, "a": args.a, **fn(ctx, args.a)._asdict()}
+    if args.method != "auto":
+        doc["method"] = args.method
+    return doc, 0
 
 
 # --format -> the synthesis function that renders the formula, named so that

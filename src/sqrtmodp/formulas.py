@@ -1,10 +1,10 @@
-"""The class-formula evaluator, sqrt_auto, and its entry points for k = 1..4.
+"""The class-formula evaluator, sqrt_auto.
 
 The square root of a residue a is 2^-(k-1) a^((n+1)/2) times a bracket of
 nonresidue-power terms that collapses, at any quadratic residue, to the
 single selector for the residue's class.  One evaluator, sqrt_auto,
-computes it for every k in one Python frame: sqrt_f1..sqrt_f4 check k and
-call it, and synthesis.sqrt_synth calls it and tags its outcome synth.  It
+computes it for every k in one Python frame; the command line's methods
+auto, f1..f4 and synth all run it (cli checks f1..f4's k first).  It
 takes one shared power per call, a^((n-1)/2), by the addition chain its
 context plans once (modarith._power_plan); a^((n+1)/2) and a^n follow
 from it by two products.  The bracket's k-1 level factors each fix one bit
@@ -26,24 +26,11 @@ from typing import NamedTuple
 
 from .modarith import _DIGIT, _W, PrimeContext
 
-__all__ = [
-    "NotAResidue",
-    "SqrtOutcome",
-    "WrongClass",
-    "sqrt_auto",
-    "sqrt_f1",
-    "sqrt_f2",
-    "sqrt_f3",
-    "sqrt_f4",
-]
+__all__ = ["NotAResidue", "SqrtOutcome", "sqrt_auto"]
 
 
 class NotAResidue(Exception):
     """The input has Legendre symbol -1: no square root exists."""
-
-
-class WrongClass(ValueError):
-    """Evaluator applied to a context whose 2-adic class k does not match."""
 
 
 class SqrtOutcome(NamedTuple):
@@ -129,29 +116,3 @@ def sqrt_auto(ctx: PrimeContext, a: int) -> SqrtOutcome:
     if root > p - root:  # root != 0, since a != 0
         root = p - root
     return _new_tuple(SqrtOutcome, (root, p - root, ctx._method, ctx._cost))
-
-
-def _sqrt_fk(k: int, ctx: PrimeContext, a: int) -> SqrtOutcome:
-    if ctx.k != k:
-        raise WrongClass(f"f{k} needs k={k}, context has k={ctx.k}")
-    return sqrt_auto(ctx, a)
-
-
-def sqrt_f1(ctx: PrimeContext, a: int) -> SqrtOutcome:
-    """Root a^((n+1)/2) for k = 1, i.e. p = 2n + 1 with n odd (p = 3 mod 4)."""
-    return _sqrt_fk(1, ctx, a)
-
-
-def sqrt_f2(ctx: PrimeContext, a: int) -> SqrtOutcome:
-    """Two-term bracket for k = 2 (p = 5 mod 8, where z is always 2)."""
-    return _sqrt_fk(2, ctx, a)
-
-
-def sqrt_f3(ctx: PrimeContext, a: int) -> SqrtOutcome:
-    """Four-term bracket for k = 3 (p = 2^3 n + 1)."""
-    return _sqrt_fk(3, ctx, a)
-
-
-def sqrt_f4(ctx: PrimeContext, a: int) -> SqrtOutcome:
-    """Eight-term bracket for k = 4 (p = 2^4 n + 1)."""
-    return _sqrt_fk(4, ctx, a)

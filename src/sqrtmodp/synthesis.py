@@ -12,10 +12,11 @@ value at every quadratic residue is a square root of it.
 
 The level-j factor depends only on t mod 2^(k-1-j), so the terms are the
 leaves of a binary prefix tree of factors.  At a nonzero residue one child
-is 0 and the other 2 at each level, so one term is live, and sqrt_synth
-computes only that term from the prime context: it is formulas.sqrt_auto,
-which reads t 8 bits per table lookup, not one bit per level, with the same
-count for every nonzero residue, for any k, under the method tag synth.
+is 0 and the other 2 at each level, so one term is live, and
+formulas.sqrt_auto computes only that term from the prime context, for any
+k: it reads t 8 bits per table lookup, not one bit per level, with the
+same count for every nonzero residue.  The command line's synth method runs
+it; the tests check it against this module's formula, term by term.
 
 The symbolic object, built by synthesize for k <= MAX_K, renders to text,
 LaTeX, and a structured document.  The text and LaTeX renderers fold
@@ -41,7 +42,6 @@ density; sqrt, verify and bench work for any k.
 
 from typing import NamedTuple
 
-from .formulas import SqrtOutcome, sqrt_auto
 from .modarith import PrimeContext
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "formula_to_doc",
     "render_math",
     "render_text",
-    "sqrt_synth",
     "synthesize",
 ]
 
@@ -116,21 +115,6 @@ def synthesize(k: int) -> SymbolicFormula:
         for t in range(half)
     )
     return SymbolicFormula(k, terms)
-
-
-def sqrt_synth(ctx: PrimeContext, a: int) -> SqrtOutcome:
-    """Square root of the residue a via the class formula, for any k.
-
-    The value is the synthesized formula's at a, up to sign, wherever
-    synthesize exists (the tests check it against that formula, term by
-    term), but no formula is built, and the count is the same for every
-    nonzero residue of the prime.  It is sqrt_auto's outcome, which is
-    tagged synth already above k = 4 and re-tagged synth at k <= 4.
-    """
-    out = sqrt_auto(ctx, a)
-    if ctx.k > 4:
-        return out
-    return SqrtOutcome(out.root, out.coroot, "synth", out.mul_count)
 
 
 def _fold(c: int, half: int) -> tuple[int, int]:

@@ -45,6 +45,25 @@ def test_sqrt_mul_count_pinned(capsys, p, method, count):
     assert (doc["root"], doc["method"], doc["mul_count"]) == (2, method, count)
 
 
+@pytest.mark.parametrize("p", [7, 13, 41, 17, 97, 786433], ids=lambda p: f"p{p}")
+def test_sqrt_report_names_the_method_that_ran(capsys, p):
+    # auto, f1..f4 and synth run one evaluator: the report's method is the
+    # CLI name, but auto's is the context's tag, fK at k <= 4 and synth above
+    k = make_context(p).k
+    names = {"auto": f"f{k}" if k <= 4 else "synth", "synth": "synth"}
+    if k <= 4:
+        names[f"f{k}"] = f"f{k}"
+    docs = {}
+    for name in names:
+        code, out, _ = run_cli(capsys, "sqrt", "--p", str(p), "--a", "4", "--method", name)
+        assert code == 0
+        docs[name] = json.loads(out)
+    assert {name: doc.pop("method") for name, doc in docs.items()} == names
+    first = docs["auto"]
+    assert (first["root"], first["coroot"]) == (2, p - 2)
+    assert all(doc == first for doc in docs.values())
+
+
 def test_sqrt_nonresidue_exits_2(capsys):
     code, out, err = run_cli(capsys, "sqrt", "--p", "41", "--a", "3")
     assert code == 2
@@ -191,8 +210,8 @@ def test_verify_injected_fault_flips_exit(capsys, monkeypatch):
         wrong = (out.root + 1) % ctx.p
         return SqrtOutcome(wrong, (ctx.p - wrong) % ctx.p, out.method, out.mul_count)
 
-    _orig = formulas.sqrt_f2
-    monkeypatch.setattr(formulas, "sqrt_f2", corrupted)
+    _orig = formulas.sqrt_auto
+    monkeypatch.setattr(formulas, "sqrt_auto", corrupted)
     code, out, _ = run_cli(capsys, "verify", "--pmin", "3", "--pmax", "60", "--method", "f2")
     assert code == 1
     doc = json.loads(out)
@@ -201,8 +220,9 @@ def test_verify_injected_fault_flips_exit(capsys, monkeypatch):
 
 
 def _verify_with(capsys, monkeypatch, method):
-    """verify --method f2 over 3..60 with sqrt_f2 replaced by method."""
-    monkeypatch.setattr(formulas, "sqrt_f2", method)
+    """verify --method f2 over 3..60 with sqrt_auto, the function f2 runs,
+    replaced by method."""
+    monkeypatch.setattr(formulas, "sqrt_auto", method)
     code, out, _ = run_cli(capsys, "verify", "--pmin", "3", "--pmax", "60", "--method", "f2")
     return code, json.loads(out)
 
@@ -227,7 +247,7 @@ def test_verify_flags_a_wrong_coroot(capsys, monkeypatch):
         out = _orig(ctx, a)
         return SqrtOutcome(out.root, out.root, out.method, out.mul_count)
 
-    _orig = formulas.sqrt_f2
+    _orig = formulas.sqrt_auto
     code, doc = _verify_with(capsys, monkeypatch, bad_coroot)
     assert code == 1 and doc["pass"] is False
     want = _expected_failures(doc, lambda p, r, c: (r, r))
@@ -240,7 +260,7 @@ def test_verify_flags_a_non_root(capsys, monkeypatch):
         out = _orig(ctx, a)
         return SqrtOutcome(0, 0, out.method, out.mul_count)
 
-    _orig = formulas.sqrt_f2
+    _orig = formulas.sqrt_auto
     code, doc = _verify_with(capsys, monkeypatch, non_root)
     assert code == 1 and doc["pass"] is False
     want = _expected_failures(doc, lambda p, r, c: (0, 0))
@@ -255,8 +275,8 @@ def test_verify_method_raising_not_a_residue_exits_1(capsys, monkeypatch):
             raise formulas.NotAResidue(f"{a} is not a quadratic residue mod {ctx.p}")
         return _orig(ctx, a)
 
-    _orig = formulas.sqrt_f2
-    monkeypatch.setattr(formulas, "sqrt_f2", refuses)
+    _orig = formulas.sqrt_auto
+    monkeypatch.setattr(formulas, "sqrt_auto", refuses)
     code, out, err = run_cli(capsys, "verify", "--pmin", "3", "--pmax", "60", "--method", "f2")
     assert (code, out) == (1, "")
     assert err.startswith("error: method f2 raised NotAResidue on the residue a=4 of p=29")
@@ -402,9 +422,11 @@ def test_bench_method_class_mismatch(capsys):
     # bench and sqrt check the method against the built context, so both
     # refuse the mismatch with one line, and bench prints no timing line; a
     # p that is not an odd prime is refused by make_context first, by both
-    want = (1, "", "error: method f3 needs k=3, p=17 has k=4\n")
-    assert run_cli(capsys, "bench", "--p", "17", "--methods", "f3") == want
-    assert run_cli(capsys, "sqrt", "--p", "17", "--a", "2", "--method", "f3") == want
+    for method, p in [("f3", 17), ("f2", 7), ("f1", 13), ("f3", 13), ("f4", 13)]:
+        k, have = int(method[1]), make_context(p).k
+        want = (1, "", f"error: method {method} needs k={k}, p={p} has k={have}\n")
+        assert run_cli(capsys, "bench", "--p", str(p), "--methods", method) == want
+        assert run_cli(capsys, "sqrt", "--p", str(p), "--a", "1", "--method", method) == want
     not_prime = (1, "", "error: 15 is not an odd prime\n")
     assert run_cli(capsys, "sqrt", "--p", "15", "--a", "4", "--method", "f3") == not_prime
     assert run_cli(capsys, "bench", "--p", "15", "--methods", "f3") == not_prime

@@ -6,25 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqrtmodp.formulas import (
-    NotAResidue,
-    SqrtOutcome,
-    WrongClass,
-    sqrt_auto,
-    sqrt_f1,
-    sqrt_f2,
-    sqrt_f3,
-    sqrt_f4,
-)
+from sqrtmodp import cli
+from sqrtmodp.formulas import NotAResidue, SqrtOutcome, sqrt_auto
 from sqrtmodp.modarith import PrimeContext, decompose, make_context, primes_in_range
-from sqrtmodp.synthesis import sqrt_synth, synthesize
+from sqrtmodp.oracles import direct_sqrt, tonelli_shanks
+from sqrtmodp.synthesis import synthesize
 
 from formula_reference import residue_class, term_values
 from root_table import brute_root_table
 from test_lift import EVERY_K, primes_with_k
 from test_public_api import _fresh_modules
-
-F_BY_K = {1: sqrt_f1, 2: sqrt_f2, 3: sqrt_f3, 4: sqrt_f4}
 
 
 @pytest.mark.parametrize(
@@ -32,53 +23,52 @@ F_BY_K = {1: sqrt_f1, 2: sqrt_f2, 3: sqrt_f3, 4: sqrt_f4}
     [(7, 2, 3), (7, 1, 1), (7, 4, 2), (11, 3, 5), (19, 0, 0)],
 )
 def test_f1_examples(p, a, root):
-    out = sqrt_f1(make_context(p), a)
+    out = sqrt_auto(make_context(p), a)
     assert out.root == root
     assert out.method == "f1"
 
 
 def test_f2_examples():
     ctx = make_context(13)
-    out = sqrt_f2(ctx, 4)
+    out = sqrt_auto(ctx, 4)
     assert (out.root, out.coroot) == (2, 11)  # raw bracket value is 11 = -2
-    assert sqrt_f2(ctx, 1).root == 1
-    out12 = sqrt_f2(ctx, 12)
+    assert sqrt_auto(ctx, 1).root == 1
+    out12 = sqrt_auto(ctx, 12)
     assert (out12.root, out12.coroot) == (5, 8)  # raw value is 8
 
 
 @pytest.mark.parametrize("p,a,root", [(41, 2, 17), (41, 1, 1), (41, 25, 5)])
 def test_f3_examples(p, a, root):
-    assert sqrt_f3(make_context(p), a).root == root
+    assert sqrt_auto(make_context(p), a).root == root
 
 
 @pytest.mark.parametrize("p,a,root", [(17, 13, 8), (17, 1, 1), (17, 16, 4)])
 def test_f4_examples(p, a, root):
-    assert sqrt_f4(make_context(p), a).root == root
+    assert sqrt_auto(make_context(p), a).root == root
 
 
 def test_wrong_class_is_rejected():
+    # the class-specific method names are refused for a p of another class
+    # when checked against its context; sqrt_auto itself serves every class
     ctx7 = make_context(7)  # k = 1
     ctx13 = make_context(13)  # k = 2
-    with pytest.raises(WrongClass):
-        sqrt_f2(ctx7, 1)
-    with pytest.raises(WrongClass):
-        sqrt_f1(ctx13, 1)
-    with pytest.raises(WrongClass):
-        sqrt_f3(ctx13, 1)
-    with pytest.raises(WrongClass):
-        sqrt_f4(ctx13, 1)
+    for method, ctx in [("f2", ctx7), ("f1", ctx13), ("f3", ctx13), ("f4", ctx13)]:
+        with pytest.raises(ValueError, match=f"method {method} needs k="):
+            cli._method(method, ctx)
+    assert cli._method("f1", ctx7) == (sqrt_auto, 1)
+    assert cli._method("f2", ctx13) == (sqrt_auto, 2)
 
 
 def test_nonresidue_is_rejected():
     with pytest.raises(NotAResidue):
-        sqrt_f1(make_context(7), 3)
+        sqrt_auto(make_context(7), 3)
     with pytest.raises(NotAResidue):
         sqrt_auto(make_context(41), 3)
 
 
 def test_out_of_range_rejected():
     with pytest.raises(ValueError):
-        sqrt_f1(make_context(7), 7)
+        sqrt_auto(make_context(7), 7)
 
 
 def test_sqrt_outcome_contract():
@@ -98,16 +88,14 @@ def test_sqrt_outcome_contract():
     assert got == out
 
 
-@pytest.mark.parametrize(
-    "fn,p,a",
-    [(sqrt_f1, 7, 2), (sqrt_f2, 13, 4), (sqrt_f3, 41, 2), (sqrt_f4, 17, 13), (sqrt_synth, 97, 4)],
-)
-def test_outcome_is_a_plain_sqrt_outcome(fn, p, a):
+@pytest.mark.parametrize("p,a", [(7, 2), (13, 4), (41, 2), (17, 13), (97, 4)])
+def test_outcome_is_a_plain_sqrt_outcome(p, a):
     # built with tuple.__new__ on the hot path: the same type, equality and
-    # field order as the generated constructor gives, at a residue and at 0
+    # field order as the generated constructor gives, at a residue and at 0,
+    # for k = 1..5
     ctx = make_context(p)
     for x in (a, 0):
-        out = fn(ctx, x)
+        out = sqrt_auto(ctx, x)
         assert type(out) is SqrtOutcome
         assert out == SqrtOutcome(*out)
         assert list(out._asdict()) == ["root", "coroot", "method", "mul_count"]
@@ -134,11 +122,8 @@ def test_zero_and_one():
 def test_exhaustive_against_brute_force_per_class():
     for p in primes_in_range(3, 800):
         ctx = make_context(p)
-        if ctx.k > 4:
-            continue
-        fn = F_BY_K[ctx.k]
         for a, pair in brute_root_table(p).items():
-            out = fn(ctx, a)
+            out = sqrt_auto(ctx, a)
             assert out.root * out.root % p == a
             assert (out.root, out.coroot) == pair
 
@@ -156,30 +141,30 @@ def test_mul_count_constant_across_residues():
     # every window is charged: same count for every residue of a fixed prime
     for p in [7, 11, 13, 29, 41, 73, 17, 113]:
         ctx = make_context(p)
-        fn = F_BY_K[ctx.k]
-        counts = {fn(ctx, a).mul_count for a in brute_root_table(p)}
+        counts = {sqrt_auto(ctx, a).mul_count for a in brute_root_table(p)}
         assert len(counts) == 1
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_fk_auto_and_synth_agree(k):
-    # one evaluator behind all three: equal roots and counts, own method tags
-    fk = F_BY_K[k]
-    primes = [p for p in primes_in_range(3, 300) if decompose(p)[0] == k][:3]
-    assert len(primes) == 3
-    for p in primes:
-        ctx = make_context(p)
-        for a in [0, *brute_root_table(p)]:
-            outs = [fk(ctx, a), sqrt_auto(ctx, a), sqrt_synth(ctx, a)]
-            assert [o.method for o in outs] == [f"f{k}", f"f{k}", "synth"]
-            assert len({(o.root, o.coroot, o.mul_count) for o in outs}) == 1
+    # the CLI runs one evaluator for fK, auto and synth: verify on the class
+    # k primes and bench on three of them report the same but for the name
+    reps = [cli.run_verification(3, 300, m, k) for m in ("auto", f"f{k}", "synth")]
+    assert reps[0].passed and len(reps[0].primes) >= 3
+    assert {rep._replace(method="") for rep in reps} == {reps[0]._replace(method="")}
+    for pc in reps[0].primes[:3]:
+        records = cli.run_bench(pc.p, 8, ["auto", f"f{k}", "synth"]).records
+        assert {r._replace(method="") for r in records} == {records[0]._replace(method="")}
 
 
 @pytest.mark.parametrize("p,count", [(7, 2), (2147483647, 58)])
 def test_synth_k1_count_is_f1s(p, count):
-    # at k = 1 the bracket is empty: no scale or multiplier is charged
-    ctx = make_context(p)
-    assert sqrt_synth(ctx, 4).mul_count == sqrt_f1(ctx, 4).mul_count == count
+    # at k = 1 the bracket is empty: no scale or multiplier is charged, and
+    # the CLI's f1, synth and auto, one evaluator, bench the bare power's count
+    rep = cli.run_bench(p, 4, ["f1", "synth", "auto"])
+    assert [(r.method, r.min_mults, r.max_mults) for r in rep.records] == [
+        (m, count, count) for m in ("f1", "synth", "auto")
+    ]
 
 
 @pytest.mark.parametrize("p", [41, 97, 7681, 65537, 2013265921])
@@ -231,33 +216,48 @@ def test_auto_is_one_python_frame(p):
 
 
 def test_formulas_imports_no_synthesis():
-    # the package's __init__ imports every module, so formulas is imported
-    # under a bare package: what loads is what formulas imports itself
-    code = (
-        "import importlib.util, sys, types\n"
-        "pkg = types.ModuleType('sqrtmodp')\n"
-        "pkg.__path__ = importlib.util.find_spec('sqrtmodp').submodule_search_locations\n"
-        "sys.modules['sqrtmodp'] = pkg\n"
-        "import sqrtmodp.formulas\n"
-        "print(sorted(m for m in sys.modules if m.startswith('sqrtmodp.')))"
-    )
-    assert _fresh_modules(code) == "['sqrtmodp.formulas', 'sqrtmodp.modarith']\n"
+    # the package's __init__ imports every module, so each module is imported
+    # under a bare package: what loads is what the module imports itself.
+    # Neither formulas nor synthesis imports the other.
+    for name, want in [
+        ("formulas", "['sqrtmodp.formulas', 'sqrtmodp.modarith']\n"),
+        ("synthesis", "['sqrtmodp.modarith', 'sqrtmodp.synthesis']\n"),
+    ]:
+        code = (
+            "import importlib.util, sys, types\n"
+            "pkg = types.ModuleType('sqrtmodp')\n"
+            "pkg.__path__ = importlib.util.find_spec('sqrtmodp').submodule_search_locations\n"
+            "sys.modules['sqrtmodp'] = pkg\n"
+            f"import sqrtmodp.{name}\n"
+            "print(sorted(m for m in sys.modules if m.startswith('sqrtmodp.')))"
+        )
+        assert _fresh_modules(code) == want, name
 
 
 @pytest.mark.parametrize("k", EVERY_K)
 def test_entries_tag_and_agree_at_every_k(k):
-    # auto is tagged fK at k <= 4 and synth above, sqrt_synth synth at every
-    # k; every entry that takes the prime gives the same root, coroot, count
+    # sqrt_auto is tagged fK at k <= 4 and synth above, with the context's
+    # count; every CLI method that takes the prime gives the same root and
+    # coroot, and the class-formula ones (auto, fK, synth) are sqrt_auto
     p = primes_with_k(k, 1)[0]
     ctx = make_context(p)
     rng = random.Random(k)
-    tags = {sqrt_auto: f"f{k}" if k <= 4 else "synth", sqrt_synth: "synth"}
-    if k in F_BY_K:
-        tags[F_BY_K[k]] = f"f{k}"
+    fns = {}
+    for name in cli.METHODS:
+        try:
+            fns[name] = cli._method(name, ctx)[0]
+        except ValueError:  # f1..f4 at another k, brute above its bound
+            pass
+    assert [name for name, fn in fns.items() if fn is sqrt_auto] == [
+        "auto", *([f"f{k}"] if k <= 4 else []), "synth"
+    ]
+    assert fns["direct"] is direct_sqrt and fns["tonelli"] is tonelli_shanks
     for a in [0, 1, *(rng.randrange(1, p) ** 2 % p for _ in range(8))]:
-        outs = {fn: fn(ctx, a) for fn in tags}
-        assert {fn: out.method for fn, out in outs.items()} == tags
-        assert len({(o.root, o.coroot, o.mul_count) for o in outs.values()}) == 1, (p, a)
+        out = sqrt_auto(ctx, a)
+        assert out.method == (f"f{k}" if k <= 4 else "synth")
+        assert out.mul_count == (ctx._cost if a else 0)
+        pairs = {(o.root, o.coroot) for o in (fn(ctx, a) for fn in set(fns.values()))}
+        assert pairs == {(out.root, out.coroot)}, (p, a)
 
 
 def test_selector_property_k3_k4():

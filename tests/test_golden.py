@@ -27,23 +27,24 @@ CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 @contextlib.contextmanager
 def _fault(name):
-    """`fault: "f2_root_plus_1"` makes sqrt_f2 return root + 1."""
+    """`fault: "f2_root_plus_1"` makes sqrt_auto, the function --method f2
+    runs, return root + 1."""
     if name is None:
         yield
         return
     assert name == "f2_root_plus_1"
-    orig = formulas.sqrt_f2
+    orig = formulas.sqrt_auto
 
     def corrupted(ctx, a):
         out = orig(ctx, a)
         wrong = (out.root + 1) % ctx.p
         return SqrtOutcome(wrong, (ctx.p - wrong) % ctx.p, out.method, out.mul_count)
 
-    formulas.sqrt_f2 = corrupted
+    formulas.sqrt_auto = corrupted
     try:
         yield
     finally:
-        formulas.sqrt_f2 = orig
+        formulas.sqrt_auto = orig
 
 
 def _run(case):

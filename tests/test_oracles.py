@@ -9,7 +9,6 @@ from sqrtmodp.formulas import NotAResidue, sqrt_auto
 from sqrtmodp.modarith import (
     PrimeContext,
     _pow_cost,
-    legendre,
     make_context,
     primes_in_range,
 )

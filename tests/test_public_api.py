@@ -4,12 +4,13 @@ names as the module's own objects, and no two modules export one name; no
 exported type is a dataclass, importing the command line loads neither
 dataclasses nor inspect, and importing the package loads no argparse, so
 both stay cheap to import; no module imports after its first definition,
-so no import cycle hides there; the arithmetic takes no counter, and the
-scripts use only public names."""
+so no import cycle hides there; the arithmetic takes no counter, the
+scripts use only public names, and no file imports a name it never uses."""
 
 import ast
 import collections
 import dataclasses
+import importlib
 import inspect
 import os
 import subprocess
@@ -121,15 +122,55 @@ def test_modules_import_nothing_after_their_first_definition():
     assert late == []
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def test_scripts_import_no_private_names():
-    scripts = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+    # every name a script imports from the package is in its module's __all__
+    scripts = sorted((ROOT / "scripts").glob("*.py"))
     assert scripts
-    private = [
-        (path.name, alias.name)
+    not_public = [
+        (path.name, node.module, alias.name)
         for path in scripts
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sqrtmodp")
         for alias in node.names
-        if alias.name.startswith("_")
+        if alias.name not in importlib.import_module(node.module).__all__
     ]
-    assert private == []
+    assert not_public == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names path imports and never reads; a name in its __all__ is read,
+    and a star import binds nothing to check."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*":
+                    bound.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used.update(
+                sub.value
+                for sub in ast.walk(node.value)
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+            )
+    return [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for name, line in bound.items()
+        if name not in used
+    ]
+
+
+def test_no_file_imports_a_name_it_never_uses():
+    # no linter is a test dependency; a stale import is what a deletion leaves
+    paths = [
+        path for d in ("src/sqrtmodp", "scripts", "tests") for path in (ROOT / d).rglob("*.py")
+    ]
+    assert len(paths) > 20
+    assert [line for path in paths for line in _unused_imports(path)] == []

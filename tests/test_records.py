@@ -59,11 +59,11 @@ FIELDS = {
 }
 
 
-_sqrt_f1 = formulas.sqrt_f1
+_sqrt_auto = formulas.sqrt_auto
 
 
 def _wrong_coroot(ctx, a):
-    out = _sqrt_f1(ctx, a)
+    out = _sqrt_auto(ctx, a)
     return formulas.SqrtOutcome(out.root, out.root, out.method, out.mul_count)
 
 
@@ -72,7 +72,7 @@ def _samples(monkeypatch):
     f = synthesis.synthesize(3)
     rendered = formula_reference.normalize_signs(f)[1]
     ctx = make_context(13)
-    monkeypatch.setattr(formulas, "sqrt_f1", _wrong_coroot)
+    monkeypatch.setattr(formulas, "sqrt_auto", _wrong_coroot)
     verification = cli.run_verification(3, 7, "f1")
     check = verification.primes[0]
     bench = cli.run_bench(17, 4, ["auto"])

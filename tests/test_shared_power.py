@@ -17,7 +17,7 @@ import random
 import pytest
 
 from sqrtmodp import modarith, oracles
-from sqrtmodp.formulas import NotAResidue, sqrt_auto, sqrt_f1, sqrt_f2, sqrt_f3, sqrt_f4
+from sqrtmodp.formulas import NotAResidue, sqrt_auto
 from sqrtmodp.modarith import (
     MulCounter,
     PrimeContext,
@@ -29,13 +29,11 @@ from sqrtmodp.modarith import (
     primes_in_range,
 )
 from sqrtmodp.oracles import direct_sqrt, tonelli_shanks
-from sqrtmodp.synthesis import sqrt_synth
 
 from root_table import brute_root_table
 from test_lift import LARGE_K_PRIMES
 from test_oracles import LARGE_P_GRID
 
-F_BY_K = {1: sqrt_f1, 2: sqrt_f2, 3: sqrt_f3, 4: sqrt_f4}
 GOLDILOCKS = (1 << 64) - (1 << 32) + 1
 HIGH_K_PRIMES = (786433, 2013265921, 2130706433, GOLDILOCKS)  # k = 18, 27, 24, 32
 LARGE_PRIMES = (
@@ -95,26 +93,21 @@ def test_context_prices_the_lift_once(k):
 def test_screen_matches_legendre_below_1500():
     for p in primes_in_range(3, 1500):
         ctx = make_context(p)
-        fns = [sqrt_auto, sqrt_synth]
-        if ctx.k in F_BY_K:
-            fns.append(F_BY_K[ctx.k])
         for a in range(1, p):
             residue = legendre(a, p) == 1
-            for fn in fns:
-                try:
-                    out = fn(ctx, a)
-                except NotAResidue:
-                    assert not residue, (p, a, fn.__name__)
-                else:
-                    assert residue and out.root * out.root % p == a, (p, a, fn.__name__)
+            try:
+                out = sqrt_auto(ctx, a)
+            except NotAResidue:
+                assert not residue, (p, a)
+            else:
+                assert residue and out.root * out.root % p == a, (p, a)
 
 
 @pytest.mark.parametrize("p", HIGH_K_PRIMES)
 def test_nonresidue_z_is_rejected_at_high_k(p):
     ctx = make_context(p)
-    for fn in (sqrt_auto, sqrt_synth):
-        with pytest.raises(NotAResidue):
-            fn(ctx, ctx.z)
+    with pytest.raises(NotAResidue):
+        sqrt_auto(ctx, ctx.z)
 
 
 def test_fermat_prime_65537_every_residue():

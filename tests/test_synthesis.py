@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqrtmodp import synthesis
-from sqrtmodp.formulas import sqrt_auto
 from sqrtmodp.modarith import PrimeContext, is_prime, make_context, primes_in_range
 from sqrtmodp.synthesis import (
     MAX_K,
@@ -16,7 +15,6 @@ from sqrtmodp.synthesis import (
     formula_to_doc,
     render_math,
     render_text,
-    sqrt_synth,
     synthesize,
 )
 
@@ -167,13 +165,6 @@ def test_squaring_identity_high_k(k):
         ctx = make_context(p)
         for a, pair in brute_root_table(p).items():
             assert evaluate(f, ctx, a) == pair
-
-
-def test_synth_matches_hardcoded_small_k():
-    for p in [7, 13, 41, 17, 113, 73]:
-        ctx = make_context(p)
-        for a in brute_root_table(p):
-            assert sqrt_synth(ctx, a).root == sqrt_auto(ctx, a).root
 
 
 def test_selector_exclusivity():

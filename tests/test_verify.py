@@ -72,8 +72,8 @@ def test_walk_reports_each_fault_as_the_table_walk_does(monkeypatch, fault):
         root, coroot = fault(ctx.p, out.root, out.coroot)
         return SqrtOutcome(root, coroot, out.method, out.mul_count)
 
-    orig = formulas.sqrt_f2
-    monkeypatch.setattr(formulas, "sqrt_f2", faulty)
+    orig = formulas.sqrt_auto
+    monkeypatch.setattr(formulas, "sqrt_auto", faulty)
     rep = _assert_same_bytes(3, 400, "f2", 2)
     assert not rep.passed
     assert all(len(pc.failures) == pc.residues_checked for pc in rep.primes)
@@ -87,8 +87,8 @@ def test_walk_memory_is_flat_in_p(monkeypatch):
     # traced is the sweep's own memory.
     p = 262139  # k = 1
     ctx = modarith.make_context(p)
-    outcomes = {a: formulas.sqrt_f1(ctx, a) for a in brute_root_table(p)}
-    monkeypatch.setattr(formulas, "sqrt_f1", lambda ctx, a: outcomes[a])
+    outcomes = {a: formulas.sqrt_auto(ctx, a) for a in brute_root_table(p)}
+    monkeypatch.setattr(formulas, "sqrt_auto", lambda ctx, a: outcomes[a])
     tracemalloc.start()
     try:
         rep = cli.run_verification(p, p, "f1")

@@ -1,4 +1,4 @@
-"""sqrt_synth as the one live term of the factor tree, and every k it serves.
+"""sqrt_auto as the one live term of the factor tree, and every k it serves.
 
 The class lift must give the value of the symbolic formula wherever synthesize
 exists (k <= MAX_K), the same multiplication count for every nonzero residue
@@ -16,7 +16,7 @@ from sqrtmodp import cli, modarith
 from sqrtmodp.formulas import sqrt_auto
 from sqrtmodp.modarith import is_prime, make_context, primes_in_range
 from sqrtmodp.oracles import direct_sqrt, tonelli_shanks
-from sqrtmodp.synthesis import MAX_K, sqrt_synth, synthesize
+from sqrtmodp.synthesis import MAX_K, synthesize
 
 from formula_reference import evaluate
 from root_table import brute_root_table
@@ -48,16 +48,15 @@ def test_walk_matches_formula_on_every_residue(k):
     for p in primes:
         ctx = make_context(p)
         for a in [0, *brute_root_table(p)]:
-            got = sqrt_synth(ctx, a)
+            got = sqrt_auto(ctx, a)
             assert (got.root, got.coroot) == evaluate(f, ctx, a)
-            assert got.method == "synth"
 
 
 @pytest.mark.parametrize("k", range(1, 13))
 def test_walk_count_is_constant_per_prime(k):
     for p in smallest_primes_with_k(k, 3):
         ctx = make_context(p)
-        counts = {sqrt_synth(ctx, a).mul_count for a in brute_root_table(p)}
+        counts = {sqrt_auto(ctx, a).mul_count for a in brute_root_table(p)}
         assert len(counts) == 1, (p, counts)
 
 
@@ -66,7 +65,7 @@ def test_walk_count_is_linear_in_k(p):
     # one shared power of at most 2 log2(p) mults, then about 4 per level;
     # the full bracket would need at least 2^(k-1)
     ctx = make_context(p)
-    assert sqrt_synth(ctx, 4).mul_count <= 6 * p.bit_length() + 3 * ctx.k + 8
+    assert sqrt_auto(ctx, 4).mul_count <= 6 * p.bit_length() + 3 * ctx.k + 8
 
 
 def test_synthesize_shares_factors():
@@ -92,7 +91,7 @@ def test_high_k_primes_match_oracles(p):
     for r in [2, *(rng.randrange(1, p) for _ in range(25))]:
         a = r * r % p
         want = (min(r, p - r), max(r, p - r))
-        for fn in (sqrt_auto, sqrt_synth, tonelli_shanks, direct_sqrt):
+        for fn in (sqrt_auto, tonelli_shanks, direct_sqrt):
             out = fn(ctx, a)
             assert out.root * out.root % p == a
             assert (out.root, out.coroot) == want
@@ -103,15 +102,14 @@ def test_high_k_primes_match_oracles(p):
 def test_high_k_count_is_constant(p):
     ctx = make_context(p)
     rng = random.Random(p)
-    counts = {sqrt_synth(ctx, rng.randrange(1, p) ** 2 % p).mul_count for _ in range(20)}
+    counts = {sqrt_auto(ctx, rng.randrange(1, p) ** 2 % p).mul_count for _ in range(20)}
     assert len(counts) == 1
 
 
 def test_goldilocks_zero_and_one():
     ctx = make_context(GOLDILOCKS)
-    for fn in (sqrt_auto, sqrt_synth):
-        assert (fn(ctx, 0).root, fn(ctx, 0).coroot) == (0, 0)
-        assert (fn(ctx, 1).root, fn(ctx, 1).coroot) == (1, GOLDILOCKS - 1)
+    assert sqrt_auto(ctx, 0)[:2] == (0, 0)
+    assert sqrt_auto(ctx, 1)[:2] == (1, GOLDILOCKS - 1)
 
 
 @st.composite
