@@ -1,8 +1,9 @@
 """Command-line frontend: sqrt, synthesize, verify, expand, density, bench.
 
 Every method is named once, in _METHODS: the module and function that
-compute it and the k it needs, if any.  Commands look the function up when
-they start, so a patched module attribute is the one that runs.
+compute it, the k it needs, if any, and the function that verify runs over
+many residues, if any.  Commands look the function up when they start, so
+a patched module attribute is the one that runs.
 
 Each handler, _cmd_<command>, returns its report and exit code and writes
 nothing to stdout: a dict for a JSON document, a str for synthesize's text
@@ -47,18 +48,19 @@ __all__ = [
     "verification_to_doc",
 ]
 
-# name -> (module, function name, the k it needs or None); auto, f1..f4 and
-# synth are one evaluator, the class formula, and f1..f4 take one k each
+# name -> (module, function name, the k it needs or None, the function verify
+# runs over many residues or None); auto, f1..f4 and synth are one
+# evaluator, the class formula, and f1..f4 take one k each
 _METHODS = {
-    "auto": (formulas, "sqrt_auto", None),
-    "f1": (formulas, "sqrt_auto", 1),
-    "f2": (formulas, "sqrt_auto", 2),
-    "f3": (formulas, "sqrt_auto", 3),
-    "f4": (formulas, "sqrt_auto", 4),
-    "synth": (formulas, "sqrt_auto", None),
-    "tonelli": (oracles, "tonelli_shanks", None),
-    "direct": (oracles, "direct_sqrt", None),
-    "brute": (oracles, "_brute_sqrt", None),
+    "auto": (formulas, "sqrt_auto", None, "roots"),
+    "f1": (formulas, "sqrt_auto", 1, "roots"),
+    "f2": (formulas, "sqrt_auto", 2, "roots"),
+    "f3": (formulas, "sqrt_auto", 3, "roots"),
+    "f4": (formulas, "sqrt_auto", 4, "roots"),
+    "synth": (formulas, "sqrt_auto", None, "roots"),
+    "tonelli": (oracles, "tonelli_shanks", None, None),
+    "direct": (oracles, "direct_sqrt", None, None),
+    "brute": (oracles, "_brute_sqrt", None, None),
 }
 METHODS = tuple(_METHODS)
 
@@ -69,7 +71,7 @@ def _method(name: str, ctx: modarith.PrimeContext | None = None):
     brute above BRUTE_LIMIT."""
     if name not in _METHODS:
         raise ValueError(f"unknown method {name!r}")
-    mod, fn_name, need_k = _METHODS[name]
+    mod, fn_name, need_k, _ = _METHODS[name]
     if ctx is not None:
         if need_k not in (None, ctx.k):
             raise ValueError(f"method {name} needs k={need_k}, p={ctx.p} has k={ctx.k}")
@@ -106,6 +108,11 @@ class VerificationReport(NamedTuple):
     passed: bool
 
 
+# residues per call of a method's sequence function in verify: one call for
+# each prime below 8194, and no more than this many roots held at once
+_CHUNK = 4096
+
+
 def run_verification(
     pmin: int, pmax: int, method: str = "auto", k_filter: int | None = None
 ) -> VerificationReport:
@@ -115,13 +122,19 @@ def run_verification(
     The roots are walked, not tabled: each r in 1..(p-1)/2 is the canonical
     root of a distinct residue a = r^2 mod p, so the method is called once
     per a, in ascending r, and its outcome must equal the pair (r, p - r).
-    That root squares to a, so no square is taken.  No table is built:
-    failures aside, the memory is O(1) per prime.
+    That root squares to a, so no square is taken.  The class formula
+    (auto, f1..f4, synth) runs as formulas.roots, read from the module now,
+    over chunks of _CHUNK residues: one call for each prime below 8194.
+    Its roots are compared with the chunk's r, and its coroot is p - root.
+    The other methods are called once per residue, and their coroot is
+    checked too.  No table is built: failures aside, the memory is bounded
+    by one chunk's residues and roots, whatever p.
 
     An inverted range, or a k_filter that no prime the method accepts can
     meet, is an error; an ordered range with no prime in it is an empty pass.
     A method that raises NotAResidue on a residue is at fault, and the sweep
-    stops with an ArithmeticError naming the method, p and a."""
+    stops with an ArithmeticError naming the method, p and a; a refused
+    chunk is walked again one residue at a time to find a."""
     if pmin > pmax:
         raise ValueError(f"pmin={pmin} is above pmax={pmax}; the range is inverted")
     if pmax > oracles.BRUTE_LIMIT:
@@ -129,6 +142,8 @@ def run_verification(
             f"verify supports pmax<={oracles.BRUTE_LIMIT} (BRUTE_LIMIT), got pmax={pmax}"
         )
     fn, method_k = _method(method)
+    mod, _, _, many_name = _METHODS[method]
+    many = getattr(mod, many_name) if many_name else None
     if k_filter is not None and (k_filter < 1 or method_k not in (None, k_filter)):
         need = f"k={method_k}" if method_k else "k >= 1"
         raise ValueError(f"method {method} needs {need}; --k {k_filter} selects no prime")
@@ -141,20 +156,55 @@ def run_verification(
         ctx = modarith.make_context(p)
         failures = []
         half = (p - 1) // 2
-        try:
-            for r in range(1, half + 1):
-                a = r * r % p
-                root, coroot, _, _ = fn(ctx, a)
-                if root != r or coroot != p - r:
-                    failures.append(Failure(a, root, coroot, (r, p - r)))
-        except formulas.NotAResidue as exc:
-            raise ArithmeticError(
-                f"method {method} raised NotAResidue on the residue a={a} of p={p}: {exc}"
-            ) from exc
+        if many:
+            for lo in range(1, half + 1, _CHUNK):
+                want = range(lo, min(lo + _CHUNK, half + 1))
+                values = [r * r % p for r in want]
+                try:
+                    got = many(ctx, values)
+                except formulas.NotAResidue as exc:
+                    raise _refused_chunk(method, many, ctx, values, exc) from exc
+                if got != list(want):
+                    failures += [
+                        Failure(a, root, (p - root) % p, (r, p - r))
+                        for r, a, root in zip(want, values, got)
+                        if root != r
+                    ]
+        else:
+            try:
+                for r in range(1, half + 1):
+                    a = r * r % p
+                    root, coroot, _, _ = fn(ctx, a)
+                    if root != r or coroot != p - r:
+                        failures.append(Failure(a, root, coroot, (r, p - r)))
+            except formulas.NotAResidue as exc:
+                raise _refused(method, a, p, exc) from exc
         checks.append(PrimeCheck(p, ctx.k, ctx.n, ctx.z, half, tuple(failures)))
         total += half
     passed = all(not pc.failures for pc in checks)
     return VerificationReport(pmin, pmax, method, k_filter, tuple(checks), total, passed)
+
+
+def _refused(method: str, a: int, p: int, exc: Exception) -> ArithmeticError:
+    """The error for a method that raised NotAResidue, exc, on the residue a."""
+    return ArithmeticError(
+        f"method {method} raised NotAResidue on the residue a={a} of p={p}: {exc}"
+    )
+
+
+def _refused_chunk(method, many, ctx, values, exc) -> ArithmeticError:
+    """The error for the NotAResidue exc that many raised on a chunk of
+    residues: the chunk is walked again one residue at a time to name the
+    residue refused."""
+    for a in values:
+        try:
+            many(ctx, (a,))
+        except formulas.NotAResidue as one:
+            return _refused(method, a, ctx.p, one)
+    return ArithmeticError(
+        f"method {method} raised NotAResidue on a chunk of residues of p={ctx.p}, "
+        f"and on none of them alone: {exc}"
+    )
 
 
 def verification_to_doc(rep: VerificationReport) -> dict:

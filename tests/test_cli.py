@@ -205,13 +205,11 @@ def test_verify_range_bound(capsys):
 
 
 def test_verify_injected_fault_flips_exit(capsys, monkeypatch):
-    def corrupted(ctx, a):
-        out = _orig(ctx, a)
-        wrong = (out.root + 1) % ctx.p
-        return SqrtOutcome(wrong, (ctx.p - wrong) % ctx.p, out.method, out.mul_count)
+    def corrupted(ctx, values):
+        return [(root + 1) % ctx.p for root in _orig(ctx, values)]
 
-    _orig = formulas.sqrt_auto
-    monkeypatch.setattr(formulas, "sqrt_auto", corrupted)
+    _orig = formulas.roots
+    monkeypatch.setattr(formulas, "roots", corrupted)
     code, out, _ = run_cli(capsys, "verify", "--pmin", "3", "--pmax", "60", "--method", "f2")
     assert code == 1
     doc = json.loads(out)
@@ -219,11 +217,13 @@ def test_verify_injected_fault_flips_exit(capsys, monkeypatch):
     assert any(pd["failures"] for pd in doc["primes"])
 
 
-def _verify_with(capsys, monkeypatch, method):
-    """verify --method f2 over 3..60 with sqrt_auto, the function f2 runs,
-    replaced by method."""
-    monkeypatch.setattr(formulas, "sqrt_auto", method)
-    code, out, _ = run_cli(capsys, "verify", "--pmin", "3", "--pmax", "60", "--method", "f2")
+def _verify_with(capsys, monkeypatch, method, mod, name, fault):
+    """verify --method method over the k = 2 primes of 3..60, with mod.name,
+    the function that method runs there, replaced by fault."""
+    monkeypatch.setattr(mod, name, fault)
+    code, out, _ = run_cli(
+        capsys, "verify", "--pmin", "3", "--pmax", "60", "--method", method, "--k", "2"
+    )
     return code, json.loads(out)
 
 
@@ -242,13 +242,15 @@ def _expected_failures(doc, wrong):
 
 
 def test_verify_flags_a_wrong_coroot(capsys, monkeypatch):
-    # the right root with the wrong coroot fails the pair check alone
+    # the right root with the wrong coroot fails the pair check alone; the
+    # class formula's roots has no coroot, so the fault goes into a method
+    # verify calls once per residue
     def bad_coroot(ctx, a):
         out = _orig(ctx, a)
         return SqrtOutcome(out.root, out.root, out.method, out.mul_count)
 
-    _orig = formulas.sqrt_auto
-    code, doc = _verify_with(capsys, monkeypatch, bad_coroot)
+    _orig = oracles.tonelli_shanks
+    code, doc = _verify_with(capsys, monkeypatch, "tonelli", oracles, "tonelli_shanks", bad_coroot)
     assert code == 1 and doc["pass"] is False
     want = _expected_failures(doc, lambda p, r, c: (r, r))
     assert [pd["failures"] for pd in doc["primes"]] == want
@@ -256,12 +258,11 @@ def test_verify_flags_a_wrong_coroot(capsys, monkeypatch):
 
 def test_verify_flags_a_non_root(capsys, monkeypatch):
     # the pair (0, 0) squares to no residue in the table, which omits a = 0
-    def non_root(ctx, a):
-        out = _orig(ctx, a)
-        return SqrtOutcome(0, 0, out.method, out.mul_count)
+    def non_root(ctx, values):
+        return [0 for _ in _orig(ctx, values)]
 
-    _orig = formulas.sqrt_auto
-    code, doc = _verify_with(capsys, monkeypatch, non_root)
+    _orig = formulas.roots
+    code, doc = _verify_with(capsys, monkeypatch, "f2", formulas, "roots", non_root)
     assert code == 1 and doc["pass"] is False
     want = _expected_failures(doc, lambda p, r, c: (0, 0))
     assert [pd["failures"] for pd in doc["primes"]] == want
@@ -269,17 +270,41 @@ def test_verify_flags_a_non_root(capsys, monkeypatch):
 
 def test_verify_method_raising_not_a_residue_exits_1(capsys, monkeypatch):
     # a method that refuses a true residue is at fault: exit 1, not the
-    # exit 2 reserved for a nonresidue input, and no report on stdout
-    def refuses(ctx, a):
-        if (ctx.p, a) == (29, 4):
-            raise formulas.NotAResidue(f"{a} is not a quadratic residue mod {ctx.p}")
-        return _orig(ctx, a)
+    # exit 2 reserved for a nonresidue input, and no report on stdout; the
+    # refused chunk is walked again one residue at a time to name it
+    def refuses(ctx, values):
+        values = list(values)
+        if ctx.p == 29 and 4 in values:
+            raise formulas.NotAResidue(f"4 is not a quadratic residue mod {ctx.p}")
+        return _orig(ctx, values)
 
-    _orig = formulas.sqrt_auto
-    monkeypatch.setattr(formulas, "sqrt_auto", refuses)
+    _orig = formulas.roots
+    monkeypatch.setattr(formulas, "roots", refuses)
     code, out, err = run_cli(capsys, "verify", "--pmin", "3", "--pmax", "60", "--method", "f2")
     assert (code, out) == (1, "")
-    assert err.startswith("error: method f2 raised NotAResidue on the residue a=4 of p=29")
+    assert err == (
+        "error: method f2 raised NotAResidue on the residue a=4 of p=29: "
+        "4 is not a quadratic residue mod 29\n"
+    )
+
+
+def test_verify_chunk_refused_but_no_residue_alone_exits_1(capsys, monkeypatch):
+    # a method that refuses a chunk but none of its residues alone still
+    # exits 1, naming the prime, since no residue can be named
+    def refuses_many(ctx, values):
+        values = list(values)
+        if ctx.p == 29 and len(values) > 1:
+            raise formulas.NotAResidue(f"{values[0]} is not a quadratic residue mod {ctx.p}")
+        return _orig(ctx, values)
+
+    _orig = formulas.roots
+    monkeypatch.setattr(formulas, "roots", refuses_many)
+    code, out, err = run_cli(capsys, "verify", "--pmin", "3", "--pmax", "60", "--method", "f2")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: method f2 raised NotAResidue on a chunk of residues of p=29, "
+        "and on none of them alone: 1 is not a quadratic residue mod 29\n"
+    )
 
 
 def test_sqrt_rejects_a_strong_pseudoprime(capsys):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqrtmodp import cli
-from sqrtmodp.formulas import NotAResidue, SqrtOutcome, sqrt_auto
+from sqrtmodp.formulas import NotAResidue, SqrtOutcome, roots, sqrt_auto
 from sqrtmodp.modarith import PrimeContext, decompose, make_context, primes_in_range
 from sqrtmodp.oracles import direct_sqrt, tonelli_shanks
 from sqrtmodp.synthesis import synthesize
@@ -197,9 +197,11 @@ def test_bad_decomposition_is_rejected_when_the_context_is_built(p, k, n, z):
 def test_auto_is_one_python_frame(p):
     # k = 1, 3, 5, 9, 18 and 32 (Goldilocks), and two primes whose shared
     # power walks a chain, the second with a tail step: the evaluator calls
-    # only builtins, so a profiler sees one Python-level call, sqrt_auto
+    # only builtins, so a profiler sees one Python-level call, sqrt_auto,
+    # and roots over a whole sequence is one call as well
     ctx = make_context(p)
     a = 9 % p
+    values = [a, 0, 1, 4 % p, 25 % p]
     calls = []
 
     def profile(frame, event, arg):
@@ -209,10 +211,12 @@ def test_auto_is_one_python_frame(p):
     sys.setprofile(profile)
     try:
         out = sqrt_auto(ctx, a)
+        got = roots(ctx, values)
     finally:
         sys.setprofile(None)
-    assert calls == ["sqrt_auto"]
+    assert calls == ["sqrt_auto", "roots"]
     assert out.root * out.root % p == a
+    assert [r * r % p for r in got] == values
 
 
 def test_formulas_imports_no_synthesis():

@@ -19,7 +19,6 @@ from pathlib import Path
 import pytest
 
 from sqrtmodp import cli, formulas
-from sqrtmodp.formulas import SqrtOutcome
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
@@ -27,24 +26,22 @@ CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 @contextlib.contextmanager
 def _fault(name):
-    """`fault: "f2_root_plus_1"` makes sqrt_auto, the function --method f2
-    runs, return root + 1."""
+    """`fault: "f2_root_plus_1"` makes formulas.roots, the function verify
+    runs for --method f2, return root + 1."""
     if name is None:
         yield
         return
     assert name == "f2_root_plus_1"
-    orig = formulas.sqrt_auto
+    orig = formulas.roots
 
-    def corrupted(ctx, a):
-        out = orig(ctx, a)
-        wrong = (out.root + 1) % ctx.p
-        return SqrtOutcome(wrong, (ctx.p - wrong) % ctx.p, out.method, out.mul_count)
+    def corrupted(ctx, values):
+        return [(root + 1) % ctx.p for root in orig(ctx, values)]
 
-    formulas.sqrt_auto = corrupted
+    formulas.roots = corrupted
     try:
         yield
     finally:
-        formulas.sqrt_auto = orig
+        formulas.roots = orig
 
 
 def _run(case):

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from sqrtmodp import analysis, cli, formulas, synthesis
+from sqrtmodp import analysis, cli, formulas, oracles, synthesis
 from sqrtmodp.modarith import make_context
 
 import formula_reference
@@ -59,11 +59,11 @@ FIELDS = {
 }
 
 
-_sqrt_auto = formulas.sqrt_auto
+_tonelli = oracles.tonelli_shanks
 
 
 def _wrong_coroot(ctx, a):
-    out = _sqrt_auto(ctx, a)
+    out = _tonelli(ctx, a)
     return formulas.SqrtOutcome(out.root, out.root, out.method, out.mul_count)
 
 
@@ -72,8 +72,10 @@ def _samples(monkeypatch):
     f = synthesis.synthesize(3)
     rendered = formula_reference.normalize_signs(f)[1]
     ctx = make_context(13)
-    monkeypatch.setattr(formulas, "sqrt_auto", _wrong_coroot)
-    verification = cli.run_verification(3, 7, "f1")
+    # a wrong coroot: the class formula's roots gives the root alone, so the
+    # fault goes into tonelli, which verify calls once per residue
+    monkeypatch.setattr(oracles, "tonelli_shanks", _wrong_coroot)
+    verification = cli.run_verification(3, 7, "tonelli", 1)
     check = verification.primes[0]
     bench = cli.run_bench(17, 4, ["auto"])
     return {

@@ -1,20 +1,24 @@
-"""The verify sweep walks the roots r = 1..(p-1)/2; these tests hold it to
-the table walk it replaced, byte for byte, and to flat memory in p."""
+"""The verify sweep walks the roots r = 1..(p-1)/2, the class formula's in
+chunks through formulas.roots; these tests hold it to the table walk it
+replaced, one residue per call, byte for byte, and to flat memory in p."""
 
 import json
 import tracemalloc
 
 import pytest
 
-from sqrtmodp import cli, formulas, modarith
+from sqrtmodp import cli, formulas, modarith, oracles
 from sqrtmodp.formulas import SqrtOutcome
 
 from root_table import brute_root_table
 
 
 def _reference(pmin, pmax, method="auto", k_filter=None):
-    """run_verification as a walk over brute_root_table(p), in its order."""
+    """run_verification as a walk over brute_root_table(p), in its order,
+    one residue per call; a method with a sequence function, the class
+    formula's formulas.roots, gives a root, and its coroot is p - root."""
     fn, method_k = cli._method(method)
+    mod, _, _, many = cli._METHODS[method]
     checks = []
     for p in modarith.primes_in_range(max(pmin, 3), pmax):
         ctx = modarith.make_context(p)
@@ -23,7 +27,11 @@ def _reference(pmin, pmax, method="auto", k_filter=None):
         table = brute_root_table(p)
         failures = []
         for a, pair in table.items():
-            root, coroot, _, _ = fn(ctx, a)
+            if many:
+                [root] = getattr(mod, many)(ctx, (a,))
+                coroot = (p - root) % p
+            else:
+                root, coroot, _, _ = fn(ctx, a)
             if root * root % p != a or (root, coroot) != pair:
                 failures.append(cli.Failure(a, root, coroot, pair))
         checks.append(
@@ -57,24 +65,31 @@ def test_walk_matches_the_table_walk(method, k_filter):
 
 
 @pytest.mark.parametrize(
-    "fault",
+    "method,fault",
     [
-        lambda p, r, c: ((r + 1) % p, (c - 1) % p),  # a root off by one
-        lambda p, r, c: (c, r),  # the coroot in the root's place
-        lambda p, r, c: (0, 0),
-        lambda p, r, c: (2 * r % p, c),  # the coroot right, a root squaring to 4a
+        ("f2", lambda p, r, c: ((r + 1) % p, (c - 1) % p)),  # a root off by one
+        ("f2", lambda p, r, c: (c, r)),  # the coroot in the root's place
+        ("f2", lambda p, r, c: (0, 0)),
+        ("tonelli", lambda p, r, c: (2 * r % p, c)),  # the coroot right, a root squaring to 4a
     ],
     ids=["off_by_one", "swapped", "zero_pair", "root_not_a_square_root"],
 )
-def test_walk_reports_each_fault_as_the_table_walk_does(monkeypatch, fault):
-    def faulty(ctx, a):
-        out = orig(ctx, a)
+def test_walk_reports_each_fault_as_the_table_walk_does(monkeypatch, method, fault):
+    # The fault goes into the function verify runs for the method.  f2 runs
+    # formulas.roots, which gives the root alone, its coroot p - root; the
+    # last fault breaks that, so it goes into tonelli, run once per residue.
+    def faulty_roots(ctx, values):
+        return [fault(ctx.p, root, ctx.p - root)[0] for root in orig_roots(ctx, values)]
+
+    def faulty_tonelli(ctx, a):
+        out = orig_tonelli(ctx, a)
         root, coroot = fault(ctx.p, out.root, out.coroot)
         return SqrtOutcome(root, coroot, out.method, out.mul_count)
 
-    orig = formulas.sqrt_auto
-    monkeypatch.setattr(formulas, "sqrt_auto", faulty)
-    rep = _assert_same_bytes(3, 400, "f2", 2)
+    orig_roots, orig_tonelli = formulas.roots, oracles.tonelli_shanks
+    monkeypatch.setattr(formulas, "roots", faulty_roots)
+    monkeypatch.setattr(oracles, "tonelli_shanks", faulty_tonelli)
+    rep = _assert_same_bytes(3, 400, method, 2)
     assert not rep.passed
     assert all(len(pc.failures) == pc.residues_checked for pc in rep.primes)
 
@@ -87,8 +102,8 @@ def test_walk_memory_is_flat_in_p(monkeypatch):
     # traced is the sweep's own memory.
     p = 262139  # k = 1
     ctx = modarith.make_context(p)
-    outcomes = {a: formulas.sqrt_auto(ctx, a) for a in brute_root_table(p)}
-    monkeypatch.setattr(formulas, "sqrt_auto", lambda ctx, a: outcomes[a])
+    outcomes = {a: formulas.sqrt_auto(ctx, a).root for a in brute_root_table(p)}
+    monkeypatch.setattr(formulas, "roots", lambda ctx, values: [outcomes[a] for a in values])
     tracemalloc.start()
     try:
         rep = cli.run_verification(p, p, "f1")
