@@ -9,18 +9,20 @@ verify runs its loop over a sequence, roots (below).  It
 takes one shared power per call, a^((n-1)/2), by the addition chain its
 context plans once (modarith._power_plan); a^((n+1)/2) and a^n follow
 from it by two products.  The bracket's k-1 level factors each fix one bit
-of the class index t; the evaluator reads e = -t mod 2^(k-1), the exponent
-of the multiplier z^(en), 8 bits at a time instead, from s = 2e, the log
-of a^n in z^(-n): one log-table lookup per window of s after k - min(8, k)
-squarings (the windowed discrete log of Bernstein 2001 and Sarkar, IACR
-ePrint 2020/1407).  The low bit of s is Euler's symbol, so the screen costs
-nothing more.  Each later window multiplies the digits already read back
-in, and the multiplier is built, by reads of the context's rows of z^(jn),
-one product each: the walk calls no zn_pow.  The root is the
-bracket's one live term, a^((n+1)/2) z^(en).  At k = 1 the bracket is empty
-and the root is the bare power a^((n+1)/2).  The count is the lift's cost,
-and the method tag (f1..f4 at k <= 4, synth above) the context's, both
-fixed once per context.
+of the class index t; the evaluator finds e = -t mod 2^(k-1), the exponent
+of the multiplier z^(en), from a^n = g^(-2e), g = z^n, instead.  At k <= 8,
+one window, the context's class table maps a^n to the multiplier g^e in
+one dict read, and a^n missing from it is Euler's screen.  Above k = 8 it
+reads s = 2e, the log of a^n in g^-1, 8 bits at a time: one log-table
+lookup per window of s after k - 8 squarings (the windowed discrete log of
+Bernstein 2001 and Sarkar, IACR ePrint 2020/1407).  The low bit of s is
+Euler's symbol, so the screen costs nothing more.  Each later window
+multiplies the digits already read back in, and the multiplier is built,
+by reads of the context's rows of z^(jn), one product each: the walk calls
+no zn_pow.  The root is the bracket's one live term, a^((n+1)/2) z^(en).
+At k = 1 the bracket is empty and the root is the bare power a^((n+1)/2).
+The count is the lift's cost, and the method tag (f1..f4 at k <= 4, synth
+above) the context's, both fixed once per context.
 
 Two entries run the lift, chosen by the shape of the input: sqrt_auto(ctx,
 a) for one residue, and roots(ctx, values) for many residues of one prime,
@@ -59,26 +61,29 @@ _new_tuple = tuple.__new__
 
 
 def sqrt_auto(ctx: PrimeContext, a: int) -> SqrtOutcome:
-    """Square root of a via the class formula, for any k, its class index
-    read 8 bits per table lookup.
+    """Square root of a via the class formula, for any k: one class-table
+    read at k <= 8, the class index read 8 bits per log-table lookup above.
 
     One power u = a^((n-1)/2), by a walk of the chain ctx._power, gives
     root = a^((n+1)/2) = a u and a^n = root u = g^(-s), g = z^n, s < 2^k.
-    Windows of w = min(8, k) bits go from the low end of s.  The squares
+    s = 2e for the paper's e = -t mod 2^(k-1), t the class index, so the
+    root is the paper's value at a, a^((n+1)/2) z^(en): root times g^e.
+
+    At k <= 8, one window, ctx._classes maps a^n = g^(-2e) to g^e, so the
+    lift is one dict.get and one product.  A nonresidue's a^n, s odd, is
+    no key: the missed read is the screen.  At k = 1 the one class's entry
+    is None, the bracket is empty and the root is the bare power.
+
+    Above k = 8 windows of 8 bits go from the low end of s.  The squares
     a^(2^m n) at the windows' shifts m come first, by the powers ctx._steps,
-    k - w squarings in all; the last, a^(2^(k-w) n), is h^(-d) for
-    h = g^(2^(k-w)), and ctx._log gives the low digit d.  Each later
+    k - 8 squarings in all; the last, a^(2^(k-8) n), is h^(-d) for
+    h = g^(2^(k-8)), and ctx._log gives the low digit d.  Each later
     window takes its saved square, multiplies the digits already known back
     in, g^(2^m s), with one product per row of ctx.zn_rows, and looks the
     next digit up; the last window may overlap the one before it.  The
     first digit's low bit is s mod 2, Euler's symbol, so it is the screen.
-    At k <= 8 s is one lookup of a^n, with no squarings.
-
-    s = 2e for the paper's e = -t mod 2^(k-1), t the class index, so the
-    root is the paper's value at a, a^((n+1)/2) z^(en): root times g^e, one
-    row read and one product per 8 bits of e, so at k <= 8 root times
-    zn_rows[0][e].  At k = 1 e has no bits, the bracket is empty and the
-    root is the bare power.  No zn_pow is called.
+    The multiplier g^e takes one row read and one product per 8 bits of e.
+    No zn_pow is called.
 
     mul_count is ctx._cost, modarith._class_cost(n, k): the same for every
     nonzero residue of the prime, priced once per context, and 0 at a = 0.
@@ -99,31 +104,39 @@ def sqrt_auto(ctx: PrimeContext, a: int) -> SqrtOutcome:
             u = u * pow(a, r, p) % p
     root = a * u % p
     x = root * u % p  # a^n = g^(-s)
-    # a^(2^m n) for each window after the first, with its m and its digit's
-    # shift, on a stack of tuples (square, m, shift, rest): empty at k <= 8
-    squares = ()
-    plan = ctx._steps
-    while plan:
-        (step, m, shift), plan = plan
-        squares = x, m, shift, squares
-        x = pow(x, step, p)
-    log = ctx._log
-    s = log[x]
-    if s & 1:  # s mod 2 is Euler's symbol: a^((p-1)/2) = g^(-2^(k-1) s)
-        raise NotAResidue(f"{a} is not a quadratic residue mod {p}")
-    while squares:  # the top square first
-        x, m, shift, squares = squares
-        e = s << m  # multiplies the digits already known back in: g^(2^m s)
-        for row in ctx.zn_rows:
-            x = x * row[e & _DIGIT] % p
+    classes = ctx._classes
+    if classes is not None:  # one window, k <= 8: g^(-2e) -> g^e
+        m = classes.get(x, 0)  # None at k = 1, where the multiplier is 1
+        if m:
+            root = root * m % p
+        elif m == 0:  # no class: s is odd
+            raise NotAResidue(f"{a} is not a quadratic residue mod {p}")
+    else:
+        # a^(2^m n) for each window after the first, with its m and its
+        # digit's shift, on a stack of tuples (square, m, shift, rest)
+        squares = ()
+        plan = ctx._steps
+        while plan:
+            (step, m, shift), plan = plan
+            squares = x, m, shift, squares
+            x = pow(x, step, p)
+        log = ctx._log
+        s = log[x]
+        if s & 1:  # s mod 2 is Euler's symbol: a^((p-1)/2) = g^(-2^(k-1) s)
+            raise NotAResidue(f"{a} is not a quadratic residue mod {p}")
+        while squares:  # the top square first
+            x, m, shift, squares = squares
+            e = s << m  # multiplies the digits already known back in: g^(2^m s)
+            for row in ctx.zn_rows:
+                x = x * row[e & _DIGIT] % p
+                e >>= _W
+            s += log[x] << shift
+        e = s >> 1  # the paper's e: the root is a^((n+1)/2) g^e
+        rows = ctx._t_rows
+        while rows:
+            row, rows = rows
+            root = root * row[e & _DIGIT] % p
             e >>= _W
-        s += log[x] << shift
-    e = s >> 1  # the paper's e: the root is a^((n+1)/2) g^e
-    rows = ctx._t_rows
-    while rows:
-        row, rows = rows
-        root = root * row[e & _DIGIT] % p
-        e >>= _W
     if root > p - root:  # root != 0, since a != 0
         root = p - root
     return _new_tuple(SqrtOutcome, (root, p - root, ctx._method, ctx._cost))
@@ -131,7 +144,8 @@ def sqrt_auto(ctx: PrimeContext, a: int) -> SqrtOutcome:
 
 def roots(ctx: PrimeContext, values: Iterable[int]) -> list[int]:
     """The canonical root sqrt_auto(ctx, a).root of each a in values, in
-    order, by sqrt_auto's lift in one Python frame.
+    order, by sqrt_auto's lift in one Python frame: one class-table read per
+    residue at k <= 8, the windowed walk above.
 
     The context's slots are read once for the whole sequence, and no
     SqrtOutcome is built: each residue costs its powers, lookups and
@@ -150,6 +164,7 @@ def roots(ctx: PrimeContext, values: Iterable[int]) -> list[int]:
     """
     p = ctx.p
     e0, power = ctx._power
+    classes = ctx._classes
     steps, log, zn_rows, t_rows = ctx._steps, ctx._log, ctx.zn_rows, ctx._t_rows
     out = []
     append = out.append
@@ -168,27 +183,34 @@ def roots(ctx: PrimeContext, values: Iterable[int]) -> list[int]:
                 u = u * pow(a, r, p) % p
         root = a * u % p
         x = root * u % p
-        squares = ()
-        plan = steps
-        while plan:
-            (step, m, shift), plan = plan
-            squares = x, m, shift, squares
-            x = pow(x, step, p)
-        s = log[x]
-        if s & 1:
-            raise NotAResidue(f"{a} is not a quadratic residue mod {p}")
-        while squares:
-            x, m, shift, squares = squares
-            e = s << m
-            for row in zn_rows:
-                x = x * row[e & _DIGIT] % p
+        if classes is not None:
+            m = classes.get(x, 0)
+            if m:
+                root = root * m % p
+            elif m == 0:
+                raise NotAResidue(f"{a} is not a quadratic residue mod {p}")
+        else:
+            squares = ()
+            plan = steps
+            while plan:
+                (step, m, shift), plan = plan
+                squares = x, m, shift, squares
+                x = pow(x, step, p)
+            s = log[x]
+            if s & 1:
+                raise NotAResidue(f"{a} is not a quadratic residue mod {p}")
+            while squares:
+                x, m, shift, squares = squares
+                e = s << m
+                for row in zn_rows:
+                    x = x * row[e & _DIGIT] % p
+                    e >>= _W
+                s += log[x] << shift
+            e = s >> 1
+            rows = t_rows
+            while rows:
+                row, rows = rows
+                root = root * row[e & _DIGIT] % p
                 e >>= _W
-            s += log[x] << shift
-        e = s >> 1
-        rows = t_rows
-        while rows:
-            row, rows = rows
-            root = root * row[e & _DIGIT] % p
-            e >>= _W
         append(root if root <= p - root else p - root)
     return out

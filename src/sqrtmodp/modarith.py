@@ -7,13 +7,14 @@ z^(j*n), which drive all the square-root machinery in the other modules.
 With g = z^n, row i holds g^(d 2^(8i)) for d < 2^min(8, k - 8i): ceil(k/8)
 rows and at most ceil(k/8)*256 entries for any k, so no table of all 2^k
 powers is kept.  A lookup, zn_pow, is one loop that multiplies one entry
-from each row into 1, ceil(k/8) - 1 products, and a log table of
-2^min(8, k) entries reads 8 bits of a discrete log in g^-1 at once
-(Bernstein, "Faster square roots in annoying finite fields", 2001; Sarkar,
-IACR ePrint 2020/1407).  The class lift reads the same rows inline, one
-product per row read, and keeps no table of its own.  The context also
-plans, once, the addition chain by which every evaluator takes the shared
-power a^((n-1)/2) (_power_plan).
+from each row into 1, ceil(k/8) - 1 products.  At k <= 8 a class table of
+2^(k-1) entries maps each class of a^n to the class lift's multiplier, so
+the lift is one read.  Above k = 8 a log table of 2^8 entries reads 8 bits
+of a discrete log in g^-1 at once (Bernstein, "Faster square roots in
+annoying finite fields", 2001; Sarkar, IACR ePrint 2020/1407), and the
+walk reads the same rows inline, one product per row read.  The context
+also plans, once, the addition chain by which every evaluator takes the
+shared power a^((n-1)/2) (_power_plan).
 """
 
 __all__ = [
@@ -71,6 +72,9 @@ def _class_cost(n: int, k: int) -> int:
     per row of zn_rows, ceil(k/8), to multiply the digits already known
     back in; then, for the multiplier, one product per row that covers the
     k - 1 bits of s/2, ceil((k - 1)/8), none at k = 1.
+
+    At k <= 8, one window, that is the power, two products and the
+    multiplier the class table gives: one product, none at k = 1.
 
     Every window is charged, also while the bits already known are 0, so the
     count depends on (n, k) alone; PrimeContext prices it once, as _cost."""
@@ -229,24 +233,30 @@ class PrimeContext:
     g generates the 2-part of the multiplicative group: period 2^k,
     g^(2^(k-1)) = -1.
 
-    A private log table, derived with the rest, maps h^(-d) -> d for
-    h = g^(2^(k-w)), w = min(8, k) and d < 2^w: it reads w bits of a
-    discrete log in one lookup.  When k <= 8 or 8 divides k it is read off
-    the last row, the powers of h; otherwise its 2^8 entries cost 2^8
-    products.
-    h has order 2^w, since g has order 2^k, so the table has no collisions.
+    The class lift (formulas.sqrt_auto) finds the class of a^n = g^(-s),
+    and the tables it reads are derived here, by the window count.  At
+    k <= 8, one window, _classes maps g^(-2j) -> g^j for j < 2^(k-1),
+    read off the one row with no product: the a^n of the residues to the
+    multiplier g^e, s = 2e.  A nonresidue's a^n, with s odd, is no key, so
+    a missed read is Euler's screen.  At k = 1 the one class, x = 1, maps
+    to None: its multiplier is 1, and the lift makes no product by it.  No
+    log table or walk plan is built at one window: _log, _steps and
+    _t_rows are None.
 
-    The class lift (formulas.sqrt_auto) reads s, the log of a^n in g^-1,
-    one window of 8 bits at a time from the low end, and its plan is derived
-    here as well.  With L = ceil(k/8) windows, window l reads the square
-    a^(2^m n) for m = max(k - 8 - 8l, 0), so the last window may overlap the
-    one before it.  _steps has, for each window after the first, from the
-    last window up, the power 2^(m' - m) that leads from its square to the
-    next one saved, its m, and the shift of its digit in s: k - 8 squarings
-    from a^n to the top square in all, none at k <= 8.  _t_rows are the rows
-    of zn_rows that cover the k - 1 bits of s/2, none at k = 1: the same
-    tuples, not copies.  Both are linked pairs (_linked).  The lift keeps no
-    table of its own.
+    Above k = 8 _classes is None, and a private log table maps h^(-d) -> d
+    for h = g^(2^(k-8)) and d < 2^8: it reads 8 bits of a discrete log in
+    one lookup.  When 8 divides k it is read off the last row, the powers
+    of h; otherwise its 2^8 entries cost 2^8 products.  h has order 2^8,
+    since g has order 2^k, so the table has no collisions.  The lift reads
+    s, the log of a^n in g^-1, one window of 8 bits at a time from the low
+    end.  With L = ceil(k/8) windows, window l reads the square a^(2^m n)
+    for m = max(k - 8 - 8l, 0), so the last window may overlap the one
+    before it.  _steps has, for each window after the first, from the last
+    window up, the power 2^(m' - m) that leads from its square to the next
+    one saved, its m, and the shift of its digit in s: k - 8 squarings from
+    a^n to the top square in all.  _t_rows are the rows of zn_rows that
+    cover the k - 1 bits of s/2: the same tuples, not copies.  Both are
+    linked pairs (_linked).
 
     _power plans the shared power a^((n-1)/2) that the class lift and both
     oracles take: a first exponent e0 and a linked chain of steps (f, r),
@@ -262,8 +272,8 @@ class PrimeContext:
     """
 
     __slots__ = (
-        "p", "k", "n", "z", "zn_rows", "_mask", "_log", "_power", "_steps", "_t_rows",
-        "_cost", "_method",
+        "p", "k", "n", "z", "zn_rows", "_mask", "_classes", "_log", "_power", "_steps",
+        "_t_rows", "_cost", "_method",
     )
 
     def __init__(self, p: int, k: int, n: int, z: int) -> None:
@@ -274,19 +284,30 @@ class PrimeContext:
         self._mask = (1 << k) - 1  # the order of z^n, less one
         if self.zn_pow(1 << (k - 1)) != p - 1:
             raise ArithmeticError(f"z={z} is not a nonresidue mod p={p}: z^(2^(k-1) n) != -1")
-        self._log = self._log_table()
+        self._classes = self._log = self._steps = self._t_rows = None
+        if k <= _W:
+            self._classes = self._class_table()
+        else:
+            self._log = self._log_table()
+            self._lift_plan()
         self._power = _power_plan(n >> 1)  # (n - 1)/2, n odd
-        self._lift_plan()
         self._cost = _class_cost(n, k)
         self._method = f"f{k}" if k <= 4 else "synth"
 
     def __repr__(self) -> str:
         return f"PrimeContext(p={self.p}, k={self.k}, n={self.n}, z={self.z})"
 
+    def _class_table(self) -> dict[int, int | None]:
+        """g^(-2j) -> g^j for j < 2^(k-1), at k <= 8; None for g^0 at k = 1."""
+        row, mask = self.zn_rows[0], self._mask
+        if self.k == 1:
+            return {1: None}
+        return {row[-2 * j & mask]: row[j] for j in range(1 << (self.k - 1))}
+
     def _log_table(self) -> dict[int, int]:
-        """h^(-d) -> d for h = g^(2^(k-w)), w = min(8, k) and d < 2^w."""
-        powers = self.zn_rows[-1]  # the powers of h when k <= 8 or 8 divides k
-        if self.k % _W and self.k > _W:
+        """h^(-d) -> d for h = g^(2^(k-8)) and d < 2^8, at k > 8."""
+        powers = self.zn_rows[-1]  # the powers of h when 8 divides k
+        if self.k % _W:
             powers = _powers(self.zn_pow(1 << (self.k - _W)), 1 << _W, self.p)
         return dict(zip(powers[:1] + powers[:0:-1], range(len(powers))))
 
@@ -321,9 +342,9 @@ class PrimeContext:
 def _linked(items: list | tuple) -> tuple:
     """items as nested pairs (item, rest), () at the end.
 
-    The class lift walks them by `while rest: item, rest = rest`: at k <= 8
-    its plan is empty, and a truth test of () costs less than the iterator a
-    for loop would make on every call."""
+    The class lift walks them by `while rest: item, rest = rest`: a truth
+    test of () costs less than the iterator a for loop would make on every
+    call."""
     out = ()
     for item in reversed(items):
         out = item, out

@@ -1,9 +1,10 @@
 """The class lift at its window seams, against the bit-by-bit oracle.
 
-sqrt_auto reads the class index 8 bits per log-table lookup, from the low
-end; above k = 8 the last window may overlap the one before it or line up
-with a row boundary of zn_rows, and each window divides the digits already
-known out of its square by reading zn_rows inline.  direct_sqrt keeps the
+At k <= 8 sqrt_auto maps a^n to its multiplier by one class-table read.
+Above k = 8 it reads the class index 8 bits per log-table lookup, from the
+low end; the last window may overlap the one before it or line up with a
+row boundary of zn_rows, and each window divides the digits already known
+out of its square by reading zn_rows inline.  direct_sqrt keeps the
 one-bit-per-level lift (oracles._lift_class), so it is the independent
 reference, and legendre decides which inputs must raise NotAResidue.
 """
@@ -13,7 +14,15 @@ import random
 import pytest
 
 from sqrtmodp.formulas import NotAResidue, sqrt_auto
-from sqrtmodp.modarith import _MR_BOUND, PrimeContext, _linked, is_prime, legendre, make_context
+from sqrtmodp.modarith import (
+    _MR_BOUND,
+    PrimeContext,
+    _linked,
+    is_prime,
+    legendre,
+    make_context,
+    primes_in_range,
+)
 from sqrtmodp.oracles import direct_sqrt
 
 
@@ -100,12 +109,18 @@ def test_seeded_inputs_at_every_k(k):
             sqrt_auto(ctx, ctx.z * r * r % p)
 
 
-class _CountingLog(dict):
+class _CountingTable(dict):
+    """A class or log table that tallies its reads, by get or by subscript."""
+
     reads = 0
 
     def __getitem__(self, key):
         self.reads += 1
         return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
 
 
 class _CountingRow(tuple):
@@ -123,37 +138,46 @@ class _CountingRow(tuple):
 
 @pytest.mark.parametrize("k", [1, 2, 5, 8, 9, 15, 16, 17, 24, 25, 32])
 def test_one_table_read_per_window(k, monkeypatch):
-    # ceil(k/8) log-table reads at a residue, one at a nonresidue; each window
-    # after the first reads every row of zn_rows once, and the multiplier one
-    # row per 8 bits of s/2 (none at k = 1); zn_pow is never called
+    # at k <= 8 one class-table read, at a residue and at a nonresidue, and
+    # no log or row read: no log table or walk plan is built.  Above, no class
+    # table, ceil(k/8) log-table reads at a residue, one at a nonresidue;
+    # each window after the first reads every row of zn_rows once, and the
+    # multiplier one row per 8 bits of s/2; zn_pow is never called
     p = primes_with_k(k, 1)[0]
     ctx = make_context(p)
-    log = ctx._log = _CountingLog(ctx._log)
     reads = {}
     ctx.zn_rows = tuple(_CountingRow(row, reads, "windows") for row in ctx.zn_rows)
-    rows, t_rows = ctx._t_rows, []
-    while rows:
-        row, rows = rows
-        t_rows.append(_CountingRow(row, reads, "multiplier"))
-    ctx._t_rows = _linked(t_rows)
+    if k <= 8:
+        assert (ctx._log, ctx._steps, ctx._t_rows) == (None, None, None)
+        classes = ctx._classes = _CountingTable(ctx._classes)
+        log = ctx._log = _CountingTable()  # empty: a read would count, then fail
+        residue = nonresidue = (1, 0, {})
+    else:
+        assert ctx._classes is None
+        classes = _CountingTable()  # never read: ctx._classes stays None
+        log = ctx._log = _CountingTable(ctx._log)
+        rows, t_rows = ctx._t_rows, []
+        while rows:
+            row, rows = rows
+            t_rows.append(_CountingRow(row, reads, "multiplier"))
+        ctx._t_rows = _linked(t_rows)
+        windows = -(-k // 8)
+        want = {"windows": (windows - 1) * windows, "multiplier": -(-(k - 1) // 8)}
+        residue, nonresidue = (0, windows, want), (0, 1, {})
     calls = []
     monkeypatch.setattr(PrimeContext, "zn_pow", lambda self, j: calls.append(j))
-    windows = -(-k // 8)
-    want = {"windows": (windows - 1) * windows} if windows > 1 else {}
-    if k > 1:
-        want["multiplier"] = -(-(k - 1) // 8)
     rng = random.Random(k)
     for _ in range(20):
         r = rng.randrange(1, p)
-        log.reads = 0
+        classes.reads = log.reads = 0
         reads.clear()
         assert sqrt_auto(ctx, r * r % p).root in (r, p - r)
-        assert (log.reads, reads) == (windows, want)
-        log.reads = 0
+        assert (classes.reads, log.reads, reads) == residue
+        classes.reads = log.reads = 0
         reads.clear()
         with pytest.raises(NotAResidue):
             sqrt_auto(ctx, ctx.z * r * r % p)
-        assert (log.reads, reads) == (1, {})
+        assert (classes.reads, log.reads, reads) == nonresidue
     assert calls == []
 
 
@@ -172,8 +196,8 @@ def _entries(value, tables):
 
 @pytest.mark.parametrize("k", [8, 9, 16, 17, 32, 72])
 def test_rows_stay_linear_in_k(k):
-    # every table a context keeps, zn_rows and the log table together, holds
-    # at most 2 ceil(k/8) 256 entries: no 2^k table
+    # every table a context keeps, zn_rows and the class or log table
+    # together, holds at most 2 ceil(k/8) 256 entries: no 2^k table
     p = primes_with_k(k, 1)[0] if k < 72 else LARGE_K_PRIMES[-1]
     ctx = make_context(p)
     assert ctx.k == k
@@ -181,3 +205,36 @@ def test_rows_stay_linear_in_k(k):
     for name in PrimeContext.__slots__:
         _entries(getattr(ctx, name), tables)
     assert sum(tables.values()) <= 2 * -(-k // 8) * 256
+
+
+def _check_class_table(ctx, seen):
+    """ctx's class table has a key for each of the 2^(k-1) classes, the a^n
+    in seen, and no other; each value m is a multiplier, m^2 x = 1, so that
+    a^((n+1)/2) m squares to a.  At k = 1 the one class, x = 1, needs none."""
+    p, k, table = ctx.p, ctx.k, ctx._classes
+    assert len(table) == 1 << (k - 1), p
+    assert set(table) == seen, p
+    if k == 1:
+        assert table == {1: None}, p
+    else:
+        for x, m in table.items():
+            assert m * m * x % p == 1, (p, x)
+
+
+def test_class_table_of_every_prime_below_3000():
+    for p in primes_in_range(3, 3000):
+        ctx = make_context(p)
+        assert ctx.k <= 8
+        _check_class_table(ctx, {pow(r * r % p, ctx.n, p) for r in range(1, p)})
+
+
+@pytest.mark.parametrize("p", [16777121, 16777153, 16776833, 16776961])
+def test_class_table_at_24_bits(p):
+    # high_k's benchmark primes at k = 5..8: seeded residues until every
+    # class has shown
+    ctx = make_context(p)
+    rng, seen = random.Random(p), set()
+    while len(seen) < 1 << (ctx.k - 1):
+        r = rng.randrange(1, p)
+        seen.add(pow(r * r % p, ctx.n, p))
+    _check_class_table(ctx, seen)

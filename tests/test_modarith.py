@@ -297,6 +297,14 @@ def test_zn_pow_contract(k):
     assert c.lookup(ctx, 0) == ctx.zn_pow(0) == 1
     assert c.lookup(ctx, -1) == ctx.zn_pow(-1)
     assert c.count == 2 * (rows - 1)
+    if k <= 8:  # the class table: g^(-2j) -> g^j, None for the one class at k = 1
+        assert ctx._log is None
+        g = pow(ctx.z, ctx.n, p)
+        assert ctx._classes == {
+            pow(g, -2 * j, p): pow(g, j, p) if k > 1 else None for j in range(1 << (k - 1))
+        }
+        return
+    assert ctx._classes is None
     w = min(8, k)  # the log table reads w bits: h^(-d) -> d, h = z^(2^(k-w) n)
     h = pow(ctx.z, ctx.n << (k - w), p)
     assert ctx._log == {pow(h, -d, p): d for d in range(1 << w)}

@@ -5,7 +5,8 @@ exported type is a dataclass, importing the command line loads neither
 dataclasses nor inspect, and importing the package loads no argparse, so
 both stay cheap to import; no module imports after its first definition,
 so no import cycle hides there; the arithmetic takes no counter, the
-scripts use only public names, and no file imports a name it never uses."""
+scripts use only public names, no file imports a name it never uses, and
+every module.name the README, the package or the scripts mention exists."""
 
 import ast
 import collections
@@ -13,6 +14,7 @@ import dataclasses
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -93,7 +95,7 @@ def test_package_import_loads_no_cli():
 
 
 def test_prime_context_takes_p_k_n_z():
-    # the rows and the log table are derived, so they cannot disagree with z
+    # the rows and the class or log table are derived, so they cannot disagree with z
     params = list(inspect.signature(modarith.PrimeContext).parameters)
     assert params == ["p", "k", "n", "z"]
     assert repr(modarith.make_context(41)) == "PrimeContext(p=41, k=3, n=5, z=3)"
@@ -174,3 +176,34 @@ def test_no_file_imports_a_name_it_never_uses():
     ]
     assert len(paths) > 20
     assert [line for path in paths for line in _unused_imports(path)] == []
+
+
+# modarith.PrimeContext, sqrtmodp.formulas.roots or cli._json, to the last
+# dotted name; a file name, such as cli.py, is not a reference
+_REFERENCE = re.compile(
+    r"(?<![\w.])(?:sqrtmodp\.)?(modarith|formulas|synthesis|oracles|analysis|cli)"
+    r"((?:\.(?!py\b)[A-Za-z_]\w*)+)"
+)
+
+
+def test_every_module_reference_in_the_prose_resolves():
+    # a renamed or deleted function leaves its name in the docs and the
+    # docstrings; each reference is looked up, attribute by attribute
+    paths = [
+        ROOT / "README.md",
+        *sorted((ROOT / "src" / "sqrtmodp").glob("*.py")),
+        *sorted((ROOT / "scripts").glob("*.py")),
+    ]
+    found, unresolved = 0, []
+    for path in paths:
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            for match in _REFERENCE.finditer(line):
+                found += 1
+                obj = importlib.import_module(f"sqrtmodp.{match[1]}")
+                for name in match[2][1:].split("."):
+                    if not hasattr(obj, name):
+                        unresolved.append(f"{path.relative_to(ROOT)}:{number}: {match[0]}")
+                        break
+                    obj = getattr(obj, name)
+    assert found > 20
+    assert unresolved == []
