@@ -6,6 +6,7 @@ Usage: python scripts/density_trend.py --k 3 --pmax 4000
 """
 
 import argparse
+from fractions import Fraction
 
 from sqrtmodp.analysis import order_census
 from sqrtmodp.modarith import make_context, primes_in_range
@@ -26,11 +27,12 @@ def main() -> None:
 
     print(f"primes with k = {args.k}, p <= {args.pmax}")
     print(f"{'p':>8} {'n':>6} {'odd-order':>12} {'exact 2^(k-1)':>14} {'coverage':>12}")
-    for n, p, rep in rows:
-        cov = 1 - rep.exact_2k1_fraction
+    for n, p, doc in rows:
+        exact = doc["exact_2k1_fraction"]
+        cov = 1 - Fraction(exact)
         print(
-            f"{p:>8} {n:>6} {str(rep.odd_order_fraction):>12} "
-            f"{str(rep.exact_2k1_fraction):>14} {str(cov):>12}  (~{float(cov):.4f})"
+            f"{p:>8} {n:>6} {doc['odd_order_fraction']:>12} "
+            f"{exact:>14} {str(cov):>12}  (~{float(cov):.4f})"
         )
 
 

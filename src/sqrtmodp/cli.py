@@ -17,7 +17,8 @@ command reads one back.  The records are NamedTuples and carry no wall
 time: the verify and bench commands time the call whose time they print to
 stderr.  The verify and bench documents take their entries from the
 PrimeCheck, Failure and BenchRecord fields, in field order, written as
-objects through _asdict (_json refuses a NamedTuple).  bench and sqrt build
+objects through _asdict (_json refuses a NamedTuple); density prints the
+document that analysis.order_census returns, as it is.  bench and sqrt build
 the context first, so a p that is not an odd prime is refused as such, then
 check each method against it with one check, _method.  Exit codes: 0
 success/pass, 1 usage or internal failure, 2 not a quadratic residue.
@@ -40,7 +41,6 @@ __all__ = [
     "PrimeCheck",
     "VerificationReport",
     "bench_to_doc",
-    "density_to_doc",
     "main",
     "main_entry",
     "run_bench",
@@ -310,28 +310,6 @@ def bench_to_doc(rep: BenchReport) -> dict:
     }
 
 
-def density_to_doc(rep: analysis.DensityReport) -> dict:
-    # the census's fractions are the laws, and every bucket of either
-    # histogram holds n residues (see analysis)
-    odd, exact = str(rep.odd_order_fraction), str(rep.exact_2k1_fraction)
-    hist = list(rep.class_histogram)
-    return {
-        "kind": "density_report",
-        "p": rep.p,
-        "k": rep.k,
-        "n": rep.n,
-        "qr_count": rep.qr_count,
-        "odd_order_count": rep.odd_order_count,
-        "odd_order_fraction": odd,
-        "predicted_odd_order_fraction": odd,
-        "exact_2k1_order_count": rep.exact_2k1_order_count,
-        "exact_2k1_fraction": exact,
-        "predicted_exact_2k1_fraction": exact if rep.k >= 2 else None,
-        "class_histogram": hist,
-        "multiplier_histogram": hist,
-    }
-
-
 def _cmd_sqrt(args) -> tuple[dict, int]:
     # the report names the method that ran, but auto the context's tag:
     # f1..f4 at k <= 4, synth above
@@ -389,7 +367,7 @@ def _cmd_expand(args) -> tuple[dict, int]:
 
 
 def _cmd_density(args) -> tuple[dict, int]:
-    return density_to_doc(analysis.order_census(modarith.make_context(args.p))), 0
+    return analysis.order_census(modarith.make_context(args.p)), 0
 
 
 def _cmd_bench(args) -> tuple[dict, int]:

@@ -2,8 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from sqrtmodp import cli
-from sqrtmodp.analysis import DENSITY_MAX_K, DensityReport, order_census
+from sqrtmodp.analysis import DENSITY_MAX_K, order_census
 from sqrtmodp.modarith import make_context, primes_in_range
 
 from formula_reference import residue_class
@@ -20,7 +19,8 @@ def naive_order(a, p):
 
 def _census_reference(ctx):
     """Every residue enumerated as v^2, with two full-size powers each: the
-    reference of the census that order_census derives from (k, n)."""
+    reference of the density document that order_census derives from (k, n),
+    its shares written by Fraction."""
     p, k, n = ctx.p, ctx.k, ctx.n
     half = 1 << (k - 1)
     class_of = {ctx.zn_pow(2 * t): t for t in range(half)}
@@ -36,9 +36,22 @@ def _census_reference(ctx):
         elif a == 1:
             exact += 1
     qr = (p - 1) // 2
-    return DensityReport(
-        p, k, n, qr, hist[0], exact, tuple(hist), Fraction(hist[0], qr), Fraction(exact, qr)
-    )
+    odd_share, exact_share = str(Fraction(hist[0], qr)), str(Fraction(exact, qr))
+    return {
+        "kind": "density_report",
+        "p": p,
+        "k": k,
+        "n": n,
+        "qr_count": qr,
+        "odd_order_count": hist[0],
+        "odd_order_fraction": odd_share,
+        "predicted_odd_order_fraction": str(Fraction(1, half)),
+        "exact_2k1_order_count": exact,
+        "exact_2k1_fraction": exact_share,
+        "predicted_exact_2k1_fraction": str(Fraction(1, 2 * n)) if k >= 2 else None,
+        "class_histogram": hist,
+        "multiplier_histogram": [hist[-t % half] for t in range(half)],
+    }
 
 
 def test_census_matches_reference_below_3000():
@@ -55,73 +68,72 @@ def test_census_matches_reference_at_high_k(p, k):
 
 
 def test_census_p13():
-    rep = order_census(make_context(13))
-    assert (rep.p, rep.k, rep.n) == (13, 2, 3)
-    assert rep.qr_count == 6
-    assert rep.odd_order_count == 3  # the subgroup {1, 3, 9}
-    assert rep.odd_order_fraction == Fraction(1, 2)
-    assert rep.exact_2k1_order_count == 1  # only 12 = -1 has order 2
-    assert rep.exact_2k1_fraction == Fraction(1, 6)
-    assert rep.class_histogram == (3, 3)
+    doc = order_census(make_context(13))
+    assert (doc["p"], doc["k"], doc["n"]) == (13, 2, 3)
+    assert doc["qr_count"] == 6
+    assert doc["odd_order_count"] == 3  # the subgroup {1, 3, 9}
+    assert doc["odd_order_fraction"] == "1/2"
+    assert doc["exact_2k1_order_count"] == 1  # only 12 = -1 has order 2
+    assert doc["exact_2k1_fraction"] == "1/6"
+    assert doc["class_histogram"] == [3, 3]
 
 
 def test_census_p41():
-    rep = order_census(make_context(41))
-    assert rep.odd_order_fraction == Fraction(1, 4)
-    assert rep.exact_2k1_fraction == Fraction(1, 10)
-    assert rep.class_histogram == (5, 5, 5, 5)
+    doc = order_census(make_context(41))
+    assert doc["odd_order_fraction"] == "1/4"
+    assert doc["exact_2k1_fraction"] == "1/10"
+    assert doc["class_histogram"] == [5, 5, 5, 5]
 
 
 def test_census_p7_k1():
-    rep = order_census(make_context(7))
-    assert rep.qr_count == 3
-    assert rep.odd_order_fraction == Fraction(1, 1)
-    assert rep.class_histogram == (3,)
-    assert rep.exact_2k1_order_count == 1  # only the identity has order 1
+    doc = order_census(make_context(7))
+    assert doc["qr_count"] == 3
+    assert doc["odd_order_fraction"] == "1"
+    assert doc["class_histogram"] == [3]
+    assert doc["exact_2k1_order_count"] == 1  # only the identity has order 1
 
 
 def test_census_matches_naive_orders():
     for p in [13, 17, 41, 73]:
         ctx = make_context(p)
-        rep = order_census(ctx)
+        doc = order_census(ctx)
         odd = sum(1 for a in brute_root_table(p) if naive_order(a, p) % 2 == 1)
         exact = sum(
             1 for a in brute_root_table(p) if naive_order(a, p) == 1 << (ctx.k - 1)
         )
-        assert rep.odd_order_count == odd
-        assert rep.exact_2k1_order_count == exact
+        assert doc["odd_order_count"] == odd
+        assert doc["exact_2k1_order_count"] == exact
 
 
 def test_census_classes_match_residue_class():
     for p in [13, 17, 41, 97]:
         ctx = make_context(p)
-        rep = order_census(ctx)
         hist = [0] * (1 << (ctx.k - 1))
         for a in brute_root_table(p):
             hist[residue_class(ctx, a)] += 1
-        assert tuple(hist) == rep.class_histogram
+        assert hist == order_census(ctx)["class_histogram"]
 
 
 def test_exact_laws_sweep():
     # both probability statements are exact counting identities at fixed p
     for p in primes_in_range(3, 2000):
         ctx = make_context(p)
-        rep = order_census(ctx)
-        assert sum(rep.class_histogram) == rep.qr_count
-        assert rep.class_histogram[0] == ctx.n
-        assert all(c == ctx.n for c in rep.class_histogram)
-        assert rep.odd_order_count == ctx.n
-        assert rep.odd_order_fraction == Fraction(1, 1 << (ctx.k - 1))
+        doc = order_census(ctx)
+        assert sum(doc["class_histogram"]) == doc["qr_count"]
+        assert doc["class_histogram"][0] == ctx.n
+        assert all(c == ctx.n for c in doc["class_histogram"])
+        assert doc["odd_order_count"] == ctx.n
+        assert Fraction(doc["odd_order_fraction"]) == Fraction(1, 1 << (ctx.k - 1))
         if ctx.k >= 2:
-            assert rep.exact_2k1_order_count == 1 << (ctx.k - 2)
-            assert rep.exact_2k1_fraction == Fraction(1, 2 * ctx.n)
+            assert doc["exact_2k1_order_count"] == 1 << (ctx.k - 2)
+            assert Fraction(doc["exact_2k1_fraction"]) == Fraction(1, 2 * ctx.n)
 
 
 def _multiplier_histogram(ctx):
     """The density document's histogram over multiplier exponents
     e = -t mod 2^(k-1): how many residues take z^(en) in their root
     a^((n+1)/2) z^(en)."""
-    return cli.density_to_doc(order_census(ctx))["multiplier_histogram"]
+    return order_census(ctx)["multiplier_histogram"]
 
 
 def _multiplier_buckets(ctx):
@@ -154,9 +166,13 @@ def test_bucket_zero_is_odd_order_class():
 
 
 def test_fractions_are_exact_rationals():
-    rep = order_census(make_context(41))
-    assert isinstance(rep.odd_order_fraction, Fraction)
-    assert isinstance(rep.exact_2k1_fraction, Fraction)
+    # each share is its count over qr_count in lowest terms, "1" when whole,
+    # exactly as str(Fraction) writes it
+    for p in primes_in_range(3, 2000):
+        doc = order_census(make_context(p))
+        qr = doc["qr_count"]
+        assert doc["odd_order_fraction"] == str(Fraction(doc["odd_order_count"], qr)), p
+        assert doc["exact_2k1_fraction"] == str(Fraction(doc["exact_2k1_order_count"], qr)), p
 
 
 def test_coverage_trend_fixed_k():
@@ -167,7 +183,7 @@ def test_coverage_trend_fixed_k():
             ctx = make_context(p)
             if ctx.k != k:
                 continue
-            cov = 1 - order_census(ctx).exact_2k1_fraction
+            cov = 1 - Fraction(order_census(ctx)["exact_2k1_fraction"])
             assert cov == 1 - Fraction(1, 2 * ctx.n)
             rows.append((ctx.n, cov))
         rows.sort()
@@ -180,9 +196,9 @@ def test_small_share_for_k_at_least_8():
     # smallest prime with 2^8 dividing p - 1 exactly: census must show < 1%
     p = next(q for q in primes_in_range(3, 10_000) if make_context(q).k == 8)
     assert p == 257
-    rep = order_census(make_context(p))
-    assert rep.odd_order_fraction == Fraction(1, 128)
-    assert rep.odd_order_fraction < Fraction(1, 100)
+    share = Fraction(order_census(make_context(p))["odd_order_fraction"])
+    assert share == Fraction(1, 128)
+    assert share < Fraction(1, 100)
 
 
 @pytest.mark.parametrize("p,k", [(786433, 18), (1179649, 17), (2752513, 17)])
@@ -190,13 +206,13 @@ def test_census_accepts_every_k_up_to_the_bound(p, k):
     # the three primes below 2^22 with k > 16 keep their census
     ctx = make_context(p)
     assert ctx.k == k <= DENSITY_MAX_K
-    rep = order_census(ctx)
-    assert rep.qr_count == (p - 1) // 2
-    assert rep.class_histogram == (ctx.n,) * (1 << (k - 1))
-    assert rep.odd_order_count == ctx.n
-    assert rep.exact_2k1_order_count == 1 << (k - 2)
-    assert rep.odd_order_fraction == Fraction(1, 1 << (k - 1))
-    assert rep.exact_2k1_fraction == Fraction(1, 2 * ctx.n)
+    doc = order_census(ctx)
+    assert doc["qr_count"] == (p - 1) // 2
+    assert doc["class_histogram"] == [ctx.n] * (1 << (k - 1))
+    assert doc["odd_order_count"] == ctx.n
+    assert doc["exact_2k1_order_count"] == 1 << (k - 2)
+    assert doc["odd_order_fraction"] == str(Fraction(1, 1 << (k - 1)))
+    assert doc["exact_2k1_fraction"] == str(Fraction(1, 2 * ctx.n))
 
 
 def test_census_bound():

@@ -396,16 +396,21 @@ def test_density_beyond_bound_names_p_and_k(capsys):
 @pytest.mark.parametrize("k", range(1, 19))
 def test_density_doc_laws_at_every_k(k):
     # the smallest prime n 2^k + 1 at each k the command accepts; the laws
-    # are computed here, not read from the census
+    # are computed here, not read from the census.  At k = 1 (p = 3) both
+    # shares are whole, 1/1, and are written "1"
     n = 1
     while not is_prime((n << k) + 1):
         n += 2
-    doc = cli.density_to_doc(order_census(make_context((n << k) + 1)))
+    doc = order_census(make_context((n << k) + 1))
     assert (doc["k"], doc["n"]) == (k, n)
     assert doc["predicted_odd_order_fraction"] == str(Fraction(1, 2 ** (k - 1)))
     assert doc["odd_order_fraction"] == doc["predicted_odd_order_fraction"]
     want_exact = str(Fraction(1, 2 * n)) if k >= 2 else None
     assert doc["predicted_exact_2k1_fraction"] == want_exact
+    # the measured share: 2^(k-2) residues of order 2^(k-1), the residue 1 at k = 1
+    assert doc["exact_2k1_fraction"] == str(Fraction(1, 2 * n) if k >= 2 else Fraction(1, n))
+    if k == 1:
+        assert doc["odd_order_fraction"] == doc["exact_2k1_fraction"] == "1"
     assert doc["class_histogram"] == doc["multiplier_histogram"] == [n] * 2 ** (k - 1)
 
 

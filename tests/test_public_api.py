@@ -1,9 +1,9 @@
 """Every exported name resolves, so `from ... import *` and tools that walk
 __all__ never meet a stale entry; the package exports each library module's
 names as the module's own objects, and no two modules export one name; no
-exported type is a dataclass, importing the command line loads neither
-dataclasses nor inspect, and importing the package loads no argparse, so
-both stay cheap to import; no module imports after its first definition,
+exported type is a dataclass, importing the command line loads none of
+dataclasses, inspect, fractions and decimal, and importing the package loads
+no argparse, so both stay cheap to import; no module imports after its first definition,
 so no import cycle hides there; the arithmetic takes no counter, the
 scripts use only public names, no file imports a name it never uses, and
 every module.name the README, the package or the scripts mention exists."""
@@ -83,8 +83,11 @@ def _fresh_modules(code: str) -> str:
     return proc.stdout
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    code = "import sys, sqrtmodp.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+def test_cli_import_loads_no_dataclasses_inspect_or_fractions():
+    # the density shares are written by math.gcd, so no Fraction (and with it
+    # decimal and numbers) is loaded for them
+    heavy = "{'dataclasses', 'inspect', 'fractions', 'decimal'}"
+    code = f"import sys, sqrtmodp.cli; print(sorted({heavy} & set(sys.modules)))"
     assert _fresh_modules(code) == "[]\n"
 
 

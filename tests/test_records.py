@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from sqrtmodp import analysis, cli, formulas, oracles, synthesis
+from sqrtmodp import cli, formulas, oracles, synthesis
 from sqrtmodp.modarith import make_context
 
 import formula_reference
@@ -23,17 +23,6 @@ FIELDS = {
     formula_reference.SignedFactor: ("sign", "j", "c"),
     formula_reference.RenderedTerm: ("e", "factors"),
     synthesis.ExpandedPolynomial: ("p", "terms"),
-    analysis.DensityReport: (
-        "p",
-        "k",
-        "n",
-        "qr_count",
-        "odd_order_count",
-        "exact_2k1_order_count",
-        "class_histogram",
-        "odd_order_fraction",
-        "exact_2k1_fraction",
-    ),
     cli.Failure: ("a", "root", "coroot", "expected"),
     cli.PrimeCheck: ("p", "k", "n", "z", "residues_checked", "failures"),
     cli.VerificationReport: (
@@ -85,7 +74,6 @@ def _samples(monkeypatch):
         formula_reference.SignedFactor: rendered.factors[0],
         formula_reference.RenderedTerm: rendered,
         synthesis.ExpandedPolynomial: synthesis.expand(ctx),
-        analysis.DensityReport: analysis.order_census(ctx),
         cli.Failure: check.failures[0],
         cli.PrimeCheck: check,
         cli.VerificationReport: verification,
