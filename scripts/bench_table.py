@@ -22,12 +22,12 @@ def main() -> None:
 
     print(f"{'p':>8} {'method':>9} {'mean':>9} {'min':>6} {'max':>6}  shape")
     for p in (int(s) for s in args.primes.split(",")):
-        rep = run_bench(p, args.trials, None, args.seed)
-        for r in rep.records:
-            shape = "constant" if r.constant_across_inputs else "varies"
+        doc = run_bench(p, args.trials, None, args.seed)
+        for r in doc["records"]:
+            shape = "constant" if r["constant_across_inputs"] else "varies"
             print(
-                f"{p:>8} {r.method:>9} {r.mean_mults:>9.2f} "
-                f"{r.min_mults:>6} {r.max_mults:>6}  {shape}"
+                f"{p:>8} {r['method']:>9} {r['mean_mults']:>9.2f} "
+                f"{r['min_mults']:>6} {r['max_mults']:>6}  {shape}"
             )
 
 

@@ -13,13 +13,14 @@ stdout, so a failed write leaves stdout empty; a handler's stderr lines come
 first.  _json writes the bytes of json.dumps(doc, indent=2), whose
 pure-Python indenting encoder it replaces, and refuses any type it does not
 know.  JSON reports are byte-stable for fixed arguments and write-only: no
-command reads one back.  The records are NamedTuples and carry no wall
-time: the verify and bench commands time the call whose time they print to
-stderr.  The verify and bench documents take their entries from the
-PrimeCheck, Failure and BenchRecord fields, in field order, written as
-objects through _asdict (_json refuses a NamedTuple); density prints the
-document that analysis.order_census returns, as it is.  bench and sqrt build
-the context first, so a p that is not an odd prime is refused as such, then
+command reads one back.  The reports carry no wall time: the verify and
+bench commands time the call whose time they print to stderr.  The verify
+document takes its entries from the PrimeCheck and Failure fields, in
+field order, written as objects through _asdict (_json refuses a
+NamedTuple).  bench and density print the document that run_bench and
+analysis.order_census return, as it is, and expand writes its document
+from the terms that synthesis.expand returns.  bench and sqrt build the
+context first, so a p that is not an odd prime is refused as such, then
 check each method against it with one check, _method.  Exit codes: 0
 success/pass, 1 usage or internal failure, 2 not a quadratic residue.
 """
@@ -34,13 +35,10 @@ from typing import NamedTuple
 from . import analysis, formulas, modarith, oracles, synthesis
 
 __all__ = [
-    "BenchRecord",
-    "BenchReport",
     "Failure",
     "METHODS",
     "PrimeCheck",
     "VerificationReport",
-    "bench_to_doc",
     "main",
     "main_entry",
     "run_bench",
@@ -224,24 +222,6 @@ def verification_to_doc(rep: VerificationReport) -> dict:
     }
 
 
-class BenchRecord(NamedTuple):
-    method: str
-    p: int
-    trials: int
-    total_mults: int
-    mean_mults: float
-    min_mults: int
-    max_mults: int
-    constant_across_inputs: bool
-
-
-class BenchReport(NamedTuple):
-    p: int
-    trials: int
-    seed: int
-    records: tuple[BenchRecord, ...]
-
-
 def _sample_residues(ctx: modarith.PrimeContext, trials: int, seed: int) -> list[int]:
     """Linear scan from the seed, keeping a iff legendre(a) = +1."""
     out = []
@@ -255,15 +235,11 @@ def _sample_residues(ctx: modarith.PrimeContext, trials: int, seed: int) -> list
     return out
 
 
-def _default_methods(k: int) -> list[str]:
-    fk = [f"f{k}"] if 1 <= k <= 4 else []
-    return ["auto", *fk, "synth", "direct", "tonelli"]
-
-
 def run_bench(
     p: int, trials: int, methods: list[str] | None = None, seed: int = 1
-) -> BenchReport:
-    """Per-method multiplication counts over a deterministic residue sample."""
+) -> dict:
+    """The bench document: per-method multiplication counts over a
+    deterministic residue sample."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     c0 = time.perf_counter()
@@ -272,7 +248,8 @@ def run_bench(
     # checked against the context, as sqrt checks its method, so a p that is
     # not an odd prime reads as such; a refusal prints no timing line
     if methods is None:
-        methods = _default_methods(ctx.k)
+        fk = [f"f{ctx.k}"] if 1 <= ctx.k <= 4 else []
+        methods = ["auto", *fk, "synth", "direct", "tonelli"]
     fns = [_method(m, ctx) for m in methods]
     print(f"bench context on p={p}: {dt:.3f}s", file=sys.stderr)
     sample = _sample_residues(ctx, trials, seed)
@@ -286,28 +263,18 @@ def run_bench(
         )
         total = sum(counts)
         records.append(
-            BenchRecord(
-                m,
-                p,
-                trials,
-                total,
-                total / trials,
-                min(counts),
-                max(counts),
-                min(counts) == max(counts),
-            )
+            {
+                "method": m,
+                "p": p,
+                "trials": trials,
+                "total_mults": total,
+                "mean_mults": total / trials,
+                "min_mults": min(counts),
+                "max_mults": max(counts),
+                "constant_across_inputs": min(counts) == max(counts),
+            }
         )
-    return BenchReport(p, trials, seed, tuple(records))
-
-
-def bench_to_doc(rep: BenchReport) -> dict:
-    return {
-        "kind": "bench_report",
-        "p": rep.p,
-        "trials": rep.trials,
-        "seed": rep.seed,
-        "records": [r._asdict() for r in rep.records],
-    }
+    return {"kind": "bench_report", "p": p, "trials": trials, "seed": seed, "records": records}
 
 
 def _cmd_sqrt(args) -> tuple[dict, int]:
@@ -345,20 +312,26 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 def _cmd_expand(args) -> tuple[dict, int]:
     ctx = modarith.make_context(args.p)
-    poly = synthesis.expand(ctx)
+    terms = synthesis.expand(ctx)
     half = 1 << (ctx.k - 1)
     want = half * ctx.n - (ctx.n - 1) // 2
-    ok = poly.degree == want and len(poly.terms) == half
+    degree = terms[0][0]
+    ok = degree == want and len(terms) == half
+    # every exponent is i n + (n+1)/2 >= 1, so no term is a bare constant
+    bits = []
+    for ex, co in terms:
+        head = "" if co == 1 else str(co)
+        bits.append(f"{head}x" if ex == 1 else f"{head}x^{ex}")
     doc = {
         "kind": "expanded_polynomial",
         "p": ctx.p,
         "k": ctx.k,
         "n": ctx.n,
         "z": ctx.z,
-        "polynomial": poly.text(),
-        "terms": poly.terms,
-        "degree": poly.degree,
-        "term_count": len(poly.terms),
+        "polynomial": " + ".join(bits),
+        "terms": terms,
+        "degree": degree,
+        "term_count": len(terms),
         "expected_degree": want,
         "max_terms": half,
         "degree_check": "PASS" if ok else "FAIL",
@@ -373,9 +346,9 @@ def _cmd_density(args) -> tuple[dict, int]:
 def _cmd_bench(args) -> tuple[dict, int]:
     methods = args.methods.split(",") if args.methods else None
     t0 = time.perf_counter()
-    rep = run_bench(args.p, args.trials, methods, args.seed)
+    doc = run_bench(args.p, args.trials, methods, args.seed)
     print(f"bench: total {time.perf_counter() - t0:.2f}s", file=sys.stderr)
-    return bench_to_doc(rep), 0
+    return doc, 0
 
 
 _str = json.encoder.encode_basestring_ascii

@@ -33,9 +33,12 @@ y^i is a geometric series in w = g^-(2i+1), equal to 2w/(w - 1); w has
 order 2^k, so it is never 1 and the coefficient is never 0.  expand
 computes the polynomial from this closed form, without the symbolic object,
 and inverts the 2^(k-1) denominators 1 - g^(2i+1) together: one modular
-inverse for the whole polynomial.  The closed form fixes the degree and the
-term count, so no check of them lives here: the expand command writes them
-beside the polynomial, and the tests hold expand to them.
+inverse for the whole polynomial.  It returns the polynomial as a tuple of
+(exponent, coefficient) pairs, exponents strictly decreasing and every one
+at least (n+1)/2, coefficients in [1, p); the expand command writes the
+text form.  The closed form fixes the degree and the term count, so no
+check of them lives here: the expand command writes them beside the
+polynomial, and the tests hold expand to them.
 MAX_K limits synthesize and expand, and analysis.DENSITY_MAX_K = 18 limits
 density; sqrt, verify and bench work for any k.
 """
@@ -45,7 +48,6 @@ from typing import NamedTuple
 from .modarith import PrimeContext
 
 __all__ = [
-    "ExpandedPolynomial",
     "Factor",
     "MAX_K",
     "SymbolicFormula",
@@ -182,31 +184,7 @@ def formula_to_doc(f: SymbolicFormula) -> dict:
     }
 
 
-class ExpandedPolynomial(NamedTuple):
-    """Sparse coefficient form: (exponent, coefficient) pairs, exponents
-    strictly decreasing, coefficients nonzero in [1, p)."""
-
-    p: int
-    terms: tuple[tuple[int, int], ...]
-
-    @property
-    def degree(self) -> int:
-        return self.terms[0][0] if self.terms else -1
-
-    def text(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for ex, co in self.terms:
-            if ex == 0:
-                bits.append(str(co))
-            else:
-                head = "" if co == 1 else str(co)
-                bits.append(f"{head}x" if ex == 1 else f"{head}x^{ex}")
-        return " + ".join(bits)
-
-
-def expand(ctx: PrimeContext) -> ExpandedPolynomial:
+def expand(ctx: PrimeContext) -> tuple[tuple[int, int], ...]:
     """The formula for ctx's prime multiplied out over F_p, prefactor included.
 
     The coefficient of x^(i n + (n+1)/2), for each i < 2^(k-1), is
@@ -243,4 +221,4 @@ def expand(ctx: PrimeContext) -> ExpandedPolynomial:
     for i in range(len(ds) - 1, -1, -1):
         terms.append((i * n + off, inv * prefix[i] % p))
         inv = inv * ds[i] % p
-    return ExpandedPolynomial(p, tuple(terms))
+    return tuple(terms)

@@ -18,7 +18,6 @@ from typing import NamedTuple
 from sqrtmodp.formulas import NotAResidue
 from sqrtmodp.modarith import MulCounter, legendre
 from sqrtmodp.oracles import _lift_class
-from sqrtmodp.synthesis import ExpandedPolynomial
 
 
 class SignedFactor(NamedTuple):
@@ -117,11 +116,11 @@ def evaluate(f, ctx, a):
     return root, p - root if root else 0
 
 
-def expanded_at(poly, x):
-    """An ExpandedPolynomial's value at x: Horner over the gaps between
-    exponents, from the first term down, with a new power of x only where
-    the gap changes; expand's exponents i n + (n+1)/2 have the one gap n."""
-    p, terms = poly.p, poly.terms
+def expanded_at(terms, p, x):
+    """The value at x mod p of expand's (exponent, coefficient) pairs:
+    Horner over the gaps between exponents, from the first term down, with
+    a new power of x only where the gap changes; expand's exponents
+    i n + (n+1)/2 have the one gap n."""
     if not terms:
         return 0
     last, acc = terms[0]
@@ -135,10 +134,10 @@ def expanded_at(poly, x):
     return acc * pow(x, last, p) % p
 
 
-def degree_check(poly, ctx):
+def degree_check(terms, ctx):
     """True iff the degree is 2^(k-1) n - (n-1)/2 and there are 2^(k-1) terms."""
     want = (1 << (ctx.k - 1)) * ctx.n - (ctx.n - 1) // 2
-    return poly.degree == want and len(poly.terms) == 1 << (ctx.k - 1)
+    return terms[0][0] == want and len(terms) == 1 << (ctx.k - 1)
 
 
 def residue_class(ctx, a):
@@ -157,11 +156,10 @@ def expand_per_term(ctx):
     p, n = ctx.p, ctx.n
     scale = pow(2, 2 - ctx.k, p)
     off = (n + 1) // 2
-    terms = tuple(
+    return tuple(
         (i * n + off, scale * pow(1 - ctx.zn_pow(2 * i + 1), -1, p) % p)
         for i in range((1 << (ctx.k - 1)) - 1, -1, -1)
     )
-    return ExpandedPolynomial(p, terms)
 
 
 def _exp_n(m):

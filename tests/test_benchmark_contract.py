@@ -5,8 +5,13 @@ benchmark run fails a test first.
 `perfbench/workloads.py` imports each module named in `LAYERS`, and the
 workloads and per-layer probes call the package as `pkg.<layer>.<name>`,
 `self.pkg.<layer>.<name>` or through an alias bound to `pkg.<layer>`.  Each
-such static reference must resolve.  Nothing under `perfbench/` is changed
-or imported here; its files are parsed.
+such static reference must resolve.  The workloads also read attributes off
+what the package returns: the sweep reads the verification report and its
+rows, and every workload and probe reads the outcome of each root it
+computes.  Those objects must keep the attributes, and each one listed here
+must be read somewhere in `perfbench/`, so that the list follows the
+benchmark.  Nothing under `perfbench/` is changed or imported here; its
+files are parsed.
 """
 
 import ast
@@ -103,3 +108,41 @@ def test_every_benchmark_reference_resolves():
         if not hasattr(importlib.import_module(f"sqrtmodp.{layer}"), name)
     ]
     assert unresolved == []
+
+
+# attributes perfbench reads off cli.run_verification's report, off each of
+# its rows, and off the outcome of every root it checks or counts
+REPORT_ATTRS = ("primes", "total_residues", "passed")
+ROW_ATTRS = ("p", "k", "n", "z", "residues_checked", "failures")
+OUTCOME_ATTRS = ("root", "coroot", "mul_count")
+
+
+def test_benchmark_reads_every_listed_attribute():
+    read = {
+        node.attr
+        for path in PERFBENCH.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+    }
+    listed = REPORT_ATTRS + ROW_ATTRS + OUTCOME_ATTRS
+    assert [name for name in listed if name not in read] == []
+
+
+def test_verification_report_keeps_the_attributes_the_benchmark_reads():
+    rep = importlib.import_module("sqrtmodp.cli").run_verification(3, 50, "auto")
+    assert [name for name in REPORT_ATTRS if not hasattr(rep, name)] == []
+    assert len(rep.primes) == 14 and rep.passed
+    for row in rep.primes:
+        assert [name for name in ROW_ATTRS if not hasattr(row, name)] == []
+    assert rep.total_residues == sum(row.residues_checked for row in rep.primes)
+
+
+@pytest.mark.parametrize(
+    "layer,name",
+    [("formulas", "sqrt_auto"), ("oracles", "tonelli_shanks"), ("oracles", "direct_sqrt")],
+)
+def test_outcomes_keep_the_attributes_the_benchmark_reads(layer, name):
+    ctx = importlib.import_module("sqrtmodp.modarith").make_context(41)
+    out = getattr(importlib.import_module(f"sqrtmodp.{layer}"), name)(ctx, 4)
+    assert [attr for attr in OUTCOME_ATTRS if not hasattr(out, attr)] == []
+    assert (out.root, out.coroot) == (2, 39) and out.mul_count > 0

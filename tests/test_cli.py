@@ -341,6 +341,15 @@ def test_expand_p7(capsys):
     assert json.loads(out)["polynomial"] == "x^2"
 
 
+def test_expand_p17_writes_the_linear_term_without_exponent(capsys):
+    # a Fermat prime has n = 1, so its lowest exponent (n+1)/2 is 1
+    code, out, _ = run_cli(capsys, "expand", "--p", "17")
+    assert code == 0
+    assert json.loads(out)["polynomial"] == (
+        "11x^8 + 5x^7 + 12x^6 + 16x^5 + 14x^4 + x^3 + 8x^2 + 2x"
+    )
+
+
 def test_expand_p41(capsys):
     code, out, _ = run_cli(capsys, "expand", "--p", "41")
     doc = json.loads(out)

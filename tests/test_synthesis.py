@@ -10,7 +10,6 @@ from sqrtmodp import synthesis
 from sqrtmodp.modarith import PrimeContext, is_prime, make_context, primes_in_range
 from sqrtmodp.synthesis import (
     MAX_K,
-    ExpandedPolynomial,
     expand,
     formula_to_doc,
     render_math,
@@ -199,12 +198,11 @@ def _expand_reference(ctx):
             acc[i] = (acc[i] + v) % p
     scale = pow(2, 1 - f.k, p)
     off = (n + 1) // 2
-    terms = tuple(
+    return tuple(
         (i * n + off, acc[i] * scale % p)
         for i in range(width - 1, -1, -1)
         if acc[i]
     )
-    return ExpandedPolynomial(p, terms)
 
 
 @cache
@@ -262,35 +260,35 @@ def test_expand_takes_one_inverse_and_no_lookup(monkeypatch):
 def test_expand_large_k_exact_terms_and_roots(p, k):
     ctx = make_context(p)
     assert ctx.k == k
-    poly = expand(ctx)
-    assert len(poly.terms) == 1 << (k - 1)
-    assert all(0 < co < p for _, co in poly.terms)
-    assert poly.degree == (1 << (k - 1)) * ctx.n - (ctx.n - 1) // 2
-    assert degree_check(poly, ctx)
+    terms = expand(ctx)
+    assert len(terms) == 1 << (k - 1)
+    assert all(0 < co < p for _, co in terms)
+    assert terms[0][0] == (1 << (k - 1)) * ctx.n - (ctx.n - 1) // 2
+    assert degree_check(terms, ctx)
     rng = random.Random(k)
     for r in (rng.randrange(1, p) for _ in range(16)):
         a = r * r % p
-        assert pow(expanded_at(poly, a), 2, p) == a
+        assert pow(expanded_at(terms, p, a), 2, p) == a
 
 
 def test_evaluate_at_matches_the_per_term_sum():
     # Horner in x^stride on expand's evenly spaced exponents, and the
     # per-term sum when the spacing is uneven
-    def per_term(poly, x):
-        return sum(co * pow(x, ex, poly.p) for ex, co in poly.terms) % poly.p
+    def per_term(terms, p, x):
+        return sum(co * pow(x, ex, p) for ex, co in terms) % p
 
-    polys = [expand(make_context(p)) for p in (7, 13, 41, 97, 257, 7681)]
+    polys = [(expand(make_context(p)), p) for p in (7, 13, 41, 97, 257, 7681)]
     polys += [
-        ExpandedPolynomial(13, ()),
-        ExpandedPolynomial(13, ((0, 5),)),
-        ExpandedPolynomial(13, ((7, 3),)),
-        ExpandedPolynomial(13, ((9, 1), (5, 2), (1, 3))),
-        ExpandedPolynomial(13, ((9, 1), (4, 2), (1, 3))),
-        ExpandedPolynomial(13, ((2, 4), (1, 6), (0, 12))),
+        ((), 13),
+        (((0, 5),), 13),
+        (((7, 3),), 13),
+        (((9, 1), (5, 2), (1, 3)), 13),
+        (((9, 1), (4, 2), (1, 3)), 13),
+        (((2, 4), (1, 6), (0, 12)), 13),
     ]
-    for poly in polys:
-        for x in range(min(poly.p, 300)):
-            assert expanded_at(poly, x) == per_term(poly, x), (poly.p, poly.terms[:3], x)
+    for terms, p in polys:
+        for x in range(min(p, 300)):
+            assert expanded_at(terms, p, x) == per_term(terms, p, x), (p, terms[:3], x)
 
 
 def test_expand_beyond_max_k_raises():
@@ -300,37 +298,36 @@ def test_expand_beyond_max_k_raises():
 
 def test_expand_golden_p13():
     ctx = make_context(13)
-    poly = expand(ctx)
-    assert poly.terms == ((5, 3), (2, 11))
-    assert poly.text() == "3x^5 + 11x^2"
-    assert poly.degree == 5
-    assert degree_check(poly, ctx)
-    assert expanded_at(poly, 4) == 11  # cross-check at a = 4
+    terms = expand(ctx)
+    assert terms == ((5, 3), (2, 11))
+    assert degree_check(terms, ctx)
+    assert expanded_at(terms, 13, 4) == 11  # cross-check at a = 4
 
 
 def test_expand_golden_p7():
     ctx = make_context(7)
-    poly = expand(ctx)
-    assert poly.terms == ((2, 1),)
-    assert poly.text() == "x^2"
-    assert degree_check(poly, ctx)
+    terms = expand(ctx)
+    assert terms == ((2, 1),)
+    assert degree_check(terms, ctx)
 
 
 def test_expand_p41_structure():
     ctx = make_context(41)
-    poly = expand(ctx)
-    assert poly.degree == 18  # 2^2 * 5 - 2
-    assert [ex for ex, _ in poly.terms] == [18, 13, 8, 3]
-    assert degree_check(poly, ctx)
+    terms = expand(ctx)
+    assert terms[0][0] == 18  # 2^2 * 5 - 2
+    assert [ex for ex, _ in terms] == [18, 13, 8, 3]
+    assert degree_check(terms, ctx)
 
 
 def test_expand_exponents_descending_coeffs_nonzero():
     for p in [13, 41, 17, 97, 193]:
         ctx = make_context(p)
-        poly = expand(ctx)
-        exps = [ex for ex, _ in poly.terms]
+        terms = expand(ctx)
+        exps = [ex for ex, _ in terms]
         assert exps == sorted(exps, reverse=True)
-        assert all(0 < co < p for _, co in poly.terms)
+        # the lowest exponent is (n+1)/2 >= 1: no term is a bare constant
+        assert exps[-1] == (ctx.n + 1) // 2
+        assert all(0 < co < p for _, co in terms)
 
 
 def test_degree_check_sweep():
@@ -343,10 +340,10 @@ def test_degree_check_sweep():
 
 def test_degree_check_rejects_tampering():
     ctx = make_context(13)
-    poly = expand(ctx)
-    assert not degree_check(ExpandedPolynomial(ctx.p, poly.terms[1:]), ctx)
+    terms = expand(ctx)
+    assert not degree_check(terms[1:], ctx)
     # the top term kept, a lower one dropped: right degree, one term short
-    assert not degree_check(ExpandedPolynomial(ctx.p, poly.terms[:1]), ctx)
+    assert not degree_check(terms[:1], ctx)
 
 
 def test_pointwise_agreement_all_points():
@@ -355,9 +352,9 @@ def test_pointwise_agreement_all_points():
     for p in [7, 13, 17, 41, 97]:
         ctx = make_context(p)
         f = synthesize(ctx.k)
-        poly = expand(ctx)
+        terms = expand(ctx)
         for v in range(p):
-            assert expanded_at(poly, v) == evaluate_at(f, ctx, v)
+            assert expanded_at(terms, p, v) == evaluate_at(f, ctx, v)
 
 
 @given(st.sampled_from([193, 257, 353, 449]), st.data())
@@ -366,7 +363,7 @@ def test_pointwise_agreement_property(p, data):
     v = data.draw(st.integers(min_value=0, max_value=p - 1))
     ctx = make_context(p)
     f = synthesize(ctx.k)
-    assert expanded_at(expand(ctx), v) == evaluate_at(f, ctx, v)
+    assert expanded_at(expand(ctx), p, v) == evaluate_at(f, ctx, v)
 
 
 # ---------------------------------------------------------------------------
