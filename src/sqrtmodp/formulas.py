@@ -3,36 +3,36 @@
 The square root of a residue a is 2^-(k-1) a^((n+1)/2) times a bracket of
 nonresidue-power terms that collapses, at any quadratic residue, to the
 single selector for the residue's class.  One evaluator, sqrt_auto,
-computes it for every k in one Python frame; the command line's methods
-auto, f1..f4 and synth all run it (cli checks f1..f4's k first), and
-verify runs its loop over a sequence, roots (below).  It
+computes it for every k, in one Python frame at k <= 8; the command
+line's methods auto, f1..f4 and synth all run it (cli checks f1..f4's k
+first), and verify runs its loop over a sequence, roots (below).  It
 takes one shared power per call, a^((n-1)/2), by the addition chain its
 context plans once (modarith._power_plan); a^((n+1)/2) and a^n follow
 from it by two products.  The bracket's k-1 level factors each fix one bit
 of the class index t; the evaluator finds e = -t mod 2^(k-1), the exponent
 of the multiplier z^(en), from a^n = g^(-2e), g = z^n, instead.  At k <= 8,
 one window, the context's class table maps a^n to the multiplier g^e in
-one dict read, and a^n missing from it is Euler's screen.  Above k = 8 it
-reads s = 2e, the log of a^n in g^-1, 8 bits at a time: one log-table
-lookup per window of s after k - 8 squarings (the windowed discrete log of
-Bernstein 2001 and Sarkar, IACR ePrint 2020/1407).  The low bit of s is
-Euler's symbol, so the screen costs nothing more.  Each later window
-multiplies the digits already read back in, and the multiplier is built,
-by reads of the context's rows of z^(jn), one product each: the walk calls
-no zn_pow.  The root is the bracket's one live term, a^((n+1)/2) z^(en).
-At k = 1 the bracket is empty and the root is the bare power a^((n+1)/2).
-The count is the lift's cost, and the method tag (f1..f4 at k <= 4, synth
-above) the context's, both fixed once per context.
+one dict read, and a^n missing from it is Euler's screen.  Above k = 8 one
+private function, _walk, reads s = 2e, the log of a^n in g^-1, 8 bits at a
+time: one log-table lookup per window of s after k - 8 squarings (the
+windowed discrete log of Bernstein 2001 and Sarkar, IACR ePrint 2020/1407),
+and builds the multiplier from the context's rows of z^(jn).  The root is
+the bracket's one live term, a^((n+1)/2) z^(en).  At k = 1 the bracket is
+empty and the root is the bare power a^((n+1)/2).  The count is the lift's
+cost, and the method tag (f1..f4 at k <= 4, synth above) the context's,
+both fixed once per context.
 
 Two entries run the lift, chosen by the shape of the input: sqrt_auto(ctx,
 a) for one residue, and roots(ctx, values) for many residues of one prime,
-the canonical roots alone, which verify runs.  roots reads the context once
-per sequence and builds no outcome per residue, so verify's sweep of every
-prime below 3000 takes about 0.7 of the time it took through sqrt_auto.
-The two bodies are kept apart because one costs the other: sqrt_auto as
-the one-residue case of roots read the high_k benchmark 11-19 % lower in
-ops_per_s and 14-24 % higher in op_us_p50 (two sets of paired runs), past
-the 10 % bound on ops_per_s.  The tests hold the two to the same roots.
+the canonical roots alone, which verify runs.  roots reads the power plan
+and class table once per sequence and builds no outcome per residue, so
+verify's sweep of every prime below 3000 takes about 0.7 of the time it
+took through sqrt_auto.  Both entries call _walk above k = 8, so the walk
+is written once.  The power's chain, the class-table read and the checks
+stay inline in each, since sqrt_auto as the one-residue case of roots read
+the high_k benchmark 11-19 % lower in ops_per_s and 14-24 % higher in
+op_us_p50 (two sets of paired runs), past the 10 % bound on ops_per_s.
+The tests hold the two to the same roots.
 """
 
 from typing import Iterable, NamedTuple
@@ -60,6 +60,52 @@ class SqrtOutcome(NamedTuple):
 _new_tuple = tuple.__new__
 
 
+def _walk(ctx: PrimeContext, a: int, root: int, x: int) -> int:
+    """The lift above k = 8: root times g^e, for x = a^n = g^(-s), s = 2e.
+
+    Windows of 8 bits go from the low end of s.  The squares a^(2^m n) at
+    the windows' shifts m come first, by the powers ctx._steps, k - 8
+    squarings in all; the last, a^(2^(k-8) n), is h^(-d) for
+    h = g^(2^(k-8)), and ctx._log gives the low digit d.  Each later window
+    takes its saved square, multiplies the digits already known back in,
+    g^(2^m s), with one product per row of ctx.zn_rows, and looks the next
+    digit up; the last window may overlap the one before it.  The first
+    digit's low bit is s mod 2, Euler's symbol, so it is the screen: an odd
+    s raises NotAResidue for a.  The multiplier g^e takes one row read of
+    ctx._t_rows and one product per 8 bits of e.  No zn_pow is called.
+
+    sqrt_auto and roots both call this, and it is the only reader of
+    _steps, _log and _t_rows, so a change to the walk is made once.
+    """
+    p = ctx.p
+    # a^(2^m n) for each window after the first, with its m and its
+    # digit's shift, on a stack of tuples (square, m, shift, rest)
+    squares = ()
+    plan = ctx._steps
+    while plan:
+        (step, m, shift), plan = plan
+        squares = x, m, shift, squares
+        x = pow(x, step, p)
+    log = ctx._log
+    s = log[x]
+    if s & 1:  # s mod 2 is Euler's symbol: a^((p-1)/2) = g^(-2^(k-1) s)
+        raise NotAResidue(f"{a} is not a quadratic residue mod {p}")
+    while squares:  # the top square first
+        x, m, shift, squares = squares
+        e = s << m  # multiplies the digits already known back in: g^(2^m s)
+        for row in ctx.zn_rows:
+            x = x * row[e & _DIGIT] % p
+            e >>= _W
+        s += log[x] << shift
+    e = s >> 1  # the paper's e: the root is a^((n+1)/2) g^e
+    rows = ctx._t_rows
+    while rows:
+        row, rows = rows
+        root = root * row[e & _DIGIT] % p
+        e >>= _W
+    return root
+
+
 def sqrt_auto(ctx: PrimeContext, a: int) -> SqrtOutcome:
     """Square root of a via the class formula, for any k: one class-table
     read at k <= 8, the class index read 8 bits per log-table lookup above.
@@ -74,21 +120,14 @@ def sqrt_auto(ctx: PrimeContext, a: int) -> SqrtOutcome:
     no key: the missed read is the screen.  At k = 1 the one class's entry
     is None, the bracket is empty and the root is the bare power.
 
-    Above k = 8 windows of 8 bits go from the low end of s.  The squares
-    a^(2^m n) at the windows' shifts m come first, by the powers ctx._steps,
-    k - 8 squarings in all; the last, a^(2^(k-8) n), is h^(-d) for
-    h = g^(2^(k-8)), and ctx._log gives the low digit d.  Each later
-    window takes its saved square, multiplies the digits already known back
-    in, g^(2^m s), with one product per row of ctx.zn_rows, and looks the
-    next digit up; the last window may overlap the one before it.  The
-    first digit's low bit is s mod 2, Euler's symbol, so it is the screen.
-    The multiplier g^e takes one row read and one product per 8 bits of e.
-    No zn_pow is called.
+    Above k = 8 _walk reads s 8 bits at a time, screens on its low bit and
+    multiplies root by g^e; its docstring describes the walk.
 
     mul_count is ctx._cost, modarith._class_cost(n, k): the same for every
     nonzero residue of the prime, priced once per context, and 0 at a = 0.
-    The method is ctx._method: f1..f4 at k <= 4 and synth above.  The body
-    calls no Python function, so a call is one frame.
+    The method is ctx._method: f1..f4 at k <= 4 and synth above.  At k <= 8
+    the body calls no Python function, so a call is one frame; above, the
+    call to _walk is a second.
     """
     p = ctx.p
     if not 0 <= a < p:
@@ -111,32 +150,8 @@ def sqrt_auto(ctx: PrimeContext, a: int) -> SqrtOutcome:
             root = root * m % p
         elif m == 0:  # no class: s is odd
             raise NotAResidue(f"{a} is not a quadratic residue mod {p}")
-    else:
-        # a^(2^m n) for each window after the first, with its m and its
-        # digit's shift, on a stack of tuples (square, m, shift, rest)
-        squares = ()
-        plan = ctx._steps
-        while plan:
-            (step, m, shift), plan = plan
-            squares = x, m, shift, squares
-            x = pow(x, step, p)
-        log = ctx._log
-        s = log[x]
-        if s & 1:  # s mod 2 is Euler's symbol: a^((p-1)/2) = g^(-2^(k-1) s)
-            raise NotAResidue(f"{a} is not a quadratic residue mod {p}")
-        while squares:  # the top square first
-            x, m, shift, squares = squares
-            e = s << m  # multiplies the digits already known back in: g^(2^m s)
-            for row in ctx.zn_rows:
-                x = x * row[e & _DIGIT] % p
-                e >>= _W
-            s += log[x] << shift
-        e = s >> 1  # the paper's e: the root is a^((n+1)/2) g^e
-        rows = ctx._t_rows
-        while rows:
-            row, rows = rows
-            root = root * row[e & _DIGIT] % p
-            e >>= _W
+    else:  # windows of 8 bits, k > 8
+        root = _walk(ctx, a, root, x)
     if root > p - root:  # root != 0, since a != 0
         root = p - root
     return _new_tuple(SqrtOutcome, (root, p - root, ctx._method, ctx._cost))
@@ -144,28 +159,28 @@ def sqrt_auto(ctx: PrimeContext, a: int) -> SqrtOutcome:
 
 def roots(ctx: PrimeContext, values: Iterable[int]) -> list[int]:
     """The canonical root sqrt_auto(ctx, a).root of each a in values, in
-    order, by sqrt_auto's lift in one Python frame: one class-table read per
-    residue at k <= 8, the windowed walk above.
+    order, by sqrt_auto's lift: one class-table read per residue at k <= 8,
+    in the one frame of roots, and one call to _walk per nonzero value above.
 
-    The context's slots are read once for the whole sequence, and no
-    SqrtOutcome is built: each residue costs its powers, lookups and
-    products and nothing more.  The coroot is p - root, 0 at a = 0, and the
+    The power plan and the class table are read once for the whole
+    sequence, and no SqrtOutcome is built: each residue costs its powers,
+    lookups and products and nothing more.  The coroot is p - root, 0 at a = 0, and the
     count and tag are the context's, so a caller that needs them reads
     ctx._cost and ctx._method.  A value out of range raises ValueError, a
     nonresidue NotAResidue, each with sqrt_auto's message for that value;
     the values before it are lost.  Verify runs this over its residues.
 
-    The body repeats sqrt_auto's lift inside a loop, and the tests hold the
-    two to the same roots.  They stay two bodies: as the one-residue case
-    of roots, sqrt_auto would pay a list, an iterator and a loop per call
-    (the module docstring gives the measurement); through sqrt_auto, verify
-    paid a frame, six context reads and a SqrtOutcome per residue, about
-    30 % of a residue's cost below p = 3000.
+    The body repeats sqrt_auto's power and class-table read inside a loop
+    and calls the same _walk, and the tests hold the two to the same roots.
+    They stay two bodies: as the one-residue case of roots, sqrt_auto would
+    pay a list, an iterator and a loop per call (the module docstring gives
+    the measurement); through sqrt_auto, verify paid a frame, six context
+    reads and a SqrtOutcome per residue, about 30 % of a residue's cost
+    below p = 3000.
     """
     p = ctx.p
     e0, power = ctx._power
     classes = ctx._classes
-    steps, log, zn_rows, t_rows = ctx._steps, ctx._log, ctx.zn_rows, ctx._t_rows
     out = []
     append = out.append
     for a in values:
@@ -190,27 +205,6 @@ def roots(ctx: PrimeContext, values: Iterable[int]) -> list[int]:
             elif m == 0:
                 raise NotAResidue(f"{a} is not a quadratic residue mod {p}")
         else:
-            squares = ()
-            plan = steps
-            while plan:
-                (step, m, shift), plan = plan
-                squares = x, m, shift, squares
-                x = pow(x, step, p)
-            s = log[x]
-            if s & 1:
-                raise NotAResidue(f"{a} is not a quadratic residue mod {p}")
-            while squares:
-                x, m, shift, squares = squares
-                e = s << m
-                for row in zn_rows:
-                    x = x * row[e & _DIGIT] % p
-                    e >>= _W
-                s += log[x] << shift
-            e = s >> 1
-            rows = t_rows
-            while rows:
-                row, rows = rows
-                root = root * row[e & _DIGIT] % p
-                e >>= _W
+            root = _walk(ctx, a, root, x)
         append(root if root <= p - root else p - root)
     return out

@@ -12,9 +12,9 @@ from each row into 1, ceil(k/8) - 1 products.  At k <= 8 a class table of
 the lift is one read.  Above k = 8 a log table of 2^8 entries reads 8 bits
 of a discrete log in g^-1 at once (Bernstein, "Faster square roots in
 annoying finite fields", 2001; Sarkar, IACR ePrint 2020/1407), and the
-walk reads the same rows inline, one product per row read.  The context
-also plans, once, the addition chain by which every evaluator takes the
-shared power a^((n-1)/2) (_power_plan).
+walk, formulas._walk, reads the same rows, one product per row read.  The
+context also plans, once, the addition chain by which every evaluator
+takes the shared power a^((n-1)/2) (_power_plan).
 """
 
 __all__ = [
@@ -229,7 +229,7 @@ class PrimeContext:
     g^(d 2^(8i)) for d < 2^min(8, k - 8i), so there are ceil(k/8) rows and at
     most ceil(k/8)*256 entries.  At k <= 8 the one row is every power.
     zn_pow reads one entry from each row in one loop, with no case for
-    small k: the class lift reads the rows inline and calls no zn_pow.
+    small k: the class lift's walk reads the rows itself and calls no zn_pow.
     g generates the 2-part of the multiplicative group: period 2^k,
     g^(2^(k-1)) = -1.
 

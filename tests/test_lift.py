@@ -4,16 +4,17 @@ At k <= 8 sqrt_auto maps a^n to its multiplier by one class-table read.
 Above k = 8 it reads the class index 8 bits per log-table lookup, from the
 low end; the last window may overlap the one before it or line up with a
 row boundary of zn_rows, and each window divides the digits already known
-out of its square by reading zn_rows inline.  direct_sqrt keeps the
-one-bit-per-level lift (oracles._lift_class), so it is the independent
-reference, and legendre decides which inputs must raise NotAResidue.
+out of its square by reading zn_rows, in the walk that sqrt_auto and roots
+share (formulas._walk).  direct_sqrt keeps the one-bit-per-level lift
+(oracles._lift_class), so it is the independent reference, and legendre
+decides which inputs must raise NotAResidue.
 """
 
 import random
 
 import pytest
 
-from sqrtmodp.formulas import NotAResidue, sqrt_auto
+from sqrtmodp.formulas import NotAResidue, roots, sqrt_auto
 from sqrtmodp.modarith import (
     _MR_BOUND,
     PrimeContext,
@@ -142,7 +143,8 @@ def test_one_table_read_per_window(k, monkeypatch):
     # no log or row read: no log table or walk plan is built.  Above, no class
     # table, ceil(k/8) log-table reads at a residue, one at a nonresidue;
     # each window after the first reads every row of zn_rows once, and the
-    # multiplier one row per 8 bits of s/2; zn_pow is never called
+    # multiplier one row per 8 bits of s/2; zn_pow is never called.  roots
+    # over a one-value sequence reads the same as sqrt_auto
     p = primes_with_k(k, 1)[0]
     ctx = make_context(p)
     reads = {}
@@ -169,15 +171,16 @@ def test_one_table_read_per_window(k, monkeypatch):
     rng = random.Random(k)
     for _ in range(20):
         r = rng.randrange(1, p)
-        classes.reads = log.reads = 0
-        reads.clear()
-        assert sqrt_auto(ctx, r * r % p).root in (r, p - r)
-        assert (classes.reads, log.reads, reads) == residue
-        classes.reads = log.reads = 0
-        reads.clear()
-        with pytest.raises(NotAResidue):
-            sqrt_auto(ctx, ctx.z * r * r % p)
-        assert (classes.reads, log.reads, reads) == nonresidue
+        for root_of in (lambda a: sqrt_auto(ctx, a).root, lambda a: roots(ctx, [a])[0]):
+            classes.reads = log.reads = 0
+            reads.clear()
+            assert root_of(r * r % p) in (r, p - r)
+            assert (classes.reads, log.reads, reads) == residue
+            classes.reads = log.reads = 0
+            reads.clear()
+            with pytest.raises(NotAResidue):
+                root_of(ctx.z * r * r % p)
+            assert (classes.reads, log.reads, reads) == nonresidue
     assert calls == []
 
 

@@ -5,8 +5,9 @@ exported type is a dataclass, importing the command line loads none of
 dataclasses, inspect, fractions and decimal, and importing the package loads
 no argparse, so both stay cheap to import; no module imports after its first definition,
 so no import cycle hides there; the arithmetic takes no counter, the
-scripts use only public names, no file imports a name it never uses, and
-every module.name the README, the package or the scripts mention exists."""
+scripts use only public names, no file imports a name it never uses,
+every module.name the README, the package or the scripts mention exists,
+and only formulas._walk reads the tables of the walk above k = 8."""
 
 import ast
 import collections
@@ -210,3 +211,33 @@ def test_every_module_reference_in_the_prose_resolves():
                     obj = getattr(obj, name)
     assert found > 20
     assert unresolved == []
+
+
+def _attribute_reads(node, scope):
+    """(scope, attr) for each attribute node reads, scope the dotted name
+    of the module and the functions and classes that enclose the read."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _attribute_reads(child, f"{scope}.{child.name}")
+            continue
+        if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+            yield scope, child.attr
+        yield from _attribute_reads(child, scope)
+
+
+def test_only_the_walk_reads_the_walk_tables():
+    # the windowed walk above k = 8 is written once, in formulas._walk, which
+    # sqrt_auto and roots both call: no other function reads the context's
+    # walk plan, log table or multiplier rows, so no second copy of the walk
+    # can come back.  The stores that build them in modarith.PrimeContext
+    # are not reads
+    tables = {"_steps", "_log", "_t_rows"}
+    found = sorted(
+        {
+            (scope, attr)
+            for path in sorted((ROOT / "src" / "sqrtmodp").glob("*.py"))
+            for scope, attr in _attribute_reads(ast.parse(path.read_text()), path.stem)
+            if attr in tables
+        }
+    )
+    assert found == [("formulas._walk", attr) for attr in sorted(tables)]

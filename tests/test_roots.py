@@ -1,7 +1,8 @@
 """formulas.roots, sqrt_auto's lift over a sequence, against sqrt_auto.
 
-roots repeats sqrt_auto's body inside one loop, so these tests hold the two
-to the same roots wherever the lift's plan differs: every residue of every
+roots repeats sqrt_auto's power and class-table read inside one loop and
+calls the same walk above k = 8 (formulas._walk), so these tests hold the
+two to the same roots wherever the lift's plan differs: every residue of every
 prime below 3000 (the verify sweep's primes), the seeded inputs of every k,
 and the large-k primes.  A nonresidue or an out-of-range value anywhere in
 the sequence raises sqrt_auto's exception and message for that value.

@@ -17,7 +17,7 @@ import random
 import pytest
 
 from sqrtmodp import modarith, oracles
-from sqrtmodp.formulas import NotAResidue, sqrt_auto
+from sqrtmodp.formulas import NotAResidue, roots, sqrt_auto
 from sqrtmodp.modarith import (
     MulCounter,
     PrimeContext,
@@ -235,22 +235,29 @@ def test_every_path_walks_the_context_plan(p, monkeypatch):
     # steps' f (1 with no chain), and a u^2 = a^(n + 2F) lies outside the
     # 2-power roots of unity unless the odd part of a's order divides F:
     # sqrt_auto finds no log of it, direct calls a residue a nonresidue and
-    # tonelli's loop never ends, which the bounded counter stops.  So no
-    # path keeps a power of its own
+    # tonelli's loop never ends, which the bounded counter stops.  roots,
+    # over a one-value sequence, is held to the plan as sqrt_auto is.  So
+    # no path keeps a power of its own
     monkeypatch.setattr(oracles, "MulCounter", _Bounded)
     k, n = decompose(p)
     ctx = PrimeContext(p, k, n, make_context(p).z)
     e0, chain = ctx._power
     rng = random.Random(p)
-    roots = [rng.randrange(2, p - 1) for _ in range(4)]
-    for fn in (sqrt_auto, tonelli_shanks, direct_sqrt):
-        for r in roots:
-            assert fn(ctx, r * r % p).root in (r, p - r)
+    rs = [rng.randrange(2, p - 1) for _ in range(4)]
+    paths = {
+        "sqrt_auto": lambda a: sqrt_auto(ctx, a).root,
+        "roots": lambda a: roots(ctx, [a])[0],
+        "tonelli_shanks": lambda a: tonelli_shanks(ctx, a).root,
+        "direct_sqrt": lambda a: direct_sqrt(ctx, a).root,
+    }
+    for fn in paths.values():
+        for r in rs:
+            assert fn(r * r % p) in (r, p - r)
     ctx._power = e0 + 1, chain
-    for fn in (sqrt_auto, tonelli_shanks, direct_sqrt):
-        for r in roots:
+    for name, fn in paths.items():
+        for r in rs:
             try:
-                out = fn(ctx, r * r % p)
+                root = fn(r * r % p)
             except (KeyError, NotAResidue, RuntimeError):
                 continue
-            assert out.root not in (r, p - r), (fn.__name__, r)
+            assert root not in (r, p - r), (name, r)
