@@ -22,7 +22,9 @@ analysis.order_census return, as it is, and expand writes its document
 from the terms that synthesis.expand returns.  bench and sqrt build the
 context first, so a p that is not an odd prime is refused as such, then
 check each method against it with one check, _method.  Exit codes: 0
-success/pass, 1 usage or internal failure, 2 not a quadratic residue.
+success/pass, 1 usage or internal failure, 2 not a quadratic residue.  A
+method that refuses a residue that verify or bench chose is at fault: exit
+1, naming the method and the a and p that its NotAResidue names.
 """
 
 import argparse
@@ -118,21 +120,21 @@ def run_verification(
     [pmin, pmax]; class-specific methods skip non-matching primes.
 
     The roots are walked, not tabled: each r in 1..(p-1)/2 is the canonical
-    root of a distinct residue a = r^2 mod p, so the method is called once
-    per a, in ascending r, and its outcome must equal the pair (r, p - r).
-    That root squares to a, so no square is taken.  The class formula
-    (auto, f1..f4, synth) runs as formulas.roots, read from the module now,
-    over chunks of _CHUNK residues: one call for each prime below 8194.
-    Its roots are compared with the chunk's r, and its coroot is p - root.
-    The other methods are called once per residue, and their coroot is
-    checked too.  No table is built: failures aside, the memory is bounded
-    by one chunk's residues and roots, whatever p.
+    root of a distinct residue a = r^2 mod p, so the method runs once per a,
+    in ascending r, and its (root, coroot) must equal the pair (r, p - r).
+    That root squares to a, so no square is taken.  One loop serves every
+    method, over chunks of _CHUNK residues: one chunk for each prime below
+    8194.  The class formula (auto, f1..f4, synth) runs a chunk in one call
+    of formulas.roots, read from the module now, and its coroot is
+    p - root; the other methods are called once per residue.  No table is
+    built: failures aside, the memory is bounded by one chunk's residues
+    and roots, whatever p.
 
     An inverted range, or a k_filter that no prime the method accepts can
     meet, is an error; an ordered range with no prime in it is an empty pass.
     A method that raises NotAResidue on a residue is at fault, and the sweep
-    stops with an ArithmeticError naming the method, p and a; a refused
-    chunk is walked again one residue at a time to find a."""
+    stops with an ArithmeticError naming the method and the a and p that
+    the exception names."""
     if pmin > pmax:
         raise ValueError(f"pmin={pmin} is above pmax={pmax}; the range is inverted")
     if pmax > oracles.BRUTE_LIMIT:
@@ -154,54 +156,35 @@ def run_verification(
         ctx = modarith.make_context(p)
         failures = []
         half = (p - 1) // 2
-        if many:
+        try:
             for lo in range(1, half + 1, _CHUNK):
                 want = range(lo, min(lo + _CHUNK, half + 1))
                 values = [r * r % p for r in want]
-                try:
+                if many:
                     got = many(ctx, values)
-                except formulas.NotAResidue as exc:
-                    raise _refused_chunk(method, many, ctx, values, exc) from exc
-                if got != list(want):
-                    failures += [
-                        Failure(a, root, (p - root) % p, (r, p - r))
-                        for r, a, root in zip(want, values, got)
-                        if root != r
-                    ]
-        else:
-            try:
-                for r in range(1, half + 1):
-                    a = r * r % p
-                    root, coroot, _, _ = fn(ctx, a)
-                    if root != r or coroot != p - r:
-                        failures.append(Failure(a, root, coroot, (r, p - r)))
-            except formulas.NotAResidue as exc:
-                raise _refused(method, a, p, exc) from exc
+                    if got == list(want):
+                        continue
+                    got = [(root, (p - root) % p) for root in got]
+                else:
+                    got = [fn(ctx, a)[:2] for a in values]
+                failures += [
+                    Failure(a, root, coroot, (r, p - r))
+                    for r, a, (root, coroot) in zip(want, values, got)
+                    if (root, coroot) != (r, p - r)
+                ]
+        except formulas.NotAResidue as exc:
+            raise _refused(method, exc) from exc
         checks.append(PrimeCheck(p, ctx.k, ctx.n, ctx.z, half, tuple(failures)))
         total += half
     passed = all(not pc.failures for pc in checks)
     return VerificationReport(pmin, pmax, method, k_filter, tuple(checks), total, passed)
 
 
-def _refused(method: str, a: int, p: int, exc: Exception) -> ArithmeticError:
-    """The error for a method that raised NotAResidue, exc, on the residue a."""
+def _refused(method: str, exc: formulas.NotAResidue) -> ArithmeticError:
+    """The error for a method that raised NotAResidue, exc, on a true
+    residue: the method is at fault, and exc names the residue and prime."""
     return ArithmeticError(
-        f"method {method} raised NotAResidue on the residue a={a} of p={p}: {exc}"
-    )
-
-
-def _refused_chunk(method, many, ctx, values, exc) -> ArithmeticError:
-    """The error for the NotAResidue exc that many raised on a chunk of
-    residues: the chunk is walked again one residue at a time to name the
-    residue refused."""
-    for a in values:
-        try:
-            many(ctx, (a,))
-        except formulas.NotAResidue as one:
-            return _refused(method, a, ctx.p, one)
-    return ArithmeticError(
-        f"method {method} raised NotAResidue on a chunk of residues of p={ctx.p}, "
-        f"and on none of them alone: {exc}"
+        f"method {method} raised NotAResidue on the residue a={exc.a} of p={exc.p}: {exc}"
     )
 
 
@@ -256,7 +239,10 @@ def run_bench(
     records = []
     for m, (fn, _) in zip(methods, fns):
         m0 = time.perf_counter()
-        counts = [fn(ctx, a).mul_count for a in sample]
+        try:
+            counts = [fn(ctx, a).mul_count for a in sample]
+        except formulas.NotAResidue as exc:  # the sample holds residues only
+            raise _refused(m, exc) from exc
         print(
             f"bench {m} on p={p}: {time.perf_counter() - m0:.3f}s",
             file=sys.stderr,

@@ -43,7 +43,17 @@ __all__ = ["NotAResidue", "SqrtOutcome", "roots", "sqrt_auto"]
 
 
 class NotAResidue(Exception):
-    """The input has Legendre symbol -1: no square root exists."""
+    """a has Legendre symbol -1 mod p: no square root exists.  Every method
+    raises it as NotAResidue(a, p), so the refused residue and its prime are
+    the attributes a and p, args is (a, p), and the message is written here
+    once."""
+
+    def __init__(self, a: int, p: int):
+        super().__init__(a, p)  # args (a, p), which pickle passes back
+        self.a, self.p = a, p
+
+    def __str__(self):
+        return f"{self.a} is not a quadratic residue mod {self.p}"
 
 
 class SqrtOutcome(NamedTuple):
@@ -89,7 +99,7 @@ def _walk(ctx: PrimeContext, a: int, root: int, x: int) -> int:
     log = ctx._log
     s = log[x]
     if s & 1:  # s mod 2 is Euler's symbol: a^((p-1)/2) = g^(-2^(k-1) s)
-        raise NotAResidue(f"{a} is not a quadratic residue mod {p}")
+        raise NotAResidue(a, p)
     while squares:  # the top square first
         x, m, shift, squares = squares
         e = s << m  # multiplies the digits already known back in: g^(2^m s)
@@ -149,7 +159,7 @@ def sqrt_auto(ctx: PrimeContext, a: int) -> SqrtOutcome:
         if m:
             root = root * m % p
         elif m == 0:  # no class: s is odd
-            raise NotAResidue(f"{a} is not a quadratic residue mod {p}")
+            raise NotAResidue(a, p)
     else:  # windows of 8 bits, k > 8
         root = _walk(ctx, a, root, x)
     if root > p - root:  # root != 0, since a != 0
@@ -166,9 +176,10 @@ def roots(ctx: PrimeContext, values: Iterable[int]) -> list[int]:
     sequence, and no SqrtOutcome is built: each residue costs its powers,
     lookups and products and nothing more.  The coroot is p - root, 0 at a = 0, and the
     count and tag are the context's, so a caller that needs them reads
-    ctx._cost and ctx._method.  A value out of range raises ValueError, a
-    nonresidue NotAResidue, each with sqrt_auto's message for that value;
-    the values before it are lost.  Verify runs this over its residues.
+    ctx._cost and ctx._method.  A value out of range raises ValueError with
+    sqrt_auto's message, and a nonresidue NotAResidue(a, p), which names the
+    value refused; the values before it are lost.  Verify runs this over its
+    residues.
 
     The body repeats sqrt_auto's power and class-table read inside a loop
     and calls the same _walk, and the tests hold the two to the same roots.
@@ -203,7 +214,7 @@ def roots(ctx: PrimeContext, values: Iterable[int]) -> list[int]:
             if m:
                 root = root * m % p
             elif m == 0:
-                raise NotAResidue(f"{a} is not a quadratic residue mod {p}")
+                raise NotAResidue(a, p)
         else:
             root = _walk(ctx, a, root, x)
         append(root if root <= p - root else p - root)

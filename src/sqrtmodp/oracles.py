@@ -37,7 +37,7 @@ def _brute_sqrt(ctx: PrimeContext, a: int) -> SqrtOutcome:
     """brute_force_sqrt as a method: the smaller root and p, one squaring per r."""
     roots = brute_force_sqrt(ctx.p, a)
     if not roots:
-        raise NotAResidue(f"{a} is not a quadratic residue mod {ctx.p}")
+        raise NotAResidue(a, ctx.p)
     return _canonical(min(roots), ctx.p, "brute", ctx.p)
 
 
@@ -72,7 +72,7 @@ def tonelli_shanks(ctx: PrimeContext, a: int) -> SqrtOutcome:
             t2 = c.mul(t2, t2, p)
             i += 1
         if i == m:  # t has order 2^k: a^((p-1)/2) = -1
-            raise NotAResidue(f"{a} is not a quadratic residue mod {p}")
+            raise NotAResidue(a, p)
         b = c.pow(w, 1 << (m - i - 1), p)
         x = c.mul(x, b, p)
         w = c.mul(b, b, p)
@@ -93,7 +93,7 @@ def _lift_class(ctx: PrimeContext, a: int, an: int, counter: MulCounter) -> int:
             w = counter.lookup(ctx, (1 << ctx.k) - (1 << (i + 1)))  # z^(-2^(i+1) n)
             cur = counter.mul(cur, w, p)
     if cur != 1:
-        raise NotAResidue(f"{a} is not a quadratic residue mod {p}")
+        raise NotAResidue(a, p)
     return t
 
 

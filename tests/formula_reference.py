@@ -145,7 +145,7 @@ def residue_class(ctx, a):
     if not 0 <= a < ctx.p:
         raise ValueError(f"residue {a} out of range for p={ctx.p}")
     if legendre(a, ctx.p) != 1:
-        raise NotAResidue(f"{a} is not a nonzero quadratic residue mod {ctx.p}")
+        raise NotAResidue(a, ctx.p)
     return _lift_class(ctx, a, pow(a, ctx.n, ctx.p), MulCounter())
 
 

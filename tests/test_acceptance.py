@@ -13,11 +13,12 @@ from fractions import Fraction
 from sqrtmodp import cli
 from sqrtmodp.analysis import order_census
 from sqrtmodp.formulas import sqrt_auto
-from sqrtmodp.modarith import decompose, is_prime, make_context, primes_in_range
+from sqrtmodp.modarith import make_context, primes_in_range
 from sqrtmodp.oracles import direct_sqrt, tonelli_shanks
 from sqrtmodp.synthesis import expand, synthesize
 
 from formula_reference import degree_check, evaluate, normalize_signs
+from prime_search import primes_with_k
 from root_table import brute_root_table
 
 
@@ -30,15 +31,6 @@ def criterion(num, label):
         print(f"criterion {num} ({label}): FAIL")
         raise
     print(f"criterion {num} ({label}): PASS [{time.perf_counter() - t0:.1f}s]")
-
-
-def first_primes_with_k(k, count):
-    found, p = [], 3
-    while len(found) < count:
-        if is_prime(p) and decompose(p)[0] == k:
-            found.append(p)
-        p += 2
-    return found
 
 
 def test_criterion_1_exhaustive_sweep():
@@ -101,7 +93,7 @@ def test_criterion_4_high_k_validity():
     # residue of the first five primes of each class; zero failures
     with criterion(4, "squaring identity for k = 5..8, five primes each"):
         for k in (5, 6, 7, 8):
-            primes = first_primes_with_k(k, 5)
+            primes = primes_with_k(k, 5)
             f = synthesize(k)
             for p in primes:
                 ctx = make_context(p)

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from sqrtmodp import cli, formulas, oracles
 from sqrtmodp.analysis import order_census
 from sqrtmodp.formulas import SqrtOutcome
-from sqrtmodp.modarith import is_prime, make_context
+from sqrtmodp.modarith import make_context
 
+from prime_search import primes_with_k
 from root_table import brute_root_table
 
 
@@ -94,11 +95,12 @@ def test_sqrt_invalid_arguments_exit_1(capsys):
 
 
 def test_sqrt_beyond_primality_bound_names_p_and_bound(capsys):
-    p = "3317044064679887385961983"
-    code, out, err = run_cli(capsys, "sqrt", "--p", p, "--a", "4")
-    assert (code, out) == (1, "")
-    assert f"p={p}" in err
-    assert "3317044064679887385961981" in err
+    # the bound itself, a strong pseudoprime to every base, is refused too
+    bound = "3317044064679887385961981"
+    for p in (bound, "3317044064679887385961983"):
+        code, out, err = run_cli(capsys, "sqrt", "--p", p, "--a", "4")
+        assert (code, out) == (1, "")
+        assert err == f"error: p={p} is not below the primality bound {bound}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +273,11 @@ def test_verify_flags_a_non_root(capsys, monkeypatch):
 def test_verify_method_raising_not_a_residue_exits_1(capsys, monkeypatch):
     # a method that refuses a true residue is at fault: exit 1, not the
     # exit 2 reserved for a nonresidue input, and no report on stdout; the
-    # refused chunk is walked again one residue at a time to name it
+    # error names the residue that the exception names
     def refuses(ctx, values):
         values = list(values)
         if ctx.p == 29 and 4 in values:
-            raise formulas.NotAResidue(f"4 is not a quadratic residue mod {ctx.p}")
+            raise formulas.NotAResidue(4, ctx.p)
         return _orig(ctx, values)
 
     _orig = formulas.roots
@@ -288,13 +290,17 @@ def test_verify_method_raising_not_a_residue_exits_1(capsys, monkeypatch):
     )
 
 
-def test_verify_chunk_refused_but_no_residue_alone_exits_1(capsys, monkeypatch):
-    # a method that refuses a chunk but none of its residues alone still
-    # exits 1, naming the prime, since no residue can be named
+def test_verify_chunk_refused_exits_1_naming_its_residue(capsys, monkeypatch):
+    # a method that refuses a whole chunk exits 1 and names the residue its
+    # exception names, here the chunk's first, a = 1; the chunk is not run
+    # again one residue at a time
+    calls = []
+
     def refuses_many(ctx, values):
         values = list(values)
-        if ctx.p == 29 and len(values) > 1:
-            raise formulas.NotAResidue(f"{values[0]} is not a quadratic residue mod {ctx.p}")
+        calls.append(len(values))
+        if ctx.p == 29:
+            raise formulas.NotAResidue(values[0], ctx.p)
         return _orig(ctx, values)
 
     _orig = formulas.roots
@@ -302,9 +308,10 @@ def test_verify_chunk_refused_but_no_residue_alone_exits_1(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "--pmin", "3", "--pmax", "60", "--method", "f2")
     assert (code, out) == (1, "")
     assert err == (
-        "error: method f2 raised NotAResidue on a chunk of residues of p=29, "
-        "and on none of them alone: 1 is not a quadratic residue mod 29\n"
+        "error: method f2 raised NotAResidue on the residue a=1 of p=29: "
+        "1 is not a quadratic residue mod 29\n"
     )
+    assert calls == [2, 6, 14]  # one chunk each at p = 5, 13 and 29, k = 2
 
 
 def test_sqrt_rejects_a_strong_pseudoprime(capsys):
@@ -407,10 +414,9 @@ def test_density_doc_laws_at_every_k(k):
     # the smallest prime n 2^k + 1 at each k the command accepts; the laws
     # are computed here, not read from the census.  At k = 1 (p = 3) both
     # shares are whole, 1/1, and are written "1"
-    n = 1
-    while not is_prime((n << k) + 1):
-        n += 2
-    doc = order_census(make_context((n << k) + 1))
+    p = primes_with_k(k)[0]
+    n = p >> k
+    doc = order_census(make_context(p))
     assert (doc["k"], doc["n"]) == (k, n)
     assert doc["predicted_odd_order_fraction"] == str(Fraction(1, 2 ** (k - 1)))
     assert doc["odd_order_fraction"] == doc["predicted_odd_order_fraction"]
@@ -493,6 +499,36 @@ def test_bench_unknown_method(capsys):
     assert run_cli(capsys, "bench", "--p", "13", "--methods", "auto,nope") == (
         1, "", "error: unknown method 'nope'\n"
     )
+
+
+@pytest.mark.parametrize(
+    "method,mod,name",
+    [("tonelli", oracles, "tonelli_shanks"), ("auto", formulas, "sqrt_auto")],
+    ids=["tonelli", "auto"],
+)
+def test_bench_method_refusing_a_sampled_residue_exits_1(capsys, monkeypatch, method, mod, name):
+    # bench samples residues only, so a method that refuses one is at fault:
+    # exit 1, not the exit 2 reserved for a nonresidue --a, no report on
+    # stdout, and the method, p and a named on stderr, as verify names them
+    real = getattr(mod, name)
+    refused = cli._sample_residues(make_context(3329), 5, 1)[2]
+
+    def refuses(ctx, a):
+        if a == refused:
+            raise formulas.NotAResidue(a, ctx.p)
+        return real(ctx, a)
+
+    monkeypatch.setattr(mod, name, refuses)
+    code, out, err = run_cli(
+        capsys, "bench", "--p", "3329", "--trials", "5", "--methods", f"auto,{method}"
+    )
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert lines[-1] == (
+        f"error: method {method} raised NotAResidue on the residue a={refused} of p=3329: "
+        f"{refused} is not a quadratic residue mod 3329"
+    )
+    assert all(re.fullmatch(r"bench \w+ on p=3329: \d+\.\d{3}s", line) for line in lines[:-1])
 
 
 def test_bench_tonelli_constant_for_k1(capsys):

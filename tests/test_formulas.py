@@ -13,8 +13,9 @@ from sqrtmodp.oracles import direct_sqrt, tonelli_shanks
 from sqrtmodp.synthesis import synthesize
 
 from formula_reference import residue_class, term_values
+from prime_search import primes_with_k
 from root_table import brute_root_table
-from test_lift import EVERY_K, primes_with_k
+from test_lift import EVERY_K
 from test_public_api import _fresh_modules
 
 

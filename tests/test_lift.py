@@ -26,15 +26,7 @@ from sqrtmodp.modarith import (
 )
 from sqrtmodp.oracles import direct_sqrt
 
-
-def primes_with_k(k, count):
-    """The smallest primes 2^k n + 1 with n odd."""
-    found, n = [], 1
-    while len(found) < count:
-        if is_prime((n << k) + 1):
-            found.append((n << k) + 1)
-        n += 2
-    return found
+from prime_search import primes_with_k
 
 
 def agrees(ctx, a):

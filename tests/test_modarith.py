@@ -15,6 +15,8 @@ from sqrtmodp.modarith import (
     primes_in_range,
 )
 
+from prime_search import primes_with_k
+
 SMALL_PRIMES = primes_in_range(3, 1000)
 GOLDILOCKS = (1 << 64) - (1 << 32) + 1
 
@@ -64,6 +66,8 @@ def test_is_prime_large_known():
     assert not is_prime((1 << 61) + 1)
     with pytest.raises(ValueError):
         is_prime(10**25)
+    with pytest.raises(ValueError, match="primality bound"):
+        is_prime(modarith._MR_BOUND)  # the bound is a strong pseudoprime
 
 
 # The smallest strong pseudoprime to the first t prime bases, for each tier of
@@ -315,9 +319,7 @@ def prime_with_k(draw):
     """A prime 2^k n + 1 with n odd: the first at or above a drawn odd n."""
     k = draw(st.integers(min_value=1, max_value=64))
     n = draw(st.integers(min_value=0, max_value=1 << 12)) * 2 + 1
-    while not is_prime((n << k) + 1):
-        n += 2
-    return (n << k) + 1
+    return primes_with_k(k, 1, n)[0]
 
 
 @given(prime_with_k(), st.integers(min_value=-(1 << 70), max_value=1 << 70))

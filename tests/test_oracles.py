@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqrtmodp import cli
-from sqrtmodp.formulas import NotAResidue, sqrt_auto
+from sqrtmodp.formulas import NotAResidue, roots, sqrt_auto
 from sqrtmodp.modarith import (
     PrimeContext,
     _pow_cost,
@@ -229,6 +230,47 @@ def test_every_method_screens_z_r2_on_the_large_p_grid(p):
         for fn in (sqrt_auto, *ORACLES):
             with pytest.raises(NotAResidue, match=rf"^{a} is not a quadratic residue mod {p}$"):
                 fn(ctx, a)
+
+
+def _roots_after_a_residue(ctx, a):
+    return roots(ctx, [1, a])  # the refusal names a, not the value before it
+
+
+def _brute(ctx, a):
+    return cli._method("brute", ctx)[0](ctx, a)
+
+
+# every raise site of NotAResidue: sqrt_auto and roots read the class table
+# at k <= 8 and call formulas._walk above; direct_sqrt refuses in
+# oracles._lift_class, and brute is the CLI's oracles._brute_sqrt
+REFUSALS = [
+    pytest.param(fn, p, id=f"{name}-{label}")
+    for name, fn, primes in [
+        ("sqrt_auto", sqrt_auto, [(41, "k3"), (40961, "k13"), (GOLDILOCKS, "goldilocks")]),
+        ("roots", _roots_after_a_residue, [(41, "k3"), (40961, "k13"), (GOLDILOCKS, "goldilocks")]),
+        ("tonelli", tonelli_shanks, [(41, "k3"), (GOLDILOCKS, "goldilocks")]),
+        ("direct", direct_sqrt, [(41, "k3"), (GOLDILOCKS, "goldilocks")]),
+        ("brute", _brute, [(41, "k3"), (40961, "k13")]),
+    ]
+    for p, label in primes
+]
+
+
+@pytest.mark.parametrize("fn,p", REFUSALS)
+def test_every_refusal_names_its_residue_and_pickles(fn, p):
+    # NotAResidue(a, p) carries the refused residue and its prime, keeps
+    # the one message, and survives a pickle round trip with both
+    ctx = make_context(p)
+    rng = random.Random(p)
+    for a in [ctx.z, *(ctx.z * r * r % p for r in (rng.randrange(1, p) for _ in range(3)))]:
+        with pytest.raises(NotAResidue) as info:
+            fn(ctx, a)
+        exc = info.value
+        assert (exc.a, exc.p, exc.args) == (a, p, (a, p))
+        assert str(exc) == f"{a} is not a quadratic residue mod {p}"
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is NotAResidue
+        assert (back.a, back.p, back.args, str(back)) == (a, p, (a, p), str(exc))
 
 
 def test_tonelli_takes_one_power_at_k1():

@@ -7,7 +7,8 @@ no argparse, so both stay cheap to import; no module imports after its first def
 so no import cycle hides there; the arithmetic takes no counter, the
 scripts use only public names, no file imports a name it never uses,
 every module.name the README, the package or the scripts mention exists,
-and only formulas._walk reads the tables of the walk above k = 8."""
+only formulas._walk reads the tables of the walk above k = 8, and the
+refusal's message is written once, in formulas.NotAResidue."""
 
 import ast
 import collections
@@ -213,16 +214,20 @@ def test_every_module_reference_in_the_prose_resolves():
     assert unresolved == []
 
 
-def _attribute_reads(node, scope):
-    """(scope, attr) for each attribute node reads, scope the dotted name
-    of the module and the functions and classes that enclose the read."""
+def _scoped_nodes(node, scope):
+    """(scope, child) for each node under node, scope the dotted name of
+    the module and the functions and classes that enclose the child."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _attribute_reads(child, f"{scope}.{child.name}")
+            yield from _scoped_nodes(child, f"{scope}.{child.name}")
             continue
-        if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
-            yield scope, child.attr
-        yield from _attribute_reads(child, scope)
+        yield scope, child
+        yield from _scoped_nodes(child, scope)
+
+
+def _package_nodes():
+    for path in sorted((ROOT / "src" / "sqrtmodp").glob("*.py")):
+        yield from _scoped_nodes(ast.parse(path.read_text()), path.stem)
 
 
 def test_only_the_walk_reads_the_walk_tables():
@@ -234,10 +239,24 @@ def test_only_the_walk_reads_the_walk_tables():
     tables = {"_steps", "_log", "_t_rows"}
     found = sorted(
         {
-            (scope, attr)
-            for path in sorted((ROOT / "src" / "sqrtmodp").glob("*.py"))
-            for scope, attr in _attribute_reads(ast.parse(path.read_text()), path.stem)
-            if attr in tables
+            (scope, node.attr)
+            for scope, node in _package_nodes()
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and node.attr in tables
         }
     )
     assert found == [("formulas._walk", attr) for attr in sorted(tables)]
+
+
+def test_the_refusal_message_is_written_once():
+    # every method raises NotAResidue(a, p), whose __str__ writes the one
+    # message; a raise site that writes its own text would say it twice
+    found = [
+        scope
+        for scope, node in _package_nodes()
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and "is not a quadratic residue mod" in node.value
+    ]
+    assert found == ["formulas.NotAResidue.__str__"]

@@ -15,7 +15,8 @@ import pytest
 from sqrtmodp.formulas import NotAResidue, roots, sqrt_auto
 from sqrtmodp.modarith import make_context, primes_in_range
 
-from test_lift import EVERY_K, primes_with_k
+from prime_search import primes_with_k
+from test_lift import EVERY_K
 
 # 786433 (k = 18), BabyBear (k = 27), KoalaBear (k = 24), Goldilocks (k = 32)
 LARGE_K_PRIMES = (786433, 2013265921, 2130706433, 18446744069414584321)

@@ -23,13 +23,13 @@ from sqrtmodp.modarith import (
     PrimeContext,
     _power_plan,
     decompose,
-    is_prime,
     legendre,
     make_context,
     primes_in_range,
 )
 from sqrtmodp.oracles import direct_sqrt, tonelli_shanks
 
+from prime_search import first_primes, primes_with_k
 from root_table import brute_root_table
 from test_lift import LARGE_K_PRIMES
 from test_oracles import LARGE_P_GRID
@@ -63,14 +63,7 @@ def expected_count(p, k):
     return front + divide_out + multiplier
 
 
-def smallest_prime_with_k(k):
-    n = 1
-    while not is_prime((n << k) + 1):
-        n += 2
-    return (n << k) + 1
-
-
-@pytest.mark.parametrize("p", [smallest_prime_with_k(k) for k in range(1, 19)] + list(LARGE_PRIMES))
+@pytest.mark.parametrize("p", [primes_with_k(k)[0] for k in range(1, 19)] + list(LARGE_PRIMES))
 def test_count_follows_from_p_and_k(p):
     ctx = make_context(p)
     want = expected_count(p, ctx.k)
@@ -82,7 +75,7 @@ def test_count_follows_from_p_and_k(p):
 @pytest.mark.parametrize("k", [1, 2, 8, 9, 16, 17, 24, 32])
 def test_context_prices_the_lift_once(k):
     # _cost is derived with the context, built by make_context or by hand
-    p = smallest_prime_with_k(k)
+    p = primes_with_k(k)[0]
     ctx = make_context(p)
     n, z = ctx.n, ctx.z
     by_hand = PrimeContext(p, k, n, z)
@@ -133,10 +126,7 @@ def seeded_primes(seed, bits):
     odd number of that length."""
     rng, found = random.Random(seed), []
     for b in bits:
-        q = rng.randrange(1 << (b - 1), 1 << b) | 1
-        while not is_prime(q):
-            q += 2
-        found.append(q)
+        found += first_primes(rng.randrange(1 << (b - 1), 1 << b) | 1, 2)
     return found
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqrtmodp import synthesis
-from sqrtmodp.modarith import PrimeContext, is_prime, make_context, primes_in_range
+from sqrtmodp.modarith import PrimeContext, make_context, primes_in_range
 from sqrtmodp.synthesis import (
     MAX_K,
     expand,
@@ -27,18 +27,8 @@ from formula_reference import (
     render_per_term,
     term_values,
 )
+from prime_search import primes_with_k
 from root_table import brute_root_table
-
-
-def first_primes_with_k(k, count):
-    found = []
-    for p in primes_in_range(3, 1 << 14):
-        ctx = make_context(p)
-        if ctx.k == k:
-            found.append(p)
-            if len(found) == count:
-                break
-    return found
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +150,7 @@ def test_squaring_identity_small_primes():
 @pytest.mark.parametrize("k", [5, 6, 7, 8])
 def test_squaring_identity_high_k(k):
     f = synthesize(k)
-    for p in first_primes_with_k(k, 2):
+    for p in primes_with_k(k, 2):
         ctx = make_context(p)
         for a, pair in brute_root_table(p).items():
             assert evaluate(f, ctx, a) == pair
@@ -220,16 +210,8 @@ def test_expand_matches_reference_below_6000():
     assert checked == 782
 
 
-def _smallest_prime_with_k(k):
-    """The smallest prime n 2^k + 1 with n odd."""
-    n = 1
-    while not is_prime((n << k) + 1):
-        n += 2
-    return (n << k) + 1
-
-
 @pytest.mark.parametrize(
-    "p", sorted({*(_smallest_prime_with_k(k) for k in range(1, MAX_K + 1)), 3329, 7681, 40961, 65537})
+    "p", sorted({*(primes_with_k(k)[0] for k in range(1, MAX_K + 1)), 3329, 7681, 40961, 65537})
 )
 def test_expand_matches_per_term_closed_form(p):
     # batch inversion against one lookup and one inverse per term
