@@ -15,7 +15,18 @@ annoying finite fields", 2001; Sarkar, IACR ePrint 2020/1407), and the
 walk, formulas._walk, reads the same rows, one product per row read.  The
 context also plans, once, the addition chain by which every evaluator
 takes the shared power a^((n-1)/2) (_power_plan).
+
+make_context builds the context first and then finishes p's primality
+proof with what it computed.  Trial division by the primes 2..41 comes
+first, and a perfect square is refused, since it has no Jacobi symbol -1
+and the search for z would find none.  The constructor's check
+z^(2^(k-1) n) = -1 is one strong Miller-Rabin round to base z, and when
+n < 2^k it is Proth's certificate (Proth 1878): p is prime, and no other
+round runs.  Otherwise the rounds to the other bases of p's tier follow,
+each taking a^n as a u^2 with u = a^((n-1)/2) by the context's chain.
 """
+
+import math
 
 __all__ = [
     "MulCounter",
@@ -28,24 +39,28 @@ __all__ = [
     "primes_in_range",
 ]
 
-# The primes 2..41 as Miller-Rabin bases.  (bound, t): the first t bases are
-# proven deterministic for every m below bound, and bound itself is a strong
-# pseudoprime to them (Jaeschke 1993; Jiang and Deng 2014; Sorenson and
-# Webster 2015).  All 13 hold below _MR_BOUND, about 3.3e24.
+# The primes 2..41: the trial divisors, and the Miller-Rabin bases of the
+# top tiers.  (bound, bases): the bases are proven deterministic for every m
+# below bound, which is itself a strong pseudoprime to them, except 2^64,
+# where Sinclair's verified range ends: {2, 7, 61} from Jaeschke 1993, the
+# seven bases below 2^64 from Sinclair 2011, the primes 2..37 and 2..41 from
+# Jiang and Deng 2014 and Sorenson and Webster 2015.  All 13 primes hold
+# below _MR_BOUND, about 3.3e24.
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_TIERS = (
-    (2_047, 1),
-    (1_373_653, 2),
-    (25_326_001, 3),
-    (3_215_031_751, 4),
-    (2_152_302_898_747, 5),
-    (3_474_749_660_383, 6),
-    (341_550_071_728_321, 7),
-    (3_825_123_056_546_413_051, 9),
-    (318_665_857_834_031_151_167_461, 12),
-    (_MR_BOUND, 13),
+    (2_047, (2,)),
+    (1_373_653, (2, 3)),
+    (25_326_001, (2, 3, 5)),
+    (4_759_123_141, (2, 7, 61)),
+    (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+    (318_665_857_834_031_151_167_461, _MR_WITNESSES[:12]),
+    (_MR_BOUND, _MR_WITNESSES),
 )
+
+# The nonresidue search tries z < _Z_CAP: above Bach's 2 ln^2 p < 6,376 for
+# every p below _MR_BOUND (under GRH, Bach 1990).
+_Z_CAP = 6_400
 
 # Window width of the z^(j*n) rows: row i covers bits 8i..8i+7 of j.
 _W = 8
@@ -138,26 +153,53 @@ def _two_adic(m: int) -> int:
 def is_prime(m: int) -> bool:
     """Deterministic primality test, exact for all m below _MR_BOUND (~3.3e24).
 
-    Trial division by the 13 primes 2..41, then strong-probable-prime tests
-    to only as many of them as are proven to suffice for the size of m: one
-    base below 2,047, four below 3.2e9 (31 bits), nine below 3.8e18 (61
-    bits), all 13 from 3.2e23 up to the bound.
+    Trial division by the 13 primes 2..41, then strong Miller-Rabin rounds
+    to the smallest base set proven for the size of m (_MR_TIERS): one base
+    below 2,047, three below 4.8e9 (32 bits), seven below 2^64, all 13 from
+    3.2e23 up to the bound.  Each round takes a^d, m - 1 = d 2^r with d odd,
+    as a u^2 with u = a^((d-1)/2) by the addition chain _power_plan(d >> 1).
     """
     if m >= _MR_BOUND:
         raise ValueError(f"p={m} is not below the primality bound {_MR_BOUND}")
     if m < 2:
         return False
-    for q in _MR_WITNESSES:
-        if m == q:
-            return True
-        if m % q == 0:
-            return False
+    known = _trial_division(m)
+    if known is not None:
+        return known
     r = _two_adic(m - 1)
-    d = (m - 1) >> r
-    t = next(t for bound, t in _MR_TIERS if m < bound)
-    for a in _MR_WITNESSES[:t]:
-        x = pow(a, d, m)
-        if x in (1, m - 1):
+    return _strong_rounds(m, r, _power_plan((m - 1) >> (r + 1)), _tier_bases(m))
+
+
+def _trial_division(m: int) -> bool | None:
+    """True if m >= 2 is one of the primes 2..41, False if one of them
+    divides it, None if neither."""
+    for q in _MR_WITNESSES:
+        if m % q == 0:
+            return m == q
+    return None
+
+
+def _tier_bases(m: int) -> tuple[int, ...]:
+    """The bases of the first tier whose bound exceeds m: proven for every
+    m' below that bound."""
+    return next(bases for bound, bases in _MR_TIERS if m < bound)
+
+
+def _strong_rounds(m: int, r: int, plan: tuple, bases: tuple[int, ...]) -> bool:
+    """Whether odd m, m - 1 = d 2^r with d odd, passes a strong Miller-Rabin
+    round to every base a: a^d is 1 or -1, or a^(d 2^i) = -1 for some
+    0 < i < r.  a^d = a u^2, u = a^((d-1)/2) walked by plan, the
+    _power_plan of (d-1)/2, as MulCounter.shared_power walks a context's."""
+    e0, chain0 = plan
+    for a in bases:
+        u, chain = pow(a, e0, m), chain0
+        while chain:
+            (f, s), chain = chain
+            u = pow(u, f, m)
+            if s:
+                u = u * pow(a, s, m) % m
+        x = a * u * u % m
+        if x == 1 or x == m - 1:
             continue
         for _ in range(r - 1):
             x = x * x % m
@@ -206,16 +248,17 @@ def legendre(a: int, p: int) -> int:
 
 
 def _smallest_nonresidue(p: int) -> int:
-    """Smallest z >= 2 with legendre(z, p) = -1, for a p already validated.
+    """Smallest z >= 2 with legendre(z, p) = -1, trying z < _Z_CAP only.
 
     Each candidate costs one Jacobi-symbol reduction, not a power; z is
     small (below 2 ln^2 p under GRH, Bach 1990), so after p mod z the
-    reduction runs on small numbers.
+    reduction runs on small numbers.  At the cap ArithmeticError is raised:
+    a composite p may have no Jacobi symbol -1 there, and a square has none.
     """
-    for z in range(2, p):
+    for z in range(2, min(p, _Z_CAP)):
         if legendre(z, p) == -1:
             return z
-    raise ArithmeticError(f"no nonresidue below {p}")  # unreachable for odd primes
+    raise ArithmeticError(f"no nonresidue below {min(p, _Z_CAP)} mod p={p}")
 
 
 class PrimeContext:
@@ -223,7 +266,10 @@ class PrimeContext:
 
     The constructor checks k >= 1, n odd and p - 1 = n 2^k (ValueError) and
     z^(2^(k-1) n) = -1, so that g = z^n has order 2^k (ArithmeticError).
-    p's primality is the caller's promise, which make_context proves.
+    p's primality is the caller's promise, which make_context proves.  The
+    check is a strong Miller-Rabin round to base z, its sequence reaching -1
+    at step k - 1, and when n < 2^k it is Proth's certificate that p is
+    prime (Proth 1878), which make_context takes as the whole proof.
 
     zn_rows holds the powers of g = z^n in windows of 8 bits: row i is
     g^(d 2^(8i)) for d < 2^min(8, k - 8i), so there are ceil(k/8) rows and at
@@ -369,6 +415,8 @@ def _power_plan(e: int) -> tuple:
     1.05x at 11 (24-bit primes), 1.21x at 13 and 1.39x at 21 (31-bit), 1.62x
     at 42 (61-bit).  So no prime below 3000 and none of 24 bits takes one.
     """
+    if _pow_cost(e) < _CHAIN_SAVES:  # no chain saves more than the power costs
+        return e, ()
     length = e.bit_length()
     t = (e ^ ((1 << length) - 1)).bit_length()  # the bits below the top run
     ones = length - t
@@ -406,10 +454,37 @@ def _zn_rows(g: int, k: int, p: int) -> tuple[tuple[int, ...], ...]:
 
 
 def make_context(p: int) -> PrimeContext:
-    """Decompose p - 1, which runs the one primality test, and build the
-    PrimeContext with the smallest nonresidue z; both rely on that test."""
-    k, n = decompose(p)
-    return PrimeContext(p, k, n, _smallest_nonresidue(p))
+    """The PrimeContext of p with the smallest nonresidue z, once p is proven
+    prime; ValueError "{p} is not an odd prime" otherwise.
+
+    The proof, in order: trial division by the primes 2..41, which settles
+    p <= 41, and a perfect square refused; the context built, whose check
+    z^(2^(k-1) n) = -1 is one strong round to base z and, when n < 2^k,
+    Proth's certificate; otherwise strong rounds to the other bases of p's
+    tier, with a^n by the context's chain ctx._power.  If no z is found
+    below the cap or the check fails, is_prime decides: a composite p is
+    not an odd prime, and at a prime the error stands.
+    """
+    if p < 3 or not p & 1:
+        raise ValueError(f"{p} is not an odd prime")
+    if p >= _MR_BOUND:
+        raise ValueError(f"p={p} is not below the primality bound {_MR_BOUND}")
+    known = _trial_division(p)
+    if known is False or math.isqrt(p) ** 2 == p:
+        raise ValueError(f"{p} is not an odd prime")
+    k = _two_adic(p - 1)
+    n = (p - 1) >> k
+    try:
+        ctx = PrimeContext(p, k, n, _smallest_nonresidue(p))
+    except ArithmeticError:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not an odd prime") from None
+        raise
+    if known is None and n >> k:  # not Proth's n < 2^k: the other rounds
+        bases = tuple(a for a in _tier_bases(p) if a != ctx.z)
+        if not _strong_rounds(p, k, ctx._power, bases):
+            raise ValueError(f"{p} is not an odd prime")
+    return ctx
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:

@@ -11,6 +11,11 @@ render_per_term are the straightforward forms of expand and the renderers,
 which the package computes with one shared inverse and one string per
 distinct factor; render_per_term renders normalize_signs(f), the formula
 with its signs folded into SignedFactor and RenderedTerm records.
+
+prefix_is_prime is the primality test the package once had, Miller-Rabin
+to a prefix of the primes 2..41 by size, each base's power one builtin pow;
+make_context's proof and is_prime are held to it.  search_power_plan is
+_power_plan's chain search without the early return on cheap powers.
 """
 
 from typing import NamedTuple
@@ -190,3 +195,78 @@ def render_per_term(f, style):
     if text:
         return f"2^-{f.k - 1} * x^((n+1)/2) * [ {body} ]"
     return f"2^{{-{f.k - 1}}} x^{{(n+1)/2}} \\left[ {body} \\right]"
+
+
+# (bound, t): the first t primes of 2..41 are proven Miller-Rabin bases for
+# every m below bound (Jaeschke 1993; Jiang and Deng 2014; Sorenson and
+# Webster 2015).
+_PREFIX_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PREFIX_TIERS = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
+
+
+def prefix_is_prime(m):
+    """Trial division by 2..41, then strong rounds to the first t of them."""
+    if m < 2:
+        return False
+    for q in _PREFIX_WITNESSES:
+        if m == q:
+            return True
+        if m % q == 0:
+            return False
+    d, r = m - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    t = next(t for bound, t in _PREFIX_TIERS if m < bound)
+    for a in _PREFIX_WITNESSES[:t]:
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _square_multiply_cost(e):
+    return e.bit_length() + bin(e).count("1") - 2 if e > 0 else 0
+
+
+def search_power_plan(e, saves=12):
+    """(e0, chain) as _power_plan plans a^e, the chain searched for every e:
+    the run of e's top ones doubled, one tail step, and (e, ()) unless the
+    chain saves at least `saves` products."""
+    length = e.bit_length()
+    t = (e ^ ((1 << length) - 1)).bit_length()
+    ones = length - t
+    shift = max(ones.bit_length() - 2, 0)
+    j = ones >> shift
+    e0, steps = (1 << j) - 1, []
+    for i in reversed(range(shift)):
+        b = ones >> i & 1
+        steps.append((((1 << j) + 1) << b, b))
+        j = 2 * j + b
+    if t:
+        steps.append((1 << t, e & ((1 << t) - 1)))
+    cost = _square_multiply_cost(e0) + sum(
+        _square_multiply_cost(f) + (_square_multiply_cost(r) + 1 if r else 0) for f, r in steps
+    )
+    if _square_multiply_cost(e) - cost < saves:
+        return e, ()
+    chain = ()
+    for step in reversed(steps):
+        chain = step, chain
+    return e0, chain

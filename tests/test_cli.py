@@ -103,6 +103,31 @@ def test_sqrt_beyond_primality_bound_names_p_and_bound(capsys):
         assert err == f"error: p={p} is not below the primality bound {bound}\n"
 
 
+# 2^32 + 1 (k = 32, n = 1) and the square (2^40 + 1)^2: Proth-shaped
+# composites with no factor <= 41, refused by the constructor's check and by
+# the square test of make_context's proof; then the bound, and an even p
+# above it, which is refused as even first
+@pytest.mark.parametrize(
+    "p,message",
+    [
+        ("4294967297", "4294967297 is not an odd prime"),
+        ("1208925819616828197961729", "1208925819616828197961729 is not an odd prime"),
+        (
+            "3317044064679887385961981",
+            "p=3317044064679887385961981 is not below the primality bound "
+            "3317044064679887385961981",
+        ),
+        ("3317044064679887385961982", "3317044064679887385961982 is not an odd prime"),
+    ],
+)
+@pytest.mark.parametrize(
+    "argv", [["sqrt", "--a", "4"], ["bench", "--trials", "2"], ["expand"], ["density"]]
+)
+def test_commands_refuse_what_make_context_cannot_prove(capsys, p, message, argv):
+    code, out, err = run_cli(capsys, argv[0], "--p", p, *argv[1:])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # synthesize
 

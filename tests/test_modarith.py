@@ -70,8 +70,8 @@ def test_is_prime_large_known():
         is_prime(modarith._MR_BOUND)  # the bound is a strong pseudoprime
 
 
-# The smallest strong pseudoprime to the first t prime bases, for each tier of
-# is_prime: each passes every base the tier below it tests.
+# The smallest strong pseudoprime to the first t prime bases, t = 1..7, 9
+# and 12: the bounds of the tiers of 2..41 prefixes that is_prime once had.
 SPSP_BY_TIER = [
     2047,  # base 2
     1373653,  # 2, 3
@@ -83,6 +83,9 @@ SPSP_BY_TIER = [
     3825123056546413051,  # 2..31
     318665857834031151167461,  # 2..37
 ]
+# The bases of is_prime's tiers below 2^64: Jaeschke's and Sinclair's sets.
+JAESCHKE = (2, 7, 61)
+SINCLAIR = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
 def strong_probable_prime(m, a):
@@ -107,13 +110,24 @@ def test_is_prime_rejects_each_tiers_pseudoprime(m):
 
 
 def test_is_prime_tiers_end_at_a_pseudoprime():
-    # below each tier's bound its t bases are proven; the bound itself fools them
+    # below each tier's bound its bases are proven; the bound itself fools
+    # them, except 2^64, where Sinclair's verified range ends
     tiers = modarith._MR_TIERS
-    assert [bound for bound, _ in tiers] == SPSP_BY_TIER + [modarith._MR_BOUND]
-    assert [t for _, t in tiers] == [1, 2, 3, 4, 5, 6, 7, 9, 12, 13]
-    assert modarith._MR_WITNESSES == tuple(primes_in_range(2, 41))
-    for bound, t in tiers:
-        assert all(strong_probable_prime(bound, a) for a in modarith._MR_WITNESSES[:t])
+    witnesses = tuple(primes_in_range(2, 41))
+    assert modarith._MR_WITNESSES == witnesses
+    assert tiers == (
+        (2047, (2,)),
+        (1373653, (2, 3)),
+        (25326001, (2, 3, 5)),
+        (4759123141, JAESCHKE),
+        (1 << 64, SINCLAIR),
+        (318665857834031151167461, witnesses[:12]),
+        (modarith._MR_BOUND, witnesses),
+    )
+    for bound, bases in tiers:
+        if bound != 1 << 64:
+            assert all(strong_probable_prime(bound, a) for a in bases), bound
+    assert 4759123141 == 48781 * 97561
     assert 318665857834031151167461 == 399165290221 * 798330580441
 
 
@@ -263,16 +277,26 @@ def test_make_context_rejects_composite():
 
 @pytest.mark.parametrize("p", [7, 2999, 18446744069414584321])
 def test_make_context_tests_primality_once(monkeypatch, p):
-    # decompose validates p; the nonresidue search must not test it again
-    calls = []
+    # the proof runs once, and no is_prime on the success path: trial
+    # division at 7, the strong rounds to the tier's other bases at 2999
+    # (k = 1, n = 1499 >= 2^k), Proth's certificate at Goldilocks
+    # (n = 2^32 - 1 < 2^32), where no strong round runs
+    primes, rounds = [], []
+    strong_rounds = modarith._strong_rounds
 
-    def counting(m):
-        calls.append(m)
+    def counting_is_prime(m):
+        primes.append(m)
         return is_prime(m)
 
-    monkeypatch.setattr(modarith, "is_prime", counting)
+    def counting_rounds(m, r, plan, bases):
+        rounds.append((m, bases))
+        return strong_rounds(m, r, plan, bases)
+
+    monkeypatch.setattr(modarith, "is_prime", counting_is_prime)
+    monkeypatch.setattr(modarith, "_strong_rounds", counting_rounds)
     assert make_context(p).p == p
-    assert calls == [p]
+    assert primes == []
+    assert rounds == {7: [], 2999: [(2999, (2, 3))], GOLDILOCKS: []}[p]
 
 
 # the smallest prime 2^k n + 1 (n odd) for k = 1, 8, 9, 16, 18 and 20, then
