@@ -3,15 +3,15 @@
 swap, tested by the tier-1 suite with -x in a temporary copy of the repo.
 
 Usage: python scripts/mutants.py [--function modarith.is_prime] [--limit N]
-           [--timeout 300] [--tests tests/test_modarith.py ...]
+           [--tests tests/test_modarith.py ...]
 
 At one site at a time a mutant swaps a binary operator (+ and -, << and >>,
 & and |, % and //) or a comparison (< and <=, > and >=, == and !=, is and
 is not, in and not in), or adds 1 to an integer constant.  Each mutant's
 module is written into the copy and the tests run there with -x under a
-wall-clock limit, with this script's own smoke test deselected (it would
-mutate the mutant again).  A mutant is killed when a test fails, survived
-when all pass, and timed out at the limit.  A survivor listed in
+wall-clock limit of TIMEOUT = 300 s, with this script's own smoke test
+deselected (it would mutate the mutant again).  A mutant is killed when a
+test fails, survived when all pass, and timed out at the limit.  A survivor listed in
 scripts/mutants_equivalent.txt, one "name | reason" a line, reads as
 equivalent: no input tells it from the original.  The name of a mutant is
 "module.function: before -> after", with " #i" for the i-th site of the
@@ -37,8 +37,10 @@ FUNCTIONS = (
     "modarith.make_context",
     "modarith._smallest_nonresidue",
     "modarith._strong_rounds",
+    "modarith._chain_pow",
     "modarith._power_plan",
 )
+TIMEOUT = 300  # seconds for one mutant's tests
 SELF_TEST = "tests/test_scripts.py::test_mutants_script"
 
 _BINOPS = {
@@ -104,7 +106,7 @@ def mutants(qualname):
             yield name, path.relative_to(ROOT), source[:lo] + f"({after})".encode() + source[hi:]
 
 
-def run_tests(copy, tests, timeout):
+def run_tests(copy, tests):
     """('killed', first failure), ('survived', '') or ('timeout', '')."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(copy / "src"))
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
@@ -112,7 +114,7 @@ def run_tests(copy, tests, timeout):
     proc = subprocess.Popen(cmd, cwd=copy, env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.STDOUT, text=True, start_new_session=True)
     try:
-        out, _ = proc.communicate(timeout=timeout)
+        out, _ = proc.communicate(timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
@@ -141,7 +143,6 @@ def main() -> None:
     ap.add_argument("--function", action="append", choices=FUNCTIONS,
                     help="only this function (repeatable); default: all of them")
     ap.add_argument("--limit", type=int, default=None, help="only the first N mutants")
-    ap.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant's tests")
     ap.add_argument("--tests", nargs="*", default=["tests"], help="pytest paths; default: tier-1")
     args = ap.parse_args()
 
@@ -157,7 +158,7 @@ def main() -> None:
             (copy / rel).write_bytes(source)
             t0 = time.perf_counter()
             try:
-                outcome, detail = run_tests(copy, args.tests, args.timeout)
+                outcome, detail = run_tests(copy, args.tests)
             finally:
                 (copy / rel).write_bytes(original)
             if outcome == "survived" and name in equivalent:

@@ -125,15 +125,7 @@ class MulCounter:
     def shared_power(self, ctx: "PrimeContext", a: int) -> int:
         """a^((n-1)/2) mod p by the walk of ctx._power, as sqrt_auto's."""
         self.count += _pow_cost(ctx.n >> 1)
-        p = ctx.p
-        e0, chain = ctx._power
-        u = pow(a, e0, p)
-        while chain:
-            (f, r), chain = chain
-            u = pow(u, f, p)
-            if r:
-                u = u * pow(a, r, p) % p
-        return u
+        return _chain_pow(a, ctx._power, ctx.p)
 
     def lookup(self, ctx: "PrimeContext", j: int) -> int:
         self.count += _lookup_cost(ctx.k)
@@ -185,19 +177,26 @@ def _tier_bases(m: int) -> tuple[int, ...]:
     return next(bases for bound, bases in _MR_TIERS if m < bound)
 
 
+def _chain_pow(a: int, plan: tuple, m: int) -> int:
+    """a^e mod m walked by plan = _power_plan(e): a^e0, then each chain step
+    (f, s) takes u -> u^f a^s."""
+    e0, chain = plan
+    u = pow(a, e0, m)
+    while chain:
+        (f, s), chain = chain
+        u = pow(u, f, m)
+        if s:
+            u = u * pow(a, s, m) % m
+    return u
+
+
 def _strong_rounds(m: int, r: int, plan: tuple, bases: tuple[int, ...]) -> bool:
     """Whether odd m, m - 1 = d 2^r with d odd, passes a strong Miller-Rabin
     round to every base a: a^d is 1 or -1, or a^(d 2^i) = -1 for some
-    0 < i < r.  a^d = a u^2, u = a^((d-1)/2) walked by plan, the
-    _power_plan of (d-1)/2, as MulCounter.shared_power walks a context's."""
-    e0, chain0 = plan
+    0 < i < r.  a^d = a u^2, u = a^((d-1)/2) by _chain_pow on plan, the
+    _power_plan of (d-1)/2."""
     for a in bases:
-        u, chain = pow(a, e0, m), chain0
-        while chain:
-            (f, s), chain = chain
-            u = pow(u, f, m)
-            if s:
-                u = u * pow(a, s, m) % m
+        u = _chain_pow(a, plan, m)
         x = a * u * u % m
         if x == 1 or x == m - 1:
             continue

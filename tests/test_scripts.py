@@ -55,8 +55,7 @@ def test_mutants_script():
     # equivalent, the second is killed
     test = "tests/test_primality.py::test_power_plan_returns_cheap_powers_at_once"
     proc = run_script(
-        "mutants.py", "--function", "modarith._power_plan", "--limit", "2", "--timeout", "120",
-        "--tests", test,
+        "mutants.py", "--function", "modarith._power_plan", "--limit", "2", "--tests", test
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
