@@ -39,6 +39,8 @@ FUNCTIONS = (
     "modarith._strong_rounds",
     "modarith._chain_pow",
     "modarith._power_plan",
+    "cli.main",
+    "cli.run_bench",
 )
 TIMEOUT = 300  # seconds for one mutant's tests
 SELF_TEST = "tests/test_scripts.py::test_mutants_script"

@@ -1,5 +1,10 @@
 """Command-line frontend: sqrt, synthesize, verify, expand, density, bench.
 
+main parses once: an argv that starts with a command's name goes to that
+command's own parser, taken from the one cached build_parser() result; any
+other argv goes to the top-level parser, which only prints help or refuses
+it, with the same message and exit code.
+
 Every method is named once, in _METHODS: the module and function that
 compute it, the k it needs, if any, and the function that verify runs over
 many residues, if any.  Commands look the function up when they start, so
@@ -18,7 +23,9 @@ bench commands time the call whose time they print to stderr.  The verify
 document takes its entries from the PrimeCheck and Failure fields, in
 field order, written as objects through _asdict (_json refuses a
 NamedTuple).  bench and density print the document that run_bench and
-analysis.order_census return, as it is, and expand writes its document
+analysis.order_census return, as it is (run_bench runs each distinct
+function once, so auto, f1..f4 and synth, one evaluator, share one run and
+print its time on their stderr lines), and expand writes its document
 from the terms that synthesis.expand returns.  bench and sqrt build the
 context first, so a p that is not an odd prime is refused as such, then
 check each method against it with one check, _method.  Exit codes: 0
@@ -222,7 +229,10 @@ def run_bench(
     p: int, trials: int, methods: list[str] | None = None, seed: int = 1
 ) -> dict:
     """The bench document: per-method multiplication counts over a
-    deterministic residue sample."""
+    deterministic residue sample.  Each distinct function runs once: a
+    method whose function already ran in this bench (auto, f1..f4 and synth
+    are one evaluator) takes that run's counts, and its stderr line prints
+    that run's time."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     c0 = time.perf_counter()
@@ -237,16 +247,17 @@ def run_bench(
     print(f"bench context on p={p}: {dt:.3f}s", file=sys.stderr)
     sample = _sample_residues(ctx, trials, seed)
     records = []
+    runs = {}  # function -> its counts over the sample and their time
     for m, (fn, _) in zip(methods, fns):
-        m0 = time.perf_counter()
-        try:
-            counts = [fn(ctx, a).mul_count for a in sample]
-        except formulas.NotAResidue as exc:  # the sample holds residues only
-            raise _refused(m, exc) from exc
-        print(
-            f"bench {m} on p={p}: {time.perf_counter() - m0:.3f}s",
-            file=sys.stderr,
-        )
+        if fn not in runs:
+            m0 = time.perf_counter()
+            try:
+                counts = [fn(ctx, a).mul_count for a in sample]
+            except formulas.NotAResidue as exc:  # the sample holds residues only
+                raise _refused(m, exc) from exc
+            runs[fn] = counts, time.perf_counter() - m0
+        counts, dt = runs[fn]
+        print(f"bench {m} on p={p}: {dt:.3f}s", file=sys.stderr)
         total = sum(counts)
         records.append(
             {
@@ -404,6 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluators, general-k synthesis, oracles, statistics, benchmarks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # command name -> its parser, for main
     # every command writes one report, to stdout and to --out
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--out", default=None, help="also write the report here")
@@ -459,8 +471,16 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _parser()
     try:
-        args = _parser().parse_args(argv)
+        # the top-level parser only sees an argv it answers with help or refuses
+        sub = parser.commands.get(argv[0]) if argv else None
+        if sub is None:
+            args = parser.parse_args(argv)
+        else:
+            args = sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

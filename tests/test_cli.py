@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -556,6 +557,64 @@ def test_bench_method_refusing_a_sampled_residue_exits_1(capsys, monkeypatch, me
     assert all(re.fullmatch(r"bench \w+ on p=3329: \d+\.\d{3}s", line) for line in lines[:-1])
 
 
+@pytest.mark.parametrize("methods,shared", [(None, 3), ("auto,tonelli,synth", 2)])
+def test_bench_runs_each_evaluator_once(capsys, monkeypatch, methods, shared):
+    # auto, f1..f4 and synth are one function, formulas.sqrt_auto: bench runs
+    # it once over the sample, read from the module now, and each of its
+    # methods prints that run's time; the document is the same
+    argv = ["bench", "--p", "17", "--trials", "8", *(["--methods", methods] if methods else [])]
+    want = run_cli(capsys, *argv)[1]
+    real = formulas.sqrt_auto
+    calls = []
+
+    def counted(ctx, a):
+        calls.append(a)
+        return real(ctx, a)
+
+    monkeypatch.setattr(formulas, "sqrt_auto", counted)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    elapsed = time.perf_counter() - t0
+    assert (code, out, len(calls)) == (0, want, 8)
+    times = dict(re.findall(r"^bench (\w+) on p=17: (\d+\.\d{3})s$", err, re.M))
+    assert len({times[m] for m in ("auto", "f4", "synth") if m in times}) == 1
+    assert sum(m in times for m in ("auto", "f4", "synth")) == shared
+    # each line times its own run: no line reads more than the command
+    assert all(float(t) <= elapsed + 0.001 for t in times.values())
+
+
+@pytest.mark.parametrize(
+    "p,methods",
+    [
+        (23, ["auto", "f1", "synth", "direct", "tonelli"]),
+        (17, ["auto", "f4", "synth", "direct", "tonelli"]),
+        (97, ["auto", "synth", "direct", "tonelli"]),
+    ],
+    ids=["k1", "k4", "k5"],
+)
+def test_bench_default_methods_and_seed(capsys, p, methods):
+    # f1..f4 join the default list at k <= 4 only, and run_bench's default
+    # seed is the command's
+    doc = cli.run_bench(p, 4)
+    assert [r["method"] for r in doc["records"]] == methods
+    assert json.loads(run_cli(capsys, "bench", "--p", str(p), "--trials", "4")[1]) == doc
+
+
+def test_bench_refusal_names_the_first_method_that_ran_the_function(capsys, monkeypatch):
+    def refuses(ctx, a):
+        raise formulas.NotAResidue(a, ctx.p)
+
+    monkeypatch.setattr(formulas, "sqrt_auto", refuses)
+    code, out, err = run_cli(
+        capsys, "bench", "--p", "17", "--trials", "2", "--methods", "synth,auto"
+    )
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == (
+        "error: method synth raised NotAResidue on the residue a=1 of p=17: "
+        "1 is not a quadratic residue mod 17"
+    )
+
+
 def test_bench_tonelli_constant_for_k1(capsys):
     # p = 3 mod 4: the refinement loop never runs, so even the iterative
     # baseline has a flat count column
@@ -625,6 +684,7 @@ def test_shared_parser_keeps_each_call_independent(capsys):
         ("--help",),
         ("sqrt", "--p", "41", "--a", "3"),  # not a residue
         ("sqrt", "--p", "41", "--a", "2"),
+        ("frobnicate",),  # not a command: the top-level parser refuses it
     ]
     fresh = []
     for argv in seq:
@@ -634,10 +694,109 @@ def test_shared_parser_keeps_each_call_independent(capsys):
     shared = [run_cli(capsys, *argv) for argv in seq]
     assert cli._parser.cache_info().misses == 1
     assert shared == fresh
-    assert [code for code, _, _ in shared] == [0, 0, 1, 0, 2, 0]
+    assert [code for code, _, _ in shared] == [0, 0, 1, 0, 2, 0, 1]
     assert shared[2][2] == "error: the following arguments are required: --a\n"
     assert shared[3][1].startswith("usage: sqrtmodp")  # capsys captures --help
     assert shared[0] == shared[5]
+
+
+def _main_by_the_top_level_parser(argv):
+    """main as one parse_args of the top-level parser, then the handler:
+    the reference for main's dispatch to the command's own parser."""
+    try:
+        args = cli._parser().parse_args(argv)
+    except cli._UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except SystemExit as exc:
+        return 0 if exc.code in (0, None) else 1
+    try:
+        report, code = args.func(args)
+        text = report if isinstance(report, str) else cli._json(report)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        print(text)
+        return code
+    except formulas.NotAResidue as exc:
+        print(f"not a quadratic residue: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, ArithmeticError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+DISPATCH = [
+    (),
+    ("--help",),
+    ("-h",),
+    ("frobnicate",),
+    ("",),
+    *[(cmd, "-h") for cmd in CHEAP],
+    ("sqrt",),
+    ("sqrt", "--p", "41"),  # a missing option
+    ("sqrt", "--p", "x", "--a", "2"),  # a bad int
+    ("sqrt", "--p", "41", "--a", "2", "--method", "nope"),  # a bad choice
+    ("sqrt", "--p", "41", "--a", "2", "extra"),  # an extra argument
+    ("sqrt", "--p", "41", "--a", "2", "sqrt"),
+    ("sqrt", "--p=41", "--a", "2"),
+    ("sqrt", "--p", "41", "--a", "2", "--meth", "f3"),  # an abbreviation
+    ("sqrt", "--p", "13", "--p", "41", "--a", "2"),  # a repeated option
+    ("sqrt", "--p", "41", "-h"),  # -h after a command
+    ("--p", "41", "sqrt", "--a", "2"),  # an option before the command
+    ("sqrt", "--", "--p", "41", "--a", "2"),
+    ("sqrt", "--p", "41", "--a", "2", "--out"),
+    ("sqrt", "--p", "41", "--a", "3"),  # not a residue
+    ("sqrt", "--p", "41", "--a", "-2"),
+    ("sqrt", "--p", "15", "--a", "4"),
+    ("synthesize", "--k", "3", "--format", "math"),
+    ("synthesize", "--k", "3", "--format", "structured"),
+    ("expand", "--p", "13"),
+    ("density", "--p", "41"),
+    ("verify", "--pmin", "50", "--pmax", "3"),
+    ("bench", "--p", "17", "--trials", "0"),
+    ("bench", "--p", "17", "--methods", "nope"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv", DISPATCH, ids=lambda argv: " ".join(argv) if argv and all(argv) else repr(argv)
+)
+def test_dispatch_reads_as_one_top_level_parse(capsys, argv):
+    # main hands argv to the command's own parser; the exit code, stdout and
+    # stderr are those of one parse by the top-level parser, for a list and
+    # a tuple alike
+    want = (_main_by_the_top_level_parser(list(argv)), *capsys.readouterr())
+    assert run_cli(capsys, *argv) == want
+    assert (cli.main(tuple(argv)), *capsys.readouterr()) == want
+
+
+def test_dispatch_hands_the_handler_the_top_level_namespace(capsys, monkeypatch):
+    # the handler sees the namespace that one top-level parse makes, in the
+    # same order, args.command first
+    seen = []
+    for cmd in CHEAP:
+        monkeypatch.setattr(cli, f"_cmd_{cmd}", lambda args: (seen.append(args), ({}, 0))[1])
+    cli._parser.cache_clear()  # a parser whose handlers are the spies
+    try:
+        for cmd, argv in CHEAP.items():
+            assert run_cli(capsys, cmd, *argv) == (0, "{}\n", "")
+            want = cli._parser().parse_args([cmd, *argv])
+            assert list(vars(seen.pop()).items()) == list(vars(want).items())
+            assert want.command == cmd
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_dispatch_of_an_unwritable_out_and_of_sys_argv(capsys, monkeypatch, tmp_path):
+    argv = ["expand", "--p", "13", "--out", str(tmp_path / "missing" / "x.json")]
+    want = (_main_by_the_top_level_parser(argv), *capsys.readouterr())
+    assert want[:2] == (1, "")
+    assert run_cli(capsys, *argv) == want
+    for argv in [["sqrt", "--p", "41", "--a", "2"], ["sqrt", "--p", "41"], ["--help"]]:
+        want = (_main_by_the_top_level_parser(argv), *capsys.readouterr())
+        monkeypatch.setattr(sys, "argv", ["sqrtmodp", *argv])
+        assert (cli.main(), *capsys.readouterr()) == want
 
 
 def test_module_entry_point():
