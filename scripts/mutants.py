@@ -41,6 +41,8 @@ FUNCTIONS = (
     "modarith._power_plan",
     "cli.main",
     "cli.run_bench",
+    "synthesis.synthesize",
+    "synthesis._body",
 )
 TIMEOUT = 300  # seconds for one mutant's tests
 SELF_TEST = "tests/test_scripts.py::test_mutants_script"

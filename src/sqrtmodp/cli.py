@@ -22,7 +22,10 @@ command reads one back.  The reports carry no wall time: the verify and
 bench commands time the call whose time they print to stderr.  The verify
 document takes its entries from the PrimeCheck and Failure fields, in
 field order, written as objects through _asdict (_json refuses a
-NamedTuple).  bench and density print the document that run_bench and
+NamedTuple).  synthesize --format structured prints the document that
+synthesis.synthesize returns, as it is, and text and math render that
+document through the synthesis renderer named in _FORMATS.  bench and
+density print the document that run_bench and
 analysis.order_census return, as it is (run_bench runs each distinct
 function once, so auto, f1..f4 and synth, one evaluator, share one run and
 print its time on their stderr lines), and expand writes its document
@@ -285,13 +288,16 @@ def _cmd_sqrt(args) -> tuple[dict, int]:
     return doc, 0
 
 
-# --format -> the synthesis function that renders the formula, named so that
-# a patched module attribute is the one that runs; the keys are the choices
-_FORMATS = {"text": "render_text", "structured": "formula_to_doc", "math": "render_math"}
+# --format -> the synthesis function that renders the formula's document,
+# named so that a patched module attribute is the one that runs, or None for
+# structured, which prints the document itself; the keys are the choices
+_FORMATS = {"text": "render_text", "structured": None, "math": "render_math"}
 
 
 def _cmd_synthesize(args) -> tuple[dict | str, int]:
-    return getattr(synthesis, _FORMATS[args.format])(synthesis.synthesize(args.k)), 0
+    doc = synthesis.synthesize(args.k)
+    render = _FORMATS[args.format]
+    return (getattr(synthesis, render)(doc) if render else doc), 0
 
 
 def _cmd_verify(args) -> tuple[dict, int]:

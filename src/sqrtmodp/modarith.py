@@ -31,7 +31,6 @@ import math
 __all__ = [
     "MulCounter",
     "PrimeContext",
-    "decompose",
     "is_prime",
     "legendre",
     "make_context",
@@ -207,14 +206,6 @@ def _strong_rounds(m: int, r: int, plan: tuple, bases: tuple[int, ...]) -> bool:
         else:
             return False
     return True
-
-
-def decompose(p: int) -> tuple[int, int]:
-    """Split p - 1 = 2^k * n with n odd; p must be an odd prime >= 3."""
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
-    k = _two_adic(p - 1)
-    return k, (p - 1) >> k
 
 
 def legendre(a: int, p: int) -> int:

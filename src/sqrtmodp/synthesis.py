@@ -18,11 +18,14 @@ k: it reads t 8 bits per table lookup, not one bit per level, with the
 same count for every nonzero residue.  The command line's synth method runs
 it; the tests check it against this module's formula, term by term.
 
-The symbolic object, built by synthesize for k <= MAX_K, renders to text,
-LaTeX, and a structured document.  The text and LaTeX renderers fold
-z-exponents at or above 2^(k-1) into minus signs via z^(2^(k-1) n) = -1;
-the terms share their factors, so they fold and format each distinct
-factor once per call.
+synthesize builds the formula for k <= MAX_K as the sqrt_formula document
+that the synthesize command prints with --format structured: each term t
+with its multiplier exponent e and its factors, dicts {"j", "c"} that the
+terms share, one per distinct (j, c) pair.  render_text and render_math
+take that document.  They fold z-exponents at or above 2^(k-1) into minus
+signs via z^(2^(k-1) n) = -1, and fold and format each distinct (j, c)
+once per call, keyed by its value, so a document read back from JSON,
+whose factors share nothing, renders to the same bytes.
 
 Expanded over F_p, the polynomial has exactly 2^(k-1) nonzero terms and
 degree 2^(k-1) n - (n-1)/2.  With g = z^n and y = x^n, term t's factors
@@ -31,8 +34,8 @@ is g^(e_t) = -g^(-t) for t >= 1 (1 for t = 0): e_t = -t mod 2^(k-1) is
 2^(k-1) - t there, and g^(2^(k-1)) = -1.  Summed over t, the coefficient of
 y^i is a geometric series in w = g^-(2i+1), equal to 2w/(w - 1); w has
 order 2^k, so it is never 1 and the coefficient is never 0.  expand
-computes the polynomial from this closed form, without the symbolic object,
-and inverts the 2^(k-1) denominators 1 - g^(2i+1) together: one modular
+computes the polynomial from this closed form, without the document, and
+inverts the 2^(k-1) denominators 1 - g^(2i+1) together: one modular
 inverse for the whole polynomial.  It returns the polynomial as a tuple of
 (exponent, coefficient) pairs, exponents strictly decreasing and every one
 at least (n+1)/2, coefficients in [1, p); the expand command writes the
@@ -43,45 +46,17 @@ MAX_K limits synthesize and expand, and analysis.DENSITY_MAX_K = 18 limits
 density; sqrt, verify and bench work for any k.
 """
 
-from typing import NamedTuple
-
 from .modarith import PrimeContext
 
 __all__ = [
-    "Factor",
     "MAX_K",
-    "SymbolicFormula",
-    "Term",
     "expand",
-    "formula_to_doc",
     "render_math",
     "render_text",
     "synthesize",
 ]
 
 MAX_K = 16
-
-
-class Factor(NamedTuple):
-    """One indicator factor (1 + x^(2^j n) z^(cn))."""
-
-    j: int  # x-exponent level: the factor carries x^(2^j * n)
-    c: int  # z-exponent coefficient, in [0, 2^k)
-
-
-class Term(NamedTuple):
-    """One bracket term: z^(en) times factors at levels j = k-2 down to 0."""
-
-    e: int
-    factors: tuple[Factor, ...]
-
-
-class SymbolicFormula(NamedTuple):
-    """2^(k-1) terms indexed by residue class; the overall prefactor
-    2^-(k-1) x^((n+1)/2) is implicit."""
-
-    k: int
-    terms: tuple[Term, ...]
 
 
 def _factor_c(t: int, j: int, k: int) -> int:
@@ -92,10 +67,16 @@ def _factor_c(t: int, j: int, k: int) -> int:
     return (-(t << (j + 1))) % (1 << k)
 
 
-def synthesize(k: int) -> SymbolicFormula:
-    """Build the k-class formula; no prime is needed, exponents stay symbolic.
+def synthesize(k: int) -> dict:
+    """Build the k-class formula as its sqrt_formula document; no prime is
+    needed, exponents stay symbolic.
 
-    Terms share their Factor instances: one per distinct (j, c) pair.
+    Term t carries its multiplier exponent e and its factors {"j", "c"},
+    one per level j = k-2 down to 0, each the indicator factor
+    (1 + x^(2^j n) z^(cn)); the prefactor 2^-(k-1) x^((n+1)/2) is named by
+    inverse_power_of_two and x_exponent.  The terms share their factor
+    dicts, one per distinct (j, c) pair, so a caller who edits one factor
+    edits every term that uses it.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -106,17 +87,23 @@ def synthesize(k: int) -> SymbolicFormula:
         )
     half = 1 << (k - 1)
     levels = [
-        [Factor(j, _factor_c(t, j, k)) for t in range(1 << (k - 1 - j))]
+        [{"j": j, "c": _factor_c(t, j, k)} for t in range(1 << (k - 1 - j))]
         for j in range(k - 1)
     ]
-    terms = tuple(
-        Term(
-            (-t) % half,
-            tuple(levels[j][t % len(levels[j])] for j in range(k - 2, -1, -1)),
-        )
-        for t in range(half)
-    )
-    return SymbolicFormula(k, terms)
+    return {
+        "kind": "sqrt_formula",
+        "k": k,
+        "inverse_power_of_two": k - 1,
+        "x_exponent": "(n+1)/2",
+        "terms": [
+            {
+                "t": t,
+                "e": (-t) % half,
+                "factors": [levels[j][t % len(levels[j])] for j in range(k - 2, -1, -1)],
+            }
+            for t in range(half)
+        ],
+    }
 
 
 def _fold(c: int, half: int) -> tuple[int, int]:
@@ -129,59 +116,45 @@ def _exp_n(m: int) -> str:
     return "n" if m == 1 else f"{m}n"
 
 
-def _body(f: SymbolicFormula, braces: str, joiner: str) -> str:
+def _body(f: dict, braces: str, joiner: str) -> str:
     """The bracket's sign-normalized terms joined by " + ", exponents
     wrapped in braces "()" or "{}", each term's parts joined by joiner.
 
-    Each distinct Factor is folded and formatted once: the terms share
-    2^k - 2 factors among their (k-1) 2^(k-1) uses.
+    Each distinct factor value (j, c) is folded and formatted once, whether
+    or not its uses share one dict: the terms hold 2^k - 2 distinct factors
+    among their (k-1) 2^(k-1) uses.
     """
     lb, rb = braces
-    half = 1 << (f.k - 1)
+    half = 1 << (f["k"] - 1)
     shown = {}
-    for fc in set().union(*[term.factors for term in f.terms]):
-        sign, c = _fold(fc.c, half)
-        zpart = f" z^{lb}{_exp_n(c)}{rb}" if c else ""
-        shown[fc] = f"(1 {'+' if sign > 0 else '-'} x^{lb}{_exp_n(1 << fc.j)}{rb}{zpart})"
     terms = []
-    for term in f.terms:
-        parts = map(shown.__getitem__, term.factors)
-        if term.e:
-            parts = [f"z^{lb}{_exp_n(term.e)}{rb}", *parts]
+    for term in f["terms"]:
+        parts = [f"z^{lb}{_exp_n(term['e'])}{rb}"] if term["e"] else []
+        for fc in term["factors"]:
+            key = fc["j"], fc["c"]
+            if key not in shown:
+                sign, c = _fold(fc["c"], half)
+                xpart = f"x^{lb}{_exp_n(1 << fc['j'])}{rb}"
+                zpart = f" z^{lb}{_exp_n(c)}{rb}" if c else ""
+                shown[key] = f"(1 {'+' if sign > 0 else '-'} {xpart}{zpart})"
+            parts.append(shown[key])
         terms.append(joiner.join(parts))
     return " + ".join(terms)
 
 
-def render_text(f: SymbolicFormula) -> str:
-    """Plain-text rendering; byte-stable, suitable for golden comparisons."""
-    if f.k == 1:
+def render_text(f: dict) -> str:
+    """Plain-text rendering of synthesize's document; byte-stable, suitable
+    for golden comparisons."""
+    if f["k"] == 1:
         return "x^((n+1)/2)"
-    return f"2^-{f.k - 1} * x^((n+1)/2) * [ {_body(f, '()', '*')} ]"
+    return f"2^-{f['k'] - 1} * x^((n+1)/2) * [ {_body(f, '()', '*')} ]"
 
 
-def render_math(f: SymbolicFormula) -> str:
-    """LaTeX rendering of the sign-normalized formula."""
-    if f.k == 1:
+def render_math(f: dict) -> str:
+    """LaTeX rendering of synthesize's document, sign-normalized."""
+    if f["k"] == 1:
         return "x^{(n+1)/2}"
-    return f"2^{{-{f.k - 1}}} x^{{(n+1)/2}} \\left[ {_body(f, '{}', ' ')} \\right]"
-
-
-def formula_to_doc(f: SymbolicFormula) -> dict:
-    """Structured machine-readable document mirroring the Term/Factor fields."""
-    return {
-        "kind": "sqrt_formula",
-        "k": f.k,
-        "inverse_power_of_two": f.k - 1,
-        "x_exponent": "(n+1)/2",
-        "terms": [
-            {
-                "t": t,
-                "e": term.e,
-                "factors": [{"j": fc.j, "c": fc.c} for fc in term.factors],
-            }
-            for t, term in enumerate(f.terms)
-        ],
-    }
+    return f"2^{{-{f['k'] - 1}}} x^{{(n+1)/2}} \\left[ {_body(f, '{}', ' ')} \\right]"
 
 
 def expand(ctx: PrimeContext) -> tuple[tuple[int, int], ...]:

@@ -2,7 +2,7 @@
 
 The package computes every root by the class lift, which takes only the one
 live term of the bracket.  These helpers evaluate every term of
-synthesize(k) at x from its Term and Factor fields instead, so the
+synthesize(k)'s document at x from its keys instead, so the
 differential tests compare the lift with the paper's polynomial itself;
 expanded_at evaluates expand's multiplied-out form, degree_check holds it to
 the closed form's shape, and residue_class names the live term by the
@@ -41,16 +41,18 @@ class RenderedTerm(NamedTuple):
 def normalize_signs(f):
     """Fold z-exponents >= 2^(k-1) into minus signs via z^(2^(k-1) n) = -1,
     every factor of every term anew."""
-    half = 1 << (f.k - 1)
+    half = 1 << (f["k"] - 1)
     return tuple(
         RenderedTerm(
-            term.e,
+            term["e"],
             tuple(
-                SignedFactor(-1, fc.j, fc.c - half) if fc.c >= half else SignedFactor(1, fc.j, fc.c)
-                for fc in term.factors
+                SignedFactor(-1, fc["j"], fc["c"] - half)
+                if fc["c"] >= half
+                else SignedFactor(1, fc["j"], fc["c"])
+                for fc in term["factors"]
             ),
         )
-        for term in f.terms
+        for term in f["terms"]
     )
 
 
@@ -68,21 +70,21 @@ def _x_levels(ctx, x):
 def term_values(f, ctx, x):
     """Each bracket term's value at x; at a residue exactly one is nonzero.
 
-    Factor values are shared across the terms of one call.  A factor that
+    Factor values are kept per (j, c) across the terms of one call.  A factor that
     evaluates to 0 zeroes its whole term, so the walk stops there.
     """
-    assert f.k == ctx.k, f"formula has k={f.k}, context has k={ctx.k}"
+    assert f["k"] == ctx.k, f"formula has k={f['k']}, context has k={ctx.k}"
     p = ctx.p
     xp = _x_levels(ctx, x)
     cache = {}
     values = []
-    for term in f.terms:
-        v = ctx.zn_pow(term.e)
-        for fc in term.factors:
-            key = (fc.j, fc.c)
+    for term in f["terms"]:
+        v = ctx.zn_pow(term["e"])
+        for fc in term["factors"]:
+            key = (fc["j"], fc["c"])
             fv = cache.get(key)
             if fv is None:
-                fv = cache[key] = (1 + xp[fc.j] * ctx.zn_pow(fc.c)) % p
+                fv = cache[key] = (1 + xp[fc["j"]] * ctx.zn_pow(fc["c"])) % p
             if fv == 0:
                 v = 0
                 break
@@ -105,11 +107,11 @@ def evaluate_at(f, ctx, x):
     each k is synthesize(k)'s.
     """
     p = ctx.p
-    key = (f.k, p, pow(x, ctx.n, p))
+    key = (f["k"], p, pow(x, ctx.n, p))
     total = _bracket_sums.get(key)
     if total is None:
         total = _bracket_sums[key] = sum(term_values(f, ctx, x)) % p
-    return pow(2, 1 - f.k, p) * pow(x, (ctx.n + 1) // 2, p) % p * total % p
+    return pow(2, 1 - f["k"], p) * pow(x, (ctx.n + 1) // 2, p) % p * total % p
 
 
 def evaluate(f, ctx, a):
@@ -188,13 +190,13 @@ def render_per_term(f, style):
     """render_text (style "text") or render_math ("math") of f, formatting
     every factor of every term of normalize_signs(f) anew."""
     text = style == "text"
-    if f.k == 1:
+    if f["k"] == 1:
         return "x^((n+1)/2)" if text else "x^{(n+1)/2}"
     braces, joiner = ("()", "*") if text else ("{}", " ")
     body = " + ".join(_term(rt, braces, joiner) for rt in normalize_signs(f))
     if text:
-        return f"2^-{f.k - 1} * x^((n+1)/2) * [ {body} ]"
-    return f"2^{{-{f.k - 1}}} x^{{(n+1)/2}} \\left[ {body} \\right]"
+        return f"2^-{f['k'] - 1} * x^((n+1)/2) * [ {body} ]"
+    return f"2^{{-{f['k'] - 1}}} x^{{(n+1)/2}} \\left[ {body} \\right]"
 
 
 # (bound, t): the first t primes of 2..41 are proven Miller-Rabin bases for

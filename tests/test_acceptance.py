@@ -51,7 +51,7 @@ def test_criterion_2_printed_formula_fidelity():
 
     with criterion(2, "printed-form fidelity for k = 1..4"):
         f1 = synthesize(1)
-        assert len(f1.terms) == 1 and f1.terms[0].factors == ()
+        assert len(f1["terms"]) == 1 and f1["terms"][0]["factors"] == []
         assert _canon(normalize_signs(synthesize(2))) == _golden(GOLDEN_K2)
         assert _canon(normalize_signs(synthesize(3))) == _golden(GOLDEN_K3)
         assert _canon(normalize_signs(synthesize(4))) == _golden(GOLDEN_K4)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sqrtmodp import cli
 from sqrtmodp.formulas import NotAResidue, SqrtOutcome, roots, sqrt_auto
-from sqrtmodp.modarith import PrimeContext, decompose, make_context, primes_in_range
+from sqrtmodp.modarith import PrimeContext, _two_adic, make_context, primes_in_range
 from sqrtmodp.oracles import direct_sqrt, tonelli_shanks
 from sqrtmodp.synthesis import synthesize
 
@@ -174,9 +174,9 @@ def test_residue_z_is_rejected_when_the_context_is_built(p):
     # z = 2 is a residue mod each p, so z^n has order below 2^k and its log
     # table would have collisions: the constructor refuses the context, with
     # one row of powers (41, 97), two (7681, 65537) and four (BabyBear)
-    k, n = decompose(p)
+    ctx = make_context(p)
     with pytest.raises(ArithmeticError, match=rf"z=2 is not a nonresidue mod p={p}:"):
-        PrimeContext(p, k, n, 2)
+        PrimeContext(p, ctx.k, ctx.n, 2)
 
 
 @pytest.mark.parametrize(
@@ -194,7 +194,7 @@ def test_bad_decomposition_is_rejected_when_the_context_is_built(p, k, n, z):
     "p",
     [7, 41, 97, 7681, 786433, 18446744069414584321,
      pytest.param(2147483647, id="m31"), pytest.param(2305843009213693561, id="p61k3")],
-    ids=lambda p: f"k{decompose(p)[0]}",
+    ids=lambda p: f"k{_two_adic(p - 1)}",
 )
 def test_auto_is_one_python_frame(p):
     # k = 1, 3, 5, 9, 18 and 32 (Goldilocks), and two primes whose shared
@@ -288,7 +288,7 @@ def test_selector_property_k3_k4():
             assert len(nonzero) == 1
             t, v = nonzero[0]
             assert t == residue_class(ctx, a)
-            e = f.terms[t].e
+            e = f["terms"][t]["e"]
             assert v == (1 << (ctx.k - 1)) * ctx.zn_pow(e) % p
 
 

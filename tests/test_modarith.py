@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from sqrtmodp import modarith
 from sqrtmodp.modarith import (
     MulCounter,
-    decompose,
     is_prime,
     legendre,
     make_context,
@@ -34,18 +33,21 @@ def sieve_is_prime(m):
 
 @pytest.mark.parametrize("p,want", [(7, (1, 3)), (41, (3, 5)), (17, (4, 1)), (3, (1, 1)), (97, (5, 3))])
 def test_decompose(p, want):
-    assert decompose(p) == want
+    # make_context splits p - 1 = 2^k n, n odd
+    ctx = make_context(p)
+    assert (ctx.k, ctx.n) == want
 
 
 @pytest.mark.parametrize("bad", [0, 1, 2, 4, 9, 15, 91, 100])
 def test_decompose_rejects(bad):
     with pytest.raises(ValueError):
-        decompose(bad)
+        make_context(bad)
 
 
 def test_decompose_reconstructs():
     for p in SMALL_PRIMES:
-        k, n = decompose(p)
+        ctx = make_context(p)
+        k, n = ctx.k, ctx.n
         assert p - 1 == (1 << k) * n
         assert n % 2 == 1
         assert k >= 1

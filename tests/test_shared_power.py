@@ -22,7 +22,6 @@ from sqrtmodp.modarith import (
     MulCounter,
     PrimeContext,
     _power_plan,
-    decompose,
     legendre,
     make_context,
     primes_in_range,
@@ -105,9 +104,8 @@ def test_nonresidue_z_is_rejected_at_high_k(p):
 
 def test_fermat_prime_65537_every_residue():
     p = 65537
-    k, n = decompose(p)
-    assert (k, n) == (16, 1)  # (n - 1) / 2 = 0: the shared power is 1
     ctx = make_context(p)
+    assert (ctx.k, ctx.n) == (16, 1)  # (n - 1) / 2 = 0: the shared power is 1
     assert sqrt_auto(ctx, 0).root == 0
     for a, (root, coroot) in brute_root_table(p).items():
         out = sqrt_auto(ctx, a)
@@ -229,8 +227,8 @@ def test_every_path_walks_the_context_plan(p, monkeypatch):
     # over a one-value sequence, is held to the plan as sqrt_auto is.  So
     # no path keeps a power of its own
     monkeypatch.setattr(oracles, "MulCounter", _Bounded)
-    k, n = decompose(p)
-    ctx = PrimeContext(p, k, n, make_context(p).z)
+    made = make_context(p)
+    ctx = PrimeContext(p, made.k, made.n, made.z)
     e0, chain = ctx._power
     rng = random.Random(p)
     rs = [rng.randrange(2, p - 1) for _ in range(4)]

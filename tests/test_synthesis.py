@@ -11,7 +11,6 @@ from sqrtmodp.modarith import PrimeContext, make_context, primes_in_range
 from sqrtmodp.synthesis import (
     MAX_K,
     expand,
-    formula_to_doc,
     render_math,
     render_text,
     synthesize,
@@ -40,29 +39,31 @@ def test_synthesize_bounds():
         synthesize(0)
     with pytest.raises(ValueError):
         synthesize(MAX_K + 1)
+    # the limit itself is built
+    assert len(synthesize(MAX_K)["terms"]) == 1 << (MAX_K - 1)
 
 
 @pytest.mark.parametrize("k", range(1, 11))
 def test_structural_counts(k):
     f = synthesize(k)
-    assert f.k == k
-    assert len(f.terms) == 1 << (k - 1)
-    for term in f.terms:
-        assert 0 <= term.e < 1 << (k - 1)
-        assert len(term.factors) == k - 1
-        assert [fc.j for fc in term.factors] == list(range(k - 2, -1, -1))
-        for fc in term.factors:
-            assert 0 <= fc.c < 1 << k
+    assert f["k"] == k
+    assert len(f["terms"]) == 1 << (k - 1)
+    for term in f["terms"]:
+        assert 0 <= term["e"] < 1 << (k - 1)
+        assert len(term["factors"]) == k - 1
+        assert [fc["j"] for fc in term["factors"]] == list(range(k - 2, -1, -1))
+        for fc in term["factors"]:
+            assert 0 <= fc["c"] < 1 << k
     # the class-0 term is the all-plus one
-    assert f.terms[0].e == 0
-    assert all(fc.c == 0 for fc in f.terms[0].factors)
+    assert f["terms"][0]["e"] == 0
+    assert all(fc["c"] == 0 for fc in f["terms"][0]["factors"])
 
 
 def test_k1_is_bare_power():
     f = synthesize(1)
-    assert len(f.terms) == 1
-    assert f.terms[0].e == 0
-    assert f.terms[0].factors == ()
+    assert len(f["terms"]) == 1
+    assert f["terms"][0]["e"] == 0
+    assert f["terms"][0]["factors"] == []
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +166,7 @@ def test_selector_exclusivity():
             nonzero = [(t, v) for t, v in enumerate(vals) if v]
             assert len(nonzero) == 1
             t, v = nonzero[0]
-            assert v == (1 << (ctx.k - 1)) * ctx.zn_pow(f.terms[t].e) % p
+            assert v == (1 << (ctx.k - 1)) * ctx.zn_pow(f["terms"][t]["e"]) % p
 
 
 # ---------------------------------------------------------------------------
@@ -176,17 +177,17 @@ def _expand_reference(ctx):
     """The bracket multiplied out term by term: about 4^(k-1) updates."""
     f = _formula(ctx.k)
     p, n = ctx.p, ctx.n
-    width = 1 << (f.k - 1)
+    width = 1 << (f["k"] - 1)
     acc = [0] * width  # coefficient of x^(i*n) inside the bracket
-    for term in f.terms:
-        poly = {0: ctx.zn_pow(term.e)}
-        for fc in term.factors:
-            w = ctx.zn_pow(fc.c)
-            step = 1 << fc.j
+    for term in f["terms"]:
+        poly = {0: ctx.zn_pow(term["e"])}
+        for fc in term["factors"]:
+            w = ctx.zn_pow(fc["c"])
+            step = 1 << fc["j"]
             poly.update({i + step: v * w % p for i, v in poly.items()})
         for i, v in poly.items():
             acc[i] = (acc[i] + v) % p
-    scale = pow(2, 1 - f.k, p)
+    scale = pow(2, 1 - f["k"], p)
     off = (n + 1) // 2
     return tuple(
         (i * n + off, acc[i] * scale % p)
@@ -386,21 +387,57 @@ def test_render_math():
     assert "z^{3n} (1 - x^{2n}) (1 - x^{n} z^{2n})" in s
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_renderers_key_factors_by_value(k, monkeypatch):
+    # a document read back from JSON shares no factor dict; it renders to
+    # the same bytes, folding each distinct (j, c) once all the same
+    f = synthesize(k)
+    copy = json.loads(json.dumps(f))
+    want = render_text(f), render_math(f)
+    fold = synthesis._fold
+    folds = []
+
+    def counted_fold(c, half):
+        folds.append(c)
+        return fold(c, half)
+
+    monkeypatch.setattr(synthesis, "_fold", counted_fold)
+    for doc in (f, copy):
+        folds.clear()
+        assert (render_text(doc), render_math(doc)) == want
+        assert len(folds) == 2 * ((1 << k) - 2)  # 2^k - 2 distinct factors, per renderer
+
+
+def _paper_formula(k):
+    """The sqrt_formula document from the paper's definitions, term by term
+    and factor by factor: e = -t mod 2^(k-1), and at each level j from
+    k - 2 down to 0, c = -2^(j+1) t mod 2^k."""
+    return {
+        "kind": "sqrt_formula",
+        "k": k,
+        "inverse_power_of_two": k - 1,
+        "x_exponent": "(n+1)/2",
+        "terms": [
+            {
+                "t": t,
+                "e": -t % 2 ** (k - 1),
+                "factors": [
+                    {"j": j, "c": -(2 ** (j + 1)) * t % 2**k} for j in range(k - 2, -1, -1)
+                ],
+            }
+            for t in range(2 ** (k - 1))
+        ],
+    }
+
+
 def test_structured_doc_carries_the_formula():
-    for k in range(1, 7):
-        f = synthesize(k)
-        doc = json.loads(json.dumps(formula_to_doc(f)))
-        terms = tuple(
-            (td["e"], tuple((fd["j"], fd["c"]) for fd in td["factors"]))
-            for td in doc["terms"]
-        )
-        assert terms == tuple(
-            (t.e, tuple((fc.j, fc.c) for fc in t.factors)) for t in f.terms
-        )
+    # the same keys in the same order, and the same values
+    for k in range(1, 13):
+        assert json.dumps(synthesize(k)) == json.dumps(_paper_formula(k))
 
 
 def test_structured_doc_fields():
-    doc = formula_to_doc(synthesize(3))
+    doc = synthesize(3)
     assert doc["kind"] == "sqrt_formula"
     assert doc["k"] == 3
     assert doc["inverse_power_of_two"] == 2

@@ -70,8 +70,9 @@ def test_walk_count_is_linear_in_k(p):
 
 def test_synthesize_shares_factors():
     for k in range(1, 11):
-        distinct = {id(fc) for term in synthesize(k).terms for fc in term.factors}
-        assert len(distinct) == (1 << k) - 2  # one Factor per (j, c) pair
+        f = synthesize(k)
+        distinct = {id(fc) for term in f["terms"] for fc in term["factors"]}
+        assert len(distinct) == (1 << k) - 2  # one factor dict per (j, c) pair
 
 
 def test_synthesize_error_names_what_it_limits():
