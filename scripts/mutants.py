@@ -39,8 +39,12 @@ FUNCTIONS = (
     "modarith._strong_rounds",
     "modarith._chain_pow",
     "modarith._power_plan",
+    "formulas._walk",
+    "formulas.sqrt_auto",
+    "formulas.roots",
     "cli.main",
     "cli.run_bench",
+    "cli.run_verification",
     "synthesis.synthesize",
     "synthesis._body",
 )

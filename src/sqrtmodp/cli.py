@@ -22,11 +22,11 @@ command reads one back.  The reports carry no wall time: the verify and
 bench commands time the call whose time they print to stderr.  The verify
 document takes its entries from the PrimeCheck and Failure fields, in
 field order, written as objects through _asdict (_json refuses a
-NamedTuple).  synthesize --format structured prints the document that
-synthesis.synthesize returns, as it is, and text and math render that
-document through the synthesis renderer named in _FORMATS.  bench and
-density print the document that run_bench and
-analysis.order_census return, as it is (run_bench runs each distinct
+namedtuple, as it refuses every tuple subclass).  synthesize --format
+structured prints the document that synthesis.synthesize returns, as it
+is, and text and math render that document through the synthesis renderer
+named in _FORMATS.  bench and density print the document that run_bench
+and analysis.order_census return, as it is (run_bench runs each distinct
 function once, so auto, f1..f4 and synth, one evaluator, share one run and
 print its time on their stderr lines), and expand writes its document
 from the terms that synthesis.expand returns.  bench and sqrt build the
@@ -42,7 +42,7 @@ import functools
 import json
 import sys
 import time
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import analysis, formulas, modarith, oracles, synthesis
 
@@ -92,30 +92,20 @@ def _method(name: str, ctx: modarith.PrimeContext | None = None):
     return getattr(mod, fn_name), need_k
 
 
-class Failure(NamedTuple):
-    a: int
-    root: int
-    coroot: int
-    expected: tuple[int, int]
+Failure = namedtuple("Failure", "a root coroot expected")
+Failure.__doc__ = """Failure(a, root, coroot, expected): the method's root and coroot
+of the residue a, where expected is the pair (r, p - r)."""
 
+PrimeCheck = namedtuple("PrimeCheck", "p k n z residues_checked failures")
+PrimeCheck.__doc__ = """PrimeCheck(p, k, n, z, residues_checked, failures): one prime's
+sweep, where failures is a tuple of Failure, empty when every root held."""
 
-class PrimeCheck(NamedTuple):
-    p: int
-    k: int
-    n: int
-    z: int
-    residues_checked: int
-    failures: tuple[Failure, ...]
-
-
-class VerificationReport(NamedTuple):
-    pmin: int
-    pmax: int
-    method: str
-    k_filter: int | None
-    primes: tuple[PrimeCheck, ...]
-    total_residues: int
-    passed: bool
+VerificationReport = namedtuple(
+    "VerificationReport", "pmin pmax method k_filter primes total_residues passed"
+)
+VerificationReport.__doc__ = """VerificationReport(pmin, pmax, method, k_filter, primes,
+total_residues, passed): one verify run, where k_filter is None or an int, the
+k every checked prime has, and primes is a tuple of PrimeCheck."""
 
 
 # residues per call of a method's sequence function in verify: one call for
@@ -235,9 +225,12 @@ def run_bench(
     deterministic residue sample.  Each distinct function runs once: a
     method whose function already ran in this bench (auto, f1..f4 and synth
     are one evaluator) takes that run's counts, and its stderr line prints
-    that run's time."""
+    that run's time.  methods None runs the default list; an empty list is
+    refused, as an unknown name is, before any timing line."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if methods is not None and not methods:
+        raise ValueError("no method to bench: methods is empty")
     c0 = time.perf_counter()
     ctx = modarith.make_context(p)
     dt = time.perf_counter() - c0
@@ -347,7 +340,7 @@ def _cmd_density(args) -> tuple[dict, int]:
 
 
 def _cmd_bench(args) -> tuple[dict, int]:
-    methods = args.methods.split(",") if args.methods else None
+    methods = None if args.methods is None else args.methods.split(",")
     t0 = time.perf_counter()
     doc = run_bench(args.p, args.trials, methods, args.seed)
     print(f"bench: total {time.perf_counter() - t0:.2f}s", file=sys.stderr)

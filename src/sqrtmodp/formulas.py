@@ -35,7 +35,7 @@ op_us_p50 (two sets of paired runs), past the 10 % bound on ops_per_s.
 The tests hold the two to the same roots.
 """
 
-from typing import Iterable, NamedTuple
+from collections import namedtuple
 
 from .modarith import _DIGIT, _W, PrimeContext
 
@@ -56,13 +56,8 @@ class NotAResidue(Exception):
         return f"{self.a} is not a quadratic residue mod {self.p}"
 
 
-class SqrtOutcome(NamedTuple):
-    """A canonical square root: root <= p - root, coroot the other sign."""
-
-    root: int
-    coroot: int
-    method: str
-    mul_count: int
+SqrtOutcome = namedtuple("SqrtOutcome", "root coroot method mul_count")
+SqrtOutcome.__doc__ = "A canonical square root: root <= p - root, coroot the other sign."
 
 
 # _new_tuple(SqrtOutcome, fields) is the call SqrtOutcome._make makes; the
@@ -167,7 +162,7 @@ def sqrt_auto(ctx: PrimeContext, a: int) -> SqrtOutcome:
     return _new_tuple(SqrtOutcome, (root, p - root, ctx._method, ctx._cost))
 
 
-def roots(ctx: PrimeContext, values: Iterable[int]) -> list[int]:
+def roots(ctx: PrimeContext, values) -> list[int]:
     """The canonical root sqrt_auto(ctx, a).root of each a in values, in
     order, by sqrt_auto's lift: one class-table read per residue at k <= 8,
     in the one frame of roots, and one call to _walk per nonzero value above.

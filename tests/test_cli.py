@@ -232,6 +232,14 @@ def test_verify_range_bound(capsys):
         assert err == f"error: verify supports pmax<={bound} (BRUTE_LIMIT), got pmax={pmax}\n"
 
 
+def test_verify_accepts_pmax_at_the_bound(capsys):
+    # the bound itself is allowed; 2^20 is no prime, so the range is an empty pass
+    bound = oracles.BRUTE_LIMIT
+    code, out, _ = run_cli(capsys, "verify", "--pmin", str(bound), "--pmax", str(bound))
+    doc = json.loads(out)
+    assert code == 0 and doc["pmax"] == bound and doc["total_primes"] == 0
+
+
 def test_verify_injected_fault_flips_exit(capsys, monkeypatch):
     def corrupted(ctx, values):
         return [(root + 1) % ctx.p for root in _orig(ctx, values)]
@@ -525,6 +533,22 @@ def test_bench_unknown_method(capsys):
     assert run_cli(capsys, "bench", "--p", "13", "--methods", "auto,nope") == (
         1, "", "error: unknown method 'nope'\n"
     )
+
+
+@pytest.mark.parametrize("methods", ["", ","])
+def test_bench_explicit_empty_method_list_is_refused(capsys, methods):
+    # only an absent --methods means the default list: an empty one names
+    # the empty method, refused as any unknown name, with no timing line
+    assert run_cli(capsys, "bench", "--p", "41", "--methods", methods) == (
+        1, "", "error: unknown method ''\n"
+    )
+
+
+@pytest.mark.parametrize("methods", [[], ()])
+def test_run_bench_refuses_an_empty_method_list(capsys, methods):
+    with pytest.raises(ValueError, match="methods is empty"):
+        cli.run_bench(41, 3, methods)
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize(

@@ -2,13 +2,14 @@
 __all__ never meet a stale entry; the package exports each library module's
 names as the module's own objects, and no two modules export one name; no
 exported type is a dataclass, importing the command line loads none of
-dataclasses, inspect, fractions and decimal, and importing the package loads
-no argparse, so both stay cheap to import; no module imports after its first definition,
-so no import cycle hides there; the arithmetic takes no counter, the
-scripts use only public names, no file imports a name it never uses,
-every module.name the README, the package or the scripts mention exists,
-only formulas._walk reads the tables of the walk above k = 8, and the
-refusal's message is written once, in formulas.NotAResidue."""
+dataclasses, inspect, fractions, decimal and typing, and importing the
+package loads no argparse, typing or re, so both stay cheap to import; no
+module imports after its first definition, so no import cycle hides there;
+the arithmetic takes no counter, the scripts use only public names, no file
+imports a name it never uses, every module.name the README, the package or
+the scripts mention exists, only formulas._walk reads the tables of the walk
+above k = 8, and the refusal's message is written once, in
+formulas.NotAResidue."""
 
 import ast
 import collections
@@ -64,8 +65,8 @@ def test_module_all_lists_are_disjoint():
 
 def test_no_exported_name_is_a_dataclass():
     # A dataclass execs its generated methods when its module is imported, a
-    # NamedTuple does not; the records are NamedTuples and PrimeContext is a
-    # plain class with __slots__.
+    # collections.namedtuple evals only its __new__; the records are
+    # namedtuples and PrimeContext is a plain class with __slots__.
     found = {
         name
         for mod in MODULES
@@ -75,12 +76,13 @@ def test_no_exported_name_is_a_dataclass():
     assert found == set()
 
 
-def _fresh_modules(code: str) -> str:
+def _fresh_modules(code: str, *flags: str) -> str:
     # a fresh interpreter, since this one has loaded them all for the tests
     src = str(Path(sqrtmodp.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    cmd = [sys.executable, *flags, "-c", code]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -97,6 +99,17 @@ def test_package_import_loads_no_cli():
     # the command line stays out of the package's star imports
     code = "import sys, sqrtmodp; print(sorted({'argparse', 'sqrtmodp.cli'} & set(sys.modules)))"
     assert _fresh_modules(code) == "[]\n"
+
+
+def test_imports_load_no_typing():
+    # the records are collections.namedtuple classes and nothing is
+    # annotated with a typing name, so neither import loads typing, and the
+    # package loads no re either.  -S keeps site out: a .pth file in
+    # site-packages may import typing before any code runs
+    code = "import sys, sqrtmodp.cli; print(sorted({'typing'} & set(sys.modules)))"
+    assert _fresh_modules(code, "-S") == "[]\n"
+    code = "import sys, sqrtmodp; print(sorted({'typing', 're'} & set(sys.modules)))"
+    assert _fresh_modules(code, "-S") == "[]\n"
 
 
 def test_prime_context_takes_p_k_n_z():

@@ -1,23 +1,26 @@
-"""The record types are NamedTuples: what they must keep from the frozen
-dataclasses they replaced.
+"""The record types are collections.namedtuple classes: what they must keep
+from the frozen dataclasses they replaced.
 
 They stay immutable, keep their field names in order, compare and hash by
-value, and reach the JSON documents as objects, never as bare lists.  The
-verification report and the bench document carry no wall time, so two runs
-with the same arguments give equal reports; the commands time the calls
-themselves.  The symbolic formula is no record: synthesize returns its
-document, a dict, which compares by value and does not hash.
+value, survive a pickle round trip, and reach the JSON documents as objects,
+never as bare lists.  The verification report and the bench document carry
+no wall time, so two runs with the same arguments give equal reports; the
+commands time the calls themselves.  The symbolic formula is no record:
+synthesize returns its document, a dict, which compares by value and does
+not hash.
 """
 
 import json
+import pickle
 
 import pytest
 
-from sqrtmodp import cli, formulas, oracles, synthesis
+from sqrtmodp import cli, formulas, modarith, oracles, synthesis
 
 import formula_reference
 
 FIELDS = {
+    formulas.SqrtOutcome: ("root", "coroot", "method", "mul_count"),
     formula_reference.SignedFactor: ("sign", "j", "c"),
     formula_reference.RenderedTerm: ("e", "factors"),
     cli.Failure: ("a", "root", "coroot", "expected"),
@@ -52,6 +55,7 @@ def _samples(monkeypatch):
     verification = cli.run_verification(3, 7, "tonelli", 1)
     check = verification.primes[0]
     return {
+        formulas.SqrtOutcome: formulas.sqrt_auto(modarith.make_context(41), 2),
         formula_reference.SignedFactor: rendered.factors[0],
         formula_reference.RenderedTerm: rendered,
         cli.Failure: check.failures[0],
@@ -74,6 +78,17 @@ def test_records_are_immutable(cls, monkeypatch):
             setattr(obj, name, getattr(obj, name))
     with pytest.raises(AttributeError):
         obj.extra = 1
+
+
+@pytest.mark.parametrize("cls", FIELDS, ids=lambda c: c.__name__)
+def test_records_survive_a_pickle_round_trip(cls, monkeypatch):
+    # pickle finds the class by its module and name, so a record bound to
+    # another name than the one it was built with would fail here
+    obj = _samples(monkeypatch)[cls]
+    back = pickle.loads(pickle.dumps(obj))
+    assert type(back) is cls
+    assert back == obj and hash(back) == hash(obj)
+    assert back._asdict() == obj._asdict()
 
 
 def test_equal_formulas_compare_equal():

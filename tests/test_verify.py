@@ -112,3 +112,22 @@ def test_walk_memory_is_flat_in_p(monkeypatch):
         tracemalloc.stop()
     assert rep.passed and rep.total_residues == (p - 1) // 2
     assert peak < 2 * 1024 * 1024
+
+
+@pytest.mark.parametrize("p", [40961, 40993])
+def test_each_chunk_is_full_but_the_last(monkeypatch, p):
+    # (p-1)/2 residues go to formulas.roots in ceil((p-1)/2 / _CHUNK) calls,
+    # each of _CHUNK residues but the last, and no call is empty: at
+    # p = 40961, (p-1)/2 = 5 _CHUNK exactly
+    sizes = []
+    real = formulas.roots
+
+    def counted(ctx, values):
+        sizes.append(len(values))
+        return real(ctx, values)
+
+    monkeypatch.setattr(formulas, "roots", counted)
+    assert cli.run_verification(p, p).passed
+    half = (p - 1) // 2
+    full, rest = divmod(half, cli._CHUNK)
+    assert sizes == [cli._CHUNK] * full + ([rest] if rest else [])
