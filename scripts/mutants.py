@@ -5,6 +5,12 @@ swap, tested by the tier-1 suite with -x in a temporary copy of the repo.
 Usage: python scripts/mutants.py [--function modarith.is_prime] [--limit N]
            [--tests tests/test_modarith.py ...]
 
+--function takes module.function or module.Class.method, listed or not; the
+default is every function in FUNCTIONS.  Without --tests, the mutated
+module's own tests/test_<module>.py runs first, then every other test file,
+each named, so a killed mutant stops early at its first failure (named after
+a directory, a file keeps the directory's order).
+
 At one site at a time a mutant swaps a binary operator (+ and -, << and >>,
 & and |, % and //) or a comparison (< and <=, > and >=, == and !=, is and
 is not, in and not in), or adds 1 to an integer constant.  Each mutant's
@@ -42,6 +48,7 @@ FUNCTIONS = (
     "formulas._walk",
     "formulas.sqrt_auto",
     "formulas.roots",
+    "cli._json",
     "cli.main",
     "cli.run_bench",
     "cli.run_verification",
@@ -89,14 +96,27 @@ def _nodes(fn):
     return out
 
 
+def _find(qualname):
+    """(module path, function node) for module.function or module.Class.method;
+    ValueError when there is no such function."""
+    module, *names = qualname.split(".")
+    path = ROOT / "src" / "sqrtmodp" / f"{module}.py"
+    if not names or not path.is_file():
+        raise ValueError(f"{qualname}: not module.function or module.Class.method")
+    node = ast.parse(path.read_bytes())
+    for i, name in enumerate(names):
+        kind = ast.FunctionDef if i == len(names) - 1 else ast.ClassDef
+        node = next((n for n in node.body if isinstance(n, kind) and n.name == name), None)
+        if node is None:
+            raise ValueError(f"{qualname}: no such function")
+    return path, node
+
+
 def mutants(qualname):
     """(name, module path in the repo, mutated source) for each mutant of
-    module.function."""
-    module, func = qualname.split(".")
-    path = ROOT / "src" / "sqrtmodp" / f"{module}.py"
+    module.function or module.Class.method."""
+    path, fn = _find(qualname)
     source = path.read_bytes()
-    tree = ast.parse(source)
-    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == func)
     starts = [0]
     for line in source.splitlines(keepends=True):
         starts.append(starts[-1] + len(line))
@@ -112,6 +132,13 @@ def mutants(qualname):
             if seen[name] > 1:
                 name += f" #{seen[name]}"
             yield name, path.relative_to(ROOT), source[:lo] + f"({after})".encode() + source[hi:]
+
+
+def default_tests(qualname):
+    """tests/test_<module>.py, then every other test file, each by name."""
+    first = f"tests/test_{qualname.split('.')[0]}.py"
+    files = sorted(f"tests/{f.name}" for f in (ROOT / "tests").glob("test_*.py"))
+    return [first, *(f for f in files if f != first)] if first in files else files
 
 
 def run_tests(copy, tests):
@@ -148,25 +175,29 @@ def read_equivalent(path):
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--function", action="append", choices=FUNCTIONS,
-                    help="only this function (repeatable); default: all of them")
+    ap.add_argument("--function", action="append",
+                    help="only this function (repeatable); default: every one in FUNCTIONS")
     ap.add_argument("--limit", type=int, default=None, help="only the first N mutants")
-    ap.add_argument("--tests", nargs="*", default=["tests"], help="pytest paths; default: tier-1")
+    ap.add_argument("--tests", nargs="*", default=None,
+                    help="pytest paths; default: tier-1, the module's own tests first")
     args = ap.parse_args()
 
     equivalent = read_equivalent(EQUIVALENT)
-    todo = [m for f in args.function or FUNCTIONS for m in mutants(f)][: args.limit]
+    try:
+        todo = [(f, m) for f in args.function or FUNCTIONS for m in mutants(f)][: args.limit]
+    except ValueError as exc:
+        ap.error(str(exc))
     tally = {"killed": 0, "survived": 0, "timeout": 0, "equivalent": 0}
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis", "out"))
-        for name, rel, source in todo:
+        for func, (name, rel, source) in todo:
             original = (copy / rel).read_bytes()
             (copy / rel).write_bytes(source)
             t0 = time.perf_counter()
             try:
-                outcome, detail = run_tests(copy, args.tests)
+                outcome, detail = run_tests(copy, args.tests or default_tests(func))
             finally:
                 (copy / rel).write_bytes(original)
             if outcome == "survived" and name in equivalent:

@@ -17,8 +17,13 @@ serializes a dict with _json, writes --out, which every command takes, then
 stdout, so a failed write leaves stdout empty; a handler's stderr lines come
 first.  _json writes the bytes of json.dumps(doc, indent=2), whose
 pure-Python indenting encoder it replaces, and refuses any type it does not
-know.  JSON reports are byte-stable for fixed arguments and write-only: no
-command reads one back.  The reports carry no wall time: the verify and
+know.  It calls itself once per container, not once per value: a dict
+writes its int and str values inline, a list of equal-length rows of ints
+(expand's terms) fills one %d template per row, and a container that holds
+no container and is met again at one indent (density's histogram, written
+under two keys, and synthesize's shared factors) is written once.  JSON
+reports are byte-stable for fixed arguments and write-only: no command
+reads one back.  The reports carry no wall time: the verify and
 bench commands time the call whose time they print to stderr.  The verify
 document takes its entries from the PrimeCheck and Failure fields, in
 field order, written as objects through _asdict (_json refuses a
@@ -43,6 +48,7 @@ import json
 import sys
 import time
 from collections import namedtuple
+from itertools import chain
 
 from . import analysis, formulas, modarith, oracles, synthesis
 
@@ -349,44 +355,85 @@ def _cmd_bench(args) -> tuple[dict, int]:
 
 _str = json.encoder.encode_basestring_ascii
 _INTS = frozenset([int])
+_ROWS = frozenset([list, tuple])
 _FLOATS = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
 
 
-def _json(obj, nl: str = "\n") -> str:
+def _json(obj, nl: str = "\n", memo: dict | None = None) -> str:
     """obj written byte for byte as json.dumps(obj, indent=2) writes it.
 
     json.dumps runs its pure-Python encoder whenever indent is set; this
-    writer dispatches on the exact type and writes a list of plain ints in
-    one join, about twice as fast on the CLI's documents.  It takes dict
-    (str keys), list, tuple, str, int, float, bool and None; any other type,
-    a subclass or a non-str key raises TypeError, so it never writes bytes
-    that json.dumps would not.  nl is the newline and indent that precede
-    obj's closing bracket.
+    writer dispatches on the exact type and calls itself once per container
+    below a dict or list, not once per value.  A dict writes its int and str
+    values in its own loop.  A list of plain ints is one join, and a list of
+    rows of plain ints with one length, expand's [exponent, coefficient]
+    pairs, goes through one %d template per row, built once from the indent
+    and the length.  A container that holds no container and is met again
+    at the same indent within one call is written once: memo maps
+    (id(obj), nl) to its text, as for density's one histogram under two
+    keys and synthesize's shared factors.  Each container's text is made by
+    one join, with its brackets on the first and last pieces, not around the
+    joined text, so the document is not copied once more per level.  It
+    takes dict (str keys), list, tuple, str, int, float, bool and None; any
+    other type, a subclass or a non-str key raises TypeError, so it never
+    writes bytes that json.dumps would not.  nl is the newline and indent
+    that precede obj's closing bracket.
     """
     t = type(obj)
     if t is int:
         return int.__repr__(obj)
     if t is str:
         return _str(obj)
-    if t is dict:
+    if t is dict or t is list or t is tuple:
         if not obj:
-            return "{}"
+            return "{}" if t is dict else "[]"
+        if memo is None:
+            memo = {}
+        key = id(obj), nl
+        text = memo.get(key)
+        if text is not None:
+            return text
         inner = nl + "  "
-        items = []
-        for key, value in obj.items():
-            if type(key) is not str:
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(f"{_str(key)}: {_json(value, inner)}")
-        return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
-    if t is list or t is tuple:
-        if not obj:
-            return "[]"
-        inner = nl + "  "
-        if set(map(type, obj)) == _INTS:  # no bool: its type is not int
-            items = map(int.__repr__, obj)
+        sep = "," + inner
+        # Only texts of containers that hold no container are kept: keeping
+        # every text would hold the document once per level of nesting.
+        leaf = True
+        if t is dict:
+            parts = []
+            for name, value in obj.items():
+                if type(name) is not str:
+                    raise TypeError(f"keys must be str, not {type(name).__name__}")
+                vt = type(value)
+                if vt is int:  # an exact int formats as int.__repr__ writes it
+                    parts.append(f"{sep}{_str(name)}: {value}")
+                elif vt is str:
+                    parts.append(f"{sep}{_str(name)}: {_str(value)}")
+                else:
+                    parts += f"{sep}{_str(name)}: ", _json(value, inner, memo)
+                    leaf = False
+            parts[0] = "{" + parts[0][1:]  # the opening bracket for the first comma
+            parts.append(nl + "}")
+            text = "".join(parts)
         else:
-            items = [_json(value, inner) for value in obj]
-        return f"[{inner}{(',' + inner).join(items)}{nl}]"
+            types = set(map(type, obj))
+            cells = ()
+            if types <= _ROWS and len(set(map(len, obj))) == 1:
+                cells = tuple(chain.from_iterable(obj))
+            if types == _INTS:  # no bool: its type is not int
+                text = f"[{inner}{sep.join(map(int.__repr__, obj))}{nl}]"
+            elif cells and set(map(type, cells)) == _INTS:
+                cell = inner + "  "
+                row = f"[{cell}{(',' + cell).join(['%d'] * len(obj[0]))}{inner}]"
+                text = f"[{inner}{sep.join([row] * len(obj))}{nl}]" % cells
+            else:
+                items = [_json(value, inner, memo) for value in obj]
+                items[0] = f"[{inner}{items[0]}"
+                items[-1] = f"{items[-1]}{nl}]"
+                text = sep.join(items)
+                leaf = False
+        if leaf:
+            memo[key] = text
+        return text
     if t is float:
         return "NaN" if obj != obj else _FLOATS.get(obj) or float.__repr__(obj)
     if obj is None:

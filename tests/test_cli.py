@@ -853,21 +853,78 @@ _docs = st.recursive(
         st.lists(kids),
         st.lists(kids).map(tuple),
         st.lists(st.integers()),
+        # rows: expand's pairs, and lists of int lists of one length
+        st.lists(st.tuples(st.integers(), st.integers())),
+        st.integers(0, 3).flatmap(
+            lambda n: st.lists(st.lists(st.integers(), min_size=n, max_size=n))
+        ),
         st.dictionaries(st.text(), kids),
+        # one object met twice, at one indent and at two
+        kids.map(lambda h: {"a": h, "b": h}),
+        kids.map(lambda h: [h, [h]]),
+        st.dictionaries(st.text(), kids).map(lambda d: {"x": d, "y": [d]}),
     ),
     max_leaves=40,
 )
+_h, _d = [1, [2, 3]], {"j": 1, "c": [4]}
 
 
 @given(_docs)
 @example({"a": [], "b": {}, "c": (), "d": [[]], "e": [{}]})
 @example([1, True, 0, False, -(10**50)])
 @example([float("nan"), float("inf"), float("-inf"), -0.0, 1e300, 5e-324])
+@example([(1, True)])
+@example([[1, 2], [3]])
+@example([[1, 2], []])
+@example(((1, 2), [3, 4]))
+@example([[-(10**80), 0]])
+@example({"a": _h, "b": _h})
+@example([_h, [_h]])
+@example({"x": _d, "y": [_d]})
 def test_json_writer_matches_json_dumps(doc):
     assert cli._json(doc) == json.dumps(doc, indent=2)
 
 
-@pytest.mark.parametrize("doc", [{1, 2}, {"a": [{1: "x"}]}], ids=["set", "int_key"])
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {1, 2},
+        {"a": [{1: "x"}]},
+        [SqrtOutcome(1, 2, "f1", 0)],
+        [(1, _Int(2))],
+        {"a": _Int(2)},
+        [[1, 2], type("Row", (list,), {})([3, 4])],
+        {"a": type("Doc", (dict,), {})()},
+    ],
+    ids=["set", "int_key", "namedtuple_row", "int_subclass_cell", "int_subclass_value",
+         "list_subclass_row", "dict_subclass"],
+)
 def test_json_writer_refuses_what_it_cannot_write(doc):
     with pytest.raises(TypeError):
         cli._json(doc)
+
+
+def test_json_writer_writes_rows_without_a_call_per_row(monkeypatch, capsys):
+    # expand's pairs are rows, and so are rows that mix lists and tuples
+    write, calls = cli._json, []
+
+    def counted(*args):
+        calls.append(args[0])
+        return write(*args)
+
+    monkeypatch.setattr(cli, "_json", counted)
+    counts = {}
+    for p, terms in [(3329, 128), (7681, 256)]:
+        calls.clear()
+        code, out, _ = run_cli(capsys, "expand", "--p", str(p))
+        assert code == 0 and len(json.loads(out)["terms"]) == terms
+        counts[p] = len(calls)
+    assert counts[3329] == counts[7681] < 128
+    calls.clear()
+    rows = ((1, 2), [3, 4])
+    assert cli._json(rows) == json.dumps(rows, indent=2)
+    assert calls == [rows]

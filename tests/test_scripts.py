@@ -67,3 +67,17 @@ def test_mutants_script():
     assert lines[1].startswith("killed")
     assert lines[1].endswith(f"  [FAILED {test}]")
     assert lines[2] == "total: 2 mutants, 1 killed, 0 survived, 0 timeout, 1 equivalent"
+
+
+def test_mutants_script_reaches_methods():
+    # a module.Class.method name; the first mutant is killed
+    test = "tests/test_lift.py::test_class_table_of_every_prime_below_3000"
+    proc = run_script(
+        "mutants.py", "--function", "modarith.PrimeContext._class_table", "--limit", "1",
+        "--tests", test,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("killed")
+    assert lines[0].endswith(f"modarith.PrimeContext._class_table: 0 -> 1  [FAILED {test}]")
+    assert lines[1] == "total: 1 mutants, 1 killed, 0 survived, 0 timeout, 0 equivalent"
