@@ -15,9 +15,10 @@ At one site at a time a mutant swaps a binary operator (+ and -, << and >>,
 & and |, % and //) or a comparison (< and <=, > and >=, == and !=, is and
 is not, in and not in), or adds 1 to an integer constant.  Each mutant's
 module is written into the copy and the tests run there with -x under a
-wall-clock limit of TIMEOUT = 300 s, with this script's own smoke test
-deselected (it would mutate the mutant again).  A mutant is killed when a
-test fails, survived when all pass, and timed out at the limit.  A survivor listed in
+wall-clock limit of TIMEOUT = 300 s, with this script's own smoke tests,
+every test named test_mutants_script*, deselected (they would mutate the
+mutant again).  A mutant is killed when a test fails, survived when all
+pass, and timed out at the limit.  A survivor listed in
 scripts/mutants_equivalent.txt, one "name | reason" a line, reads as
 equivalent: no input tells it from the original.  The name of a mutant is
 "module.function: before -> after", with " #i" for the i-th site of the
@@ -56,7 +57,7 @@ FUNCTIONS = (
     "synthesis._body",
 )
 TIMEOUT = 300  # seconds for one mutant's tests
-SELF_TEST = "tests/test_scripts.py::test_mutants_script"
+SELF_TEST = "tests/test_scripts.py::test_mutants_script"  # --deselect takes a prefix
 
 _BINOPS = {
     ast.Add: ast.Sub, ast.Sub: ast.Add,
